@@ -1,0 +1,102 @@
+"""Golden outputs: CLI stdout and trace CSVs compared byte for byte.
+
+The fixtures in ``tests/data`` pin the exact output of a few small runs, so a
+refactor that claims unchanged behaviour can prove it.  Regenerate them only
+together with a stated behaviour change:
+
+    PYTHONPATH=src python tests/test_golden.py
+
+Runs use a relative ``--trace`` name in a scratch directory, because the trace
+path is echoed in the JSON.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from formalchain.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+# Acceptance-9 couplings; the free and the stiff run differ only in h.1.
+MIXED = [
+    "g.0=0.5", "g.1=1", "g.2=6", "f.0=0.01", "f.1=0.01", "f.2=0.01",
+    "Lambda.0=0.05", "Lambda.1=0", "Lambda.2=0.5",
+    "weight.extend=0.15", "weight.fluctuate=0.65", "weight.reweight=0.2",
+]
+# Cheap volume terms, so chains climb through dimension 2 into the mock stage.
+MOCK = [
+    "g.0=0.1", "g.1=0.1", "g.2=0.1",
+    "weight.extend=0.5", "weight.fluctuate=0.3", "weight.reweight=0.2",
+]
+# Partial layers and shed components, priced low enough to reach dimension 2.
+PARTIAL = MOCK + ["layer=partial", "topology_change=true", "p_circle=0.3",
+                  "singular_penalty=1"]
+
+
+def _sample(name, seed, chains, sweeps, settings):
+    argv = ["sample", "--seed", str(seed), "--chains", str(chains), "--sweeps", str(sweeps)]
+    for item in settings:
+        argv += ["--set", item]
+    return argv + ["--trace", f"{name}.csv"]
+
+
+CASES = {
+    "sample_free": _sample("sample_free", 5000, 4, 100, MIXED + ["h.1=0"]),
+    "sample_stiff": _sample("sample_stiff", 5000, 4, 100, MIXED + ["h.1=100"]),
+    "sample_mock_s0": _sample("sample_mock_s0", 0, 6, 80, MOCK),
+    "sample_mock_s1": _sample("sample_mock_s1", 1, 6, 80, MOCK),
+    "sample_partial": _sample("sample_partial", 21, 4, 80, PARTIAL),
+    "pair_cancellation": ["pair", "--example", "cancellation-3.2"],
+    "pair_freedman": ["pair", "--example", "freedman-3.1"],
+}
+
+
+def _run(name, capsys):
+    """(stdout, trace text or None) of one case, run in the current directory."""
+    assert main(CASES[name]) == 0
+    out = capsys.readouterr().out
+    trace = Path(f"{name}.csv")
+    return out, trace.read_text() if trace.exists() else None
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    out, trace = _run(name, capsys)
+    assert out == (DATA / f"{name}.json").read_text()
+    expected_trace = DATA / f"{name}.csv"
+    if expected_trace.exists():
+        assert trace == expected_trace.read_text()
+    else:
+        assert trace is None
+
+
+def test_sample_stdout_independent_of_hash_seed(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    outs = []
+    for hash_seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "formalchain"] + CASES["sample_mock_s0"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+        )
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0] == (DATA / "sample_mock_s0.json").read_text()
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    DATA.mkdir(exist_ok=True)
+    os.chdir(DATA)
+    for case, argv in CASES.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == 0
+        (DATA / f"{case}.json").write_text(buf.getvalue())
