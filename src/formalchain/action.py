@@ -20,7 +20,7 @@ penalty instead of being rejected, so the sampler can pass through them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import GeometryError, SingularError, StructureError, UnsupportedError
@@ -40,15 +40,11 @@ class ActionParams:
     f: Tuple[float, float, float] = (0.1, 0.1, 0.1)
     g: Tuple[float, float, float] = (10.0, 10.0, 10.0)
     h: Tuple[float, float, float] = (0.0, 0.0, 0.0)
-    a: float = 1.0
-    alpha: Tuple[float, float, float] = (1.0, 1.0, 1.0)
     singular_penalty: float = 1.0e6  # math.inf switches to hard rejection
 
     def __post_init__(self):
         if self.G <= 0:
             raise StructureError("G must be positive")
-        if self.a <= 0:
-            raise StructureError("a must be positive")
         for name in ("c", "f", "g", "h"):
             if any(x < 0 for x in getattr(self, name)):
                 raise StructureError(f"{name}_d must be nonnegative")
@@ -172,21 +168,10 @@ class ActionBreakdown:
     fugacity: float = 0.0
     volume: float = 0.0
     kinetic: float = 0.0
-    per_site: List[Dict[str, float]] = field(default_factory=list)
 
     @property
     def total(self) -> float:
         return self.curvature + self.cosmological + self.fugacity + self.volume + self.kinetic
-
-    def as_dict(self) -> dict:
-        return {
-            "curvature": self.curvature,
-            "cosmological": self.cosmological,
-            "fugacity": self.fugacity,
-            "volume": self.volume,
-            "kinetic": self.kinetic,
-            "total": self.total,
-        }
 
 
 def total_action(chain, p: ActionParams) -> ActionBreakdown:
@@ -206,9 +191,6 @@ def total_action(chain, p: ActionParams) -> ActionBreakdown:
         out.curvature += p.c[k] * curv
         out.cosmological += p.c[k] * cosm
         out.volume += vol
-        out.per_site.append(
-            {"dim": d, "curvature": p.c[k] * curv, "cosmological": p.c[k] * cosm, "volume": vol}
-        )
     steps = list(chain.fluctuation_steps())
     for s in steps:
         out.fugacity += p.c[p.idx(s.dim)] * p.f[p.idx(s.dim)] * float(abs2(s.moved_amp))

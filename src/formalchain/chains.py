@@ -21,7 +21,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .action import ActionParams, FluctuationStep, total_action
 from .errors import (
@@ -34,7 +34,8 @@ from .errors import (
     UnsupportedError,
 )
 from .growth import Cobordism, GrowthConfig, double_cross, grow_superposed, mirror_double
-from .superpose import Superposition, conj
+from .pairing import pair_terms
+from .superpose import Superposition
 from .topo import Triangulation, apply_pachner, iso_key, moves_for, point_set
 
 GROW = "grow"
@@ -180,6 +181,21 @@ def metropolis_accept(delta_s: float, rng: random.Random, temperature: float = 1
     return rng.random() < math.exp(-delta_s / temperature)
 
 
+def _self_pair(x_terms: Sequence[Tuple[object, object]], part: Callable[[object], object],
+               glue: Callable[[object, object], object]) -> Superposition:
+    """Pair a layer superposition with itself, collected over all parts.
+
+    Kets of different boundary parts share no boundary, so only kets of one
+    part are glued to each other; parts go in first-seen order.
+    """
+    groups: Dict[object, List[Tuple[object, object]]] = {}
+    for amp, ket in x_terms:
+        groups.setdefault(part(ket), []).append((amp, ket))
+    return Superposition.collect(
+        term for group in groups.values() for term in pair_terms(group, group, glue)
+    )
+
+
 def _double_site(x_terms: Sequence[Tuple[object, Cobordism]], dim: int) -> ChainSite:
     """Pair an X layer superposition against itself, collected by isometry key.
 
@@ -188,20 +204,18 @@ def _double_site(x_terms: Sequence[Tuple[object, Cobordism]], dim: int) -> Chain
     over the same slice with identical boundary ids precisely so those cross
     gluings are defined.
     """
-    raw = []
     reps: Dict[object, Triangulation] = {}
-    by_slice: Dict[Tuple, List[Tuple[object, Cobordism]]] = {}
-    for amp, cob in x_terms:
-        sig = (cob.lower_key, tuple(sorted(cob.space.boundary_mark.items())))
-        by_slice.setdefault(sig, []).append((amp, cob))
-    for group in by_slice.values():
-        for a_i, c_i in group:
-            for a_j, c_j in group:
-                glued = double_cross(c_i, c_j)
-                key = iso_key(glued)
-                raw.append((a_i * conj(a_j), key))
-                reps.setdefault(key, glued)
-    state = Superposition.collect(raw)
+
+    def glue(c_i: Cobordism, c_j: Cobordism):
+        glued = double_cross(c_i, c_j)
+        key = iso_key(glued)
+        reps.setdefault(key, glued)
+        return key
+
+    def part(cob: Cobordism):
+        return cob.lower_key, tuple(sorted(cob.space.boundary_mark.items()))
+
+    state = _self_pair(x_terms, part, glue)
     reps = {k: reps[k] for k in state.keys()}
     return ChainSite(dim=dim, kind="Y", state=state, reps=reps)
 
@@ -245,43 +259,25 @@ def propose_extend(chain: FormalChain, cfg: SamplerConfig, rng: random.Random) -
 def _propose_mock_stage(chain: FormalChain, frontier: ChainSite) -> FormalChain:
     """Enter the opaque-ket stage: two cobounding kets per component, all of
     whose mutual gluings are one closed class."""
-    x_terms: List[Tuple[object, str]] = []
-    raw = []
+    x_terms: List[Tuple[object, Tuple[str, int]]] = []
     w = 1.0 / math.sqrt(2.0)
     for i, key in enumerate(sorted(frontier.state.keys(), key=str)):
         b = frontier.state.amplitude(key)
-        a_amp = b * w
-        b_amp = b * w
-        x_terms.append((a_amp, f"A|{i}"))
-        x_terms.append((b_amp, f"B|{i}"))
-        total = (
-            a_amp * conj(a_amp) + a_amp * conj(b_amp)
-            + b_amp * conj(a_amp) + b_amp * conj(b_amp)
-        )
-        raw.append((total, f"S|{i}"))
+        x_terms.append((b * w, ("A", i)))
+        x_terms.append((b * w, ("B", i)))
     x_site = ChainSite(
         dim=MOCK_DIM, kind="mock_X",
         state=Superposition(x_terms),
         x_terms=tuple(x_terms),
     )
-    y_site = ChainSite(dim=MOCK_DIM, kind="mock_Y", state=Superposition.collect(raw))
-    return chain.extended([x_site, y_site], [GROW, DOUBLE])
+    return chain.extended([x_site, _mock_double(x_terms)], [GROW, DOUBLE])
 
 
-def _mock_redouble(x_terms: Sequence[Tuple[object, str]]) -> ChainSite:
-    by_comp: Dict[str, List[Tuple[object, str]]] = {}
-    for amp, ket in x_terms:
-        comp = ket.split("|", 1)[1]
-        by_comp.setdefault(comp, []).append((amp, ket))
-    raw = []
-    for comp, terms in by_comp.items():
-        total = None
-        for a_i, _ in terms:
-            for a_j, _ in terms:
-                term = a_i * conj(a_j)
-                total = term if total is None else total + term
-        raw.append((total, f"S|{comp}"))
-    return ChainSite(dim=MOCK_DIM, kind="mock_Y", state=Superposition.collect(raw))
+def _mock_double(x_terms: Sequence[Tuple[object, Tuple[str, int]]]) -> ChainSite:
+    """Kets ("A", i) and ("B", i) cobound component i; any two of them glue
+    to its closed class ("S", i)."""
+    state = _self_pair(x_terms, lambda ket: ket[1], lambda m, n: ("S", m[1]))
+    return ChainSite(dim=MOCK_DIM, kind="mock_Y", state=state)
 
 
 def propose_fluctuate(chain: FormalChain, cfg: SamplerConfig, rng: random.Random) -> Optional[FormalChain]:
@@ -304,18 +300,24 @@ def propose_fluctuate(chain: FormalChain, cfg: SamplerConfig, rng: random.Random
         new_rep = apply_pachner(rep, move)
     except (MoveError, GeometryError):
         return None
+    return _fluctuated(chain, frontier, key, new_rep)
+
+
+def _fluctuated(chain: FormalChain, frontier: ChainSite, key, new_rep: Triangulation) -> FormalChain:
+    """The chain extended by a fluctuate link that moves the frontier term
+    ``key`` onto the class of ``new_rep``, with its amplitude bookkeeping."""
     new_key = iso_key(new_rep)
     old_state = frontier.state
     new_state = old_state.map_key(key, new_key)
     moved_amp = old_state.amplitude(key)
     pairs: List[Tuple[object, object]] = [(moved_amp, new_state.amplitude(new_key))]
-    for k in keys:
+    for k in sorted(old_state.keys(), key=str):
         if k != key:
             pairs.append((old_state.amplitude(k), new_state.amplitude(k)))
     step_rec = FluctuationStep(dim=frontier.dim, moved_amp=moved_amp, amp_pairs=tuple(pairs))
     reps = {k: r for k, r in frontier.reps.items() if k in new_state}
     if new_key in new_state:
-        reps[new_key] = reps.get(new_key, new_rep)
+        reps.setdefault(new_key, new_rep)
     site = ChainSite(dim=frontier.dim, kind="Y", state=new_state, reps=reps)
     return chain.extended([site], [FLUCTUATE], [step_rec])
 
@@ -341,7 +343,7 @@ def propose_reweight(chain: FormalChain, cfg: SamplerConfig, rng: random.Random)
             state=Superposition([(a, k) for a, k in new_terms]),
             x_terms=tuple(new_terms),
         )
-        new_y = _mock_redouble(new_terms)
+        new_y = _mock_double(new_terms)
     else:
         new_x = ChainSite(
             dim=x_site.dim, kind="X",
@@ -540,18 +542,4 @@ def _example_fluctuation(chain: FormalChain) -> Optional[FormalChain]:
         move = next(m for m in moves_for(rep) if m.kind == MERGE_2_1)
     else:
         return None
-    new_rep = apply_pachner(rep, move)
-    new_key = iso_key(new_rep)
-    old_state = frontier.state
-    new_state = old_state.map_key(key, new_key)
-    moved_amp = old_state.amplitude(key)
-    pairs = [(moved_amp, new_state.amplitude(new_key))]
-    for k in sorted(old_state.keys(), key=str):
-        if k != key:
-            pairs.append((old_state.amplitude(k), new_state.amplitude(k)))
-    rec = FluctuationStep(dim=1, moved_amp=moved_amp, amp_pairs=tuple(pairs))
-    reps = {k: r for k, r in frontier.reps.items() if k in new_state}
-    if new_key in new_state:
-        reps.setdefault(new_key, new_rep)
-    site = ChainSite(dim=1, kind="Y", state=new_state, reps=reps)
-    return chain.extended([site], [FLUCTUATE], [rec])
+    return _fluctuated(chain, frontier, key, apply_pachner(rep, move))

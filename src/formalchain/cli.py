@@ -24,6 +24,7 @@ from .errors import (
     BoundaryError,
     ConfigError,
     FormalChainError,
+    IntegratorError,
     ParseError,
 )
 from .graphs import (
@@ -138,6 +139,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BoundaryError as exc:
         print(f"boundary mismatch: {exc}", file=sys.stderr)
         return EXIT_BOUNDARY
+    except IntegratorError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except FormalChainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

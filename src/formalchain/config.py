@@ -8,7 +8,7 @@ Unknown keys are rejected so typos cannot silently change a run.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .action import ActionParams
 from .chains import SamplerConfig
@@ -16,16 +16,18 @@ from .errors import ConfigError
 from .growth import GrowthConfig
 
 ACTION_KEYS = {
-    "G", "a", "singular_penalty",
+    "G", "singular_penalty",
     "Lambda.0", "Lambda.1", "Lambda.2",
     "c.0", "c.1", "c.2",
     "f.0", "f.1", "f.2",
     "g.0", "g.1", "g.2",
     "h.0", "h.1", "h.2",
-    "alpha.0", "alpha.1", "alpha.2",
 }
 
-GROWTH_KEYS = {"layer", "p_circle", "topology_change", "partial_retry"}
+GROWTH_KEYS = {
+    "a", "alpha.0", "alpha.1", "alpha.2",
+    "layer", "p_circle", "topology_change", "partial_retry",
+}
 
 SAMPLER_KEYS = {
     "chains", "sweeps", "max_dimension", "mock_stage", "initial_points",
@@ -58,13 +60,17 @@ def parse_config_text(text: str, allowed: Iterable[str]) -> Dict[str, str]:
     return out
 
 
-def _as_float(settings: Mapping[str, str], key: str, default: float) -> float:
+def _as_fraction(settings: Mapping[str, str], key: str, default):
     if key not in settings:
         return default
     try:
-        return float(Fraction(settings[key]))
+        return Fraction(settings[key])
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"key {key!r}: bad number {settings[key]!r}")
+
+
+def _as_float(settings: Mapping[str, str], key: str, default: float) -> float:
+    return float(_as_fraction(settings, key, default))
 
 
 def _as_int(settings: Mapping[str, str], key: str, default: int) -> int:
@@ -94,31 +100,31 @@ def _triple(settings: Mapping[str, str], stem: str, default: Tuple[float, float,
 
 
 def action_params_from(settings: Mapping[str, str]) -> ActionParams:
+    base = ActionParams()
     try:
         return ActionParams(
-            G=_as_float(settings, "G", 1.0),
-            Lambda=_triple(settings, "Lambda", (0.0, 0.0, 0.0)),
-            c=_triple(settings, "c", (1.0, 1.0, 1.0)),
-            f=_triple(settings, "f", (0.1, 0.1, 0.1)),
-            g=_triple(settings, "g", (10.0, 10.0, 10.0)),
-            h=_triple(settings, "h", (0.0, 0.0, 0.0)),
-            a=_as_float(settings, "a", 1.0),
-            alpha=_triple(settings, "alpha", (1.0, 1.0, 1.0)),
-            singular_penalty=_as_float(settings, "singular_penalty", 1.0e6),
+            G=_as_float(settings, "G", base.G),
+            Lambda=_triple(settings, "Lambda", base.Lambda),
+            c=_triple(settings, "c", base.c),
+            f=_triple(settings, "f", base.f),
+            g=_triple(settings, "g", base.g),
+            h=_triple(settings, "h", base.h),
+            singular_penalty=_as_float(settings, "singular_penalty", base.singular_penalty),
         )
     except Exception as exc:
         raise ConfigError(str(exc))
 
 
 def growth_config_from(settings: Mapping[str, str]) -> GrowthConfig:
+    base = GrowthConfig()
     try:
         return GrowthConfig(
-            alpha=tuple(Fraction(settings.get(f"alpha.{d}", "1")) for d in range(3)),
-            a=Fraction(settings.get("a", "1")),
-            layer=settings.get("layer", "full"),
-            topology_change=_as_bool(settings, "topology_change", False),
-            p_circle=_as_float(settings, "p_circle", 0.1),
-            partial_retry=_as_int(settings, "partial_retry", 64),
+            alpha=tuple(_as_fraction(settings, f"alpha.{d}", base.alpha[d]) for d in range(3)),
+            a=_as_fraction(settings, "a", base.a),
+            layer=settings.get("layer", base.layer),
+            topology_change=_as_bool(settings, "topology_change", base.topology_change),
+            p_circle=_as_float(settings, "p_circle", base.p_circle),
+            partial_retry=_as_int(settings, "partial_retry", base.partial_retry),
         )
     except ConfigError:
         raise
@@ -127,19 +133,20 @@ def growth_config_from(settings: Mapping[str, str]) -> GrowthConfig:
 
 
 def sampler_config_from(settings: Mapping[str, str], seed: int) -> SamplerConfig:
+    base = SamplerConfig()
     try:
         return SamplerConfig(
             seed=seed,
-            chains=_as_int(settings, "chains", 20),
-            sweeps=_as_int(settings, "sweeps", 100),
-            max_dimension=_as_int(settings, "max_dimension", 2),
-            mock_stage=_as_bool(settings, "mock_stage", True),
-            initial_points=_as_int(settings, "initial_points", 1),
-            x1_candidates=_as_int(settings, "x1_candidates", 2),
-            weight_extend=_as_float(settings, "weight.extend", 0.4),
-            weight_fluctuate=_as_float(settings, "weight.fluctuate", 0.4),
-            weight_reweight=_as_float(settings, "weight.reweight", 0.2),
-            temperature=_as_float(settings, "temperature", 1.0),
+            chains=_as_int(settings, "chains", base.chains),
+            sweeps=_as_int(settings, "sweeps", base.sweeps),
+            max_dimension=_as_int(settings, "max_dimension", base.max_dimension),
+            mock_stage=_as_bool(settings, "mock_stage", base.mock_stage),
+            initial_points=_as_int(settings, "initial_points", base.initial_points),
+            x1_candidates=_as_int(settings, "x1_candidates", base.x1_candidates),
+            weight_extend=_as_float(settings, "weight.extend", base.weight_extend),
+            weight_fluctuate=_as_float(settings, "weight.fluctuate", base.weight_fluctuate),
+            weight_reweight=_as_float(settings, "weight.reweight", base.weight_reweight),
+            temperature=_as_float(settings, "temperature", base.temperature),
             growth=growth_config_from(settings),
         )
     except ConfigError:

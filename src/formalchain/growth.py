@@ -27,7 +27,7 @@ from .errors import (
     SuperpositionForbiddenError,
     UnsupportedError,
 )
-from .superpose import Superposition, abs2
+from .superpose import abs2
 from .topo import (
     LOWER,
     UPPER,
@@ -344,14 +344,6 @@ class SuperposedGrowth:
     """A grown X-site: amplitudes alpha_i * b on concrete cobordisms."""
 
     terms: List[Tuple[object, Cobordism]]
-
-    def superposition(self, metric: bool = True) -> Superposition:
-        return Superposition([(amp, iso_key(c.space, metric=metric)) for amp, c in self.terms])
-
-    def weight_norm2(self):
-        return Superposition(
-            [(amp, i) for i, (amp, _) in enumerate(self.terms)]
-        ).norm2()
 
 
 def grow_superposed(

@@ -18,7 +18,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -227,11 +227,8 @@ class MockEquivalence(Gluer):
 
     def check(self, kets: Sequence[str]) -> None:
         for k in kets:
-            if k not in self.table_kets():
+            if k not in self.kets:
                 raise BoundaryError(f"unknown mock ket {k!r}")
-
-    def table_kets(self) -> Tuple[str, ...]:
-        return self.kets
 
     def glue(self, a: str, b: str) -> str:
         return self.table[(a, b)]
@@ -260,19 +257,21 @@ class MockEquivalence(Gluer):
 # -- the pairing --------------------------------------------------------------------
 
 
+def pair_terms(v: Sequence, w: Sequence, glue: Callable) -> Iterator[Tuple[object, object]]:
+    """Uncollected terms ``(a_i conj(b_j), glue(m_i, n_j))`` of two ``(amplitude, ket)``
+    lists, i outer and j inner: collecting them in order fixes the summation order."""
+    for a, m in v:
+        for b, n in w:
+            yield a * conj(b), glue(m, n)
+
+
 def pair(v: Superposition, w: Superposition, gluer: Gluer) -> Superposition:
     """Sesquilinear pairing ``sum_ij a_i conj(b_j) [glue(M_i, mirror N_j)]``."""
     kets = list(v.keys()) + list(w.keys())
     gluer.check(kets)
-    raw = []
-    for m, a in v.items():
-        for n, b in w.items():
-            raw.append((a * conj(b), gluer.glue(m, n)))
-    return Superposition.collect(raw)
-
-
-def pairing_norm2(v: Superposition, gluer: Gluer):
-    return pair(v, v, gluer).norm2()
+    v_terms = [(a, m) for m, a in v.items()]
+    w_terms = [(b, n) for n, b in w.items()]
+    return Superposition.collect(pair_terms(v_terms, w_terms, gluer.glue))
 
 
 # -- light-like search ----------------------------------------------------------------
@@ -284,17 +283,6 @@ class SearchResult:
     argmin: Superposition
     restarts: int
     steps: int
-
-    def as_dict(self) -> dict:
-        return {
-            "min_residual": self.min_residual,
-            "restarts": self.restarts,
-            "steps": self.steps,
-            "argmin": [
-                {"key": str(k), "re": complex(a).real, "im": complex(a).imag}
-                for k, a in self.argmin.items()
-            ],
-        }
 
 
 def lightlike_search(

@@ -127,10 +127,6 @@ class Superposition:
         """Sum amplitudes of equal keys; drop entries with |amp| <= eps_zero."""
         return Superposition(raw, eps_zero=eps_zero)
 
-    @staticmethod
-    def unit(key: Any) -> "Superposition":
-        return Superposition([(1, key)])
-
     # -- queries -----------------------------------------------------------
 
     def items(self) -> Iterator[Tuple[Any, Any]]:

@@ -205,9 +205,6 @@ class Triangulation:
     def euler_characteristic(self) -> int:
         return len(self.vertex_sign) - len(self.edges) + len(self.faces)
 
-    def boundary_simplices(self) -> Dict[int, str]:
-        return dict(self.boundary_mark)
-
     def is_closed(self) -> bool:
         return not self.boundary_mark
 

@@ -151,7 +151,7 @@ def evolve(state: TwoFieldState, p: TwoFieldParams) -> Trajectory:
         traj.joint_norms.append(n)
         traj.erased_norms.append(raw_norm * erase_scale)
         traj.com_means.append(mean)
-        if abs(n - norm0) > p.max_norm_drift:
+        if not abs(n - norm0) <= p.max_norm_drift:  # a NaN norm fails too
             raise IntegratorError(
                 f"joint norm drifted by {abs(n - norm0):.3e} at t = {t:.4f}"
             )
@@ -191,15 +191,6 @@ def ket_erase(state: TwoFieldState, normalize_scale: Optional[float] = None) -> 
     if nrm == 0.0:
         raise ZeroStateError("erased wavefunction has zero norm")
     return raw / nrm
-
-
-def erase_scale_at(state: TwoFieldState) -> float:
-    dx = grid_dx(state.params)
-    raw = _erase_raw(state.psi, dx)
-    nrm = math.sqrt(float(np.sum(np.abs(raw) ** 2)) * dx)
-    if nrm == 0.0:
-        raise ZeroStateError("erased wavefunction has zero norm")
-    return 1.0 / nrm
 
 
 def _com_density(psi: np.ndarray, dx: float) -> np.ndarray:

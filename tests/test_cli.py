@@ -153,9 +153,11 @@ def test_sample_set_override(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["config"]["g.1"] == "3"
-    code2, _, _ = run_cli(capsys, "sample", "--seed", "1", "--sweeps", "1",
-                          "--set", "nonsense=1")
-    assert code2 == 2
+    for bad in ("nonsense=1", "a=0", "a=abc", "alpha.2=-1"):
+        code2, _, err = run_cli(capsys, "sample", "--seed", "1", "--sweeps", "1",
+                                "--set", bad)
+        assert code2 == 2, bad
+        assert err.startswith("error: "), bad
 
 
 def test_sample_unknown_key_exit_2(tmp_path, capsys):
@@ -209,6 +211,18 @@ def test_twofield_csv(capsys):
     lines = [l for l in out.splitlines() if l and not l.startswith("#")]
     assert lines[0] == "t,joint_norm,phi_norm,com_x"
     assert len(lines) >= 3
+
+
+def test_twofield_nan_norm_exit_4(capsys):
+    # an overflowing potential turns every norm into NaN, which must fail the
+    # drift check instead of printing nan rows
+    code, out, err = run_cli(
+        capsys, "twofield", "--v-depth", "1e308", "--dt", "1e10", "--steps", "2",
+        "--grid", "16", "--stride", "1",
+    )
+    assert code == 4
+    assert "nan" not in out
+    assert "numeric failure" in err
 
 
 def test_positivity_report(capsys):
