@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .action import ActionParams, FluctuationStep, total_action
+from .action import ActionBreakdown, ActionParams, FluctuationStep, total_action
 from .errors import (
     EulerConstraintError,
     FormalChainError,
@@ -365,6 +365,7 @@ PROPOSALS = {
 class StepInfo:
     kind: str
     accepted: bool
+    breakdown: ActionBreakdown  # action of the chain that step returned
     delta_s: float = 0.0
 
 
@@ -373,28 +374,36 @@ def step(
     p: ActionParams,
     cfg: SamplerConfig,
     rng: random.Random,
+    current: Optional[ActionBreakdown] = None,
 ) -> Tuple[FormalChain, StepInfo]:
-    """One Metropolis step: propose extend/fluctuate/reweight, accept by exp(-dS)."""
+    """One Metropolis step: propose extend/fluctuate/reweight, accept by exp(-dS).
+
+    ``current`` is ``total_action(chain, p)`` if the caller has it, as from
+    the previous step's ``StepInfo.breakdown``; each step then evaluates the
+    action only of its proposal.
+    """
+    if current is None:
+        current = total_action(chain, p)
     if chain.terminated:
-        return chain, StepInfo("terminated", False)
+        return chain, StepInfo("terminated", False, current)
     kinds = ["extend", "fluctuate", "reweight"]
     weights = [cfg.weight_extend, cfg.weight_fluctuate, cfg.weight_reweight]
     kind = rng.choices(kinds, weights=weights, k=1)[0]
     try:
         proposal = PROPOSALS[kind](chain, cfg, rng)
     except (EulerConstraintError, SuperpositionForbiddenError, FormalChainError):
-        return chain, StepInfo(kind, False)
+        return chain, StepInfo(kind, False, current)
     if proposal is None:
-        return chain, StepInfo(kind, False)
-    s_old = total_action(chain, p).total
-    s_new = total_action(proposal, p).total
-    delta = (s_new - s_old)
+        return chain, StepInfo(kind, False, current)
+    new = total_action(proposal, p)
+    delta = (new.total - current.total)
     if not metropolis_accept(delta, rng, cfg.temperature):
-        return chain, StepInfo(kind, False, delta)
+        return chain, StepInfo(kind, False, current, delta)
     terminated, at_dim = detect_termination(proposal)
     if terminated:
+        # total_action does not read terminated_dim, so ``new`` still holds
         proposal = replace(proposal, terminated_dim=at_dim)
-    return proposal, StepInfo(kind, True, delta)
+    return proposal, StepInfo(kind, True, new, delta)
 
 
 @dataclass
@@ -430,13 +439,14 @@ def run(cfg: SamplerConfig, p: ActionParams) -> ChainStats:
     for ci in range(cfg.chains):
         rng = random.Random(f"{cfg.seed}:{ci}")
         chain = FormalChain.start()
+        br = None
         for sweep in range(cfg.sweeps):
-            chain, info = step(chain, p, cfg, rng)
+            chain, info = step(chain, p, cfg, rng, br)
+            br = info.breakdown
             if info.kind != "terminated":
                 acc = acceptance.setdefault(info.kind, [0, 0])
                 acc[1] += 1
                 acc[0] += int(info.accepted)
-            br = total_action(chain, p)
             term_d = chain.terminated_dim if chain.terminated else -1
             trace.append(
                 (sweep, ci, br.total, br.curvature + br.cosmological, br.volume, br.kinetic, term_d)

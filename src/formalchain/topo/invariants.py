@@ -364,15 +364,35 @@ def curve_profile(t: Triangulation, metric: bool = True) -> Tuple:
 
 
 def _min_rotation(seq: Tuple) -> Tuple:
+    """Least rotation of ``seq`` or of its reverse."""
     if not seq:
         return seq
-    best = None
-    for s in (seq, tuple(reversed(seq))):
-        for i in range(len(s)):
-            rot = s[i:] + s[:i]
-            if best is None or rot < best:
-                best = rot
-    return best
+    rots = []
+    for s in (seq, seq[::-1]):
+        k = _least_rotation(s)
+        rots.append(s[k:] + s[:k])
+    return min(rots)
+
+
+def _least_rotation(seq: Tuple) -> int:
+    """Start index of the lexicographically least rotation (Booth, 1980), O(n)."""
+    s = seq + seq
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        c = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != s[k + i + 1]:  # here i == -1
+            if c < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
 
 
 def _token(l2, metric: bool):
@@ -386,51 +406,99 @@ def _token(l2, metric: bool):
 def surface_code(t: Triangulation, metric: bool = True) -> Tuple:
     """Canonical code of an oriented surface Delta-complex.
 
-    Darts are face sides; the code records, per dart in a deterministic
-    traversal order, the indices of its in-face successor and its twin plus
-    the metric token of its edge.  Per connected component, the minimum over
-    all starting darts is a complete invariant of the combinatorial map (with
-    lengths if metric); the full code is the sorted tuple of component codes.
+    Darts are face sides; the code records, per dart in breadth-first order
+    from a start dart, the indices of its in-face successor and its twin (-1
+    if none) plus the metric token of its edge.  Per connected component, the
+    minimum over all start darts is a complete invariant of the combinatorial
+    map (with lengths if metric); the full code is the sorted tuple of
+    component codes.
+
+    The minimum is found with an early abort: a dart's record is known as
+    soon as the dart is dequeued, because dequeuing it numbers its successor
+    and twin, so each start's code is compared with the best one record at a
+    time and the start is dropped as soon as its prefix is larger.  Every
+    start of a component numbers all of its darts, so all codes of a component
+    have the same length and the surviving minimum is the one a full search
+    would find.  Edge tokens are computed once per edge and compared through
+    their sort ranks.
     """
-    darts = [(f, i) for f in sorted(t.faces) for i in range(3)]
-    if not darts:
+    faces = sorted(t.faces)
+    if not faces:
         return ()
-    twin: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    by_edge: Dict[int, List[Tuple[int, int]]] = {}
-    for f, i in darts:
-        e = t.faces[f][1][i]
-        by_edge.setdefault(e, []).append((f, i))
-    for ds in by_edge.values():
+    n = 3 * len(faces)
+    by_edge: Dict[int, List[int]] = {}
+    for pos, f in enumerate(faces):
+        fe = t.faces[f][1]
+        for i in range(3):
+            by_edge.setdefault(fe[i], []).append(3 * pos + i)
+    edge_tok = {e: _token(t.edge_len2[e], metric) for e in by_edge}
+    names = sorted(set(edge_tok.values()))
+    rank_of = {s: r for r, s in enumerate(names)}
+    twin = [-1] * n
+    rank = [0] * n
+    for e, ds in by_edge.items():
+        for d in ds:
+            rank[d] = rank_of[edge_tok[e]]
         if len(ds) == 2:
-            twin[ds[0]] = ds[1]
-            twin[ds[1]] = ds[0]
+            twin[ds[0]], twin[ds[1]] = ds[1], ds[0]
+    nxt = [d + 1 if d % 3 < 2 else d - 2 for d in range(n)]
+    # a record (successor, twin, token) packed into one int with the same order
+    n_tok = len(names)
+    width = (n + 1) * n_tok
+    index = [-1] * n  # BFS number of each dart from the current start, -1 if none
 
-    def traverse(start):
-        index = {start: 0}
-        order = [start]
-        qi = 0
-        while qi < len(order):
-            f, i = order[qi]
-            qi += 1
-            for nb in ((f, (i + 1) % 3), twin.get((f, i))):
-                if nb is not None and nb not in index:
-                    index[nb] = len(order)
-                    order.append(nb)
-        rec = []
-        for f, i in order:
-            nxt = index[(f, (i + 1) % 3)]
-            tw = index.get(twin.get((f, i)), -1)
-            tok = _token(t.edge_len2[t.faces[f][1][i]], metric)
-            rec.append((nxt, tw, tok))
-        return tuple(rec), order
+    def least_code(comp: List[int]) -> List[int]:
+        best: List[int] = []
+        for s in comp:
+            index[s] = 0
+            order = [s]
+            code: List[int] = []
+            tight = bool(best)  # code so far equals best's prefix
+            k = 0
+            while k < len(order):
+                d = order[k]
+                a = nxt[d]
+                ia = index[a]
+                if ia < 0:
+                    ia = index[a] = len(order)
+                    order.append(a)
+                b = twin[d]
+                ib = 0
+                if b >= 0:
+                    ib = index[b]
+                    if ib < 0:
+                        ib = index[b] = len(order)
+                        order.append(b)
+                    ib += 1
+                rec = ia * width + ib * n_tok + rank[d]
+                if tight:
+                    if rec > best[k]:
+                        break
+                    tight = rec == best[k]
+                code.append(rec)
+                k += 1
+            for d in order:
+                index[d] = -1
+            if len(code) == len(order) and not tight:
+                best = code
+        return best
 
-    remaining = set(darts)
+    seen = [False] * n
     codes = []
-    while remaining:
-        seed = min(remaining)
-        _, members = traverse(seed)
-        comp = set(members)
-        best = min(traverse(d)[0] for d in sorted(comp))
-        codes.append(best)
-        remaining -= comp
+    for seed in range(n):
+        if seen[seed]:
+            continue
+        seen[seed] = True
+        members = [seed]
+        for d in members:
+            for nb in (nxt[d], twin[d]):
+                if nb >= 0 and not seen[nb]:
+                    seen[nb] = True
+                    members.append(nb)
+        best = least_code(sorted(members))
+        # a list first: tuple() of a generator grows the tuple by resizing,
+        # which fragments the heap under these long-lived keys
+        codes.append(tuple([
+            (rec // width, rec % width // n_tok - 1, names[rec % n_tok]) for rec in best
+        ]))
     return tuple(sorted(codes))

@@ -253,6 +253,13 @@ def test_sampler_runs_with_partial_layers_and_circles():
     assert a.as_dict() == b.as_dict()
     total = sum(a.termination_histogram.values()) + a.unterminated
     assert total == cfg.chains
+    # at singular_penalty 50 the chains stay in dimensions 0 and 1; cheap
+    # volume and singularities let them sample partial dimension-2 layers
+    p = default_params(g=(0.1, 0.1, 0.1), singular_penalty=1.0)
+    c = run(cfg, p)
+    assert c.as_dict() == run(cfg, p).as_dict()
+    assert 2 in c.mean_y_norm2
+    assert sum(c.termination_histogram.values()) + c.unterminated == cfg.chains
 
 
 def test_superposed_growth_can_shed_circles():
