@@ -372,12 +372,22 @@ def cmd_positivity(args) -> int:
     violations = cauchy_schwarz_check(all_matchings, gluer, order_circle_count)
     rng = random.Random(f"{args.seed}:positivity")
     residuals = []
+    short_sizes = set()
     for fam_i in range(args.families):
         fam = _random_family(all_matchings, args.kets_per_family, rng, args.max_free_circles)
+        if len(fam) < args.kets_per_family:
+            short_sizes.add(len(fam))
         res = lightlike_search(
             fam, gluer, trials=args.trials, steps=args.steps, seed=args.seed + fam_i
         )
         residuals.append(res.min_residual)
+    if short_sizes:
+        distinct = (args.max_free_circles + 1) * len(all_matchings)
+        print(
+            f"warning: families have {', '.join(map(str, sorted(short_sizes)))} kets, "
+            f"not --kets-per-family {args.kets_per_family} ({distinct} distinct kets exist)",
+            file=sys.stderr,
+        )
     mock = MockEquivalence.all_equal(["A", "B"], "all-glued")
     mock_res = lightlike_search(
         ["A", "B"], mock, trials=max(4, args.trials // 4), steps=args.steps, seed=args.seed
@@ -423,6 +433,8 @@ def _perfect_matchings(labels):
 
 
 def _random_family(matchings, size, rng, max_free_circles=0):
+    """Up to ``size`` distinct kets drawn at random; all of them if ``size`` is larger."""
+    size = min(size, (max_free_circles + 1) * len(matchings))
     fam = set()
     guard = 0
     while len(fam) < size and guard < 10000:

@@ -281,8 +281,46 @@ def pair(v: Superposition, w: Superposition, gluer: Gluer) -> Superposition:
 class SearchResult:
     min_residual: float
     argmin: Superposition
-    restarts: int
-    steps: int
+
+
+def _residual_and_grad(flat_mats: np.ndarray, V: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Residuals ``sum_k q_k^2`` and their gradients for every row of ``V``.
+
+    ``flat_mats`` is the ``(K, n*n)`` stack of real key matrices ``M_k`` and
+    ``V`` a ``(T, n)`` complex batch; ``q[t, k] = Re(v_t^H M_k v_t)`` and the
+    gradient of row t is ``2 sum_k q[t, k] M_k v_t``.
+    """
+    T, n = V.shape
+    outer = (V.conj()[:, :, None] * V[:, None, :]).reshape(T, n * n)
+    q = outer.real @ flat_mats.T
+    grad = 2.0 * np.einsum("tij,tj->ti", (q @ flat_mats).reshape(T, n, n), V)
+    return np.sum(q * q, axis=1), grad
+
+
+def _polish(mats: np.ndarray, V: np.ndarray, iters: int = 40) -> np.ndarray:
+    """Gauss-Newton on the residual system ``q_k(v) = 0, |v|^2 = 1``, every row at once.
+
+    The quartic objective is flat near a null vector, where plain descent
+    crawls; solving the quadratic system converges quadratically.  Each step
+    is the minimum-norm least-squares solution with ``lstsq``'s default
+    cutoff.  A row that reaches norm 0 has a zero Jacobian from then on, so it
+    stays the zero vector.
+    """
+    n = V.shape[1]
+    for _ in range(iters):
+        # one row M_k v per key, then v itself for the norm constraint
+        rows = np.concatenate([np.einsum("kij,tj->tki", mats, V), V[:, None, :]], axis=1)
+        res = np.einsum("ti,tki->tk", V.conj(), rows).real
+        res[:, -1] -= 1.0
+        jac = 2.0 * np.concatenate([rows.real, rows.imag], axis=2)
+        u, s, wh = np.linalg.svd(jac, full_matrices=False)
+        keep = s > np.finfo(float).eps * max(jac.shape[1:]) * s[:, :1]
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+        delta = np.einsum("tri,tr->ti", wh, inv * np.einsum("tkr,tk->tr", u, -res))
+        V = V + delta[:, :n] + 1j * delta[:, n:]
+        nv = np.linalg.norm(V, axis=1)
+        V = np.divide(V, nv[:, None], out=V, where=nv[:, None] != 0.0)
+    return V
 
 
 def lightlike_search(
@@ -295,9 +333,14 @@ def lightlike_search(
 ) -> SearchResult:
     """Minimize ``norm2(pair(v, v))`` over unit vectors by projected descent.
 
-    The residual is a smooth quartic in the amplitudes; each restart follows
-    the analytic gradient from a random complex start and the best result
-    (ties broken by restart index) is returned.  Deterministic given the seed.
+    The residual is a smooth quartic in the amplitudes.  All restarts advance
+    in lockstep as the rows of one array: each follows the analytic gradient
+    from a random complex start, then a Gauss-Newton polish, and keeps the
+    polished vector unless the unpolished one is strictly better.  Restart t
+    draws its start (and any redraw after its vector collapses to 0) from its
+    own generator, the t-th child of ``SeedSequence(seed)``, so a restart's
+    path does not depend on the others.  The best restart is returned; ties
+    go to the lowest restart index.  Deterministic given the seed.
     """
     if not kets:
         raise StructureError("need at least one ket")
@@ -315,59 +358,32 @@ def lightlike_search(
     mats = np.zeros((len(keys), n, n))
     for (i, j), k in key_of.items():
         mats[key_index[k], i, j] = 1.0
+    flat_mats = mats.reshape(len(keys), n * n)
 
-    def residual_and_grad(v: np.ndarray):
-        q = np.einsum("i,kij,j->k", v.conj(), mats, v).real
-        r = float(np.sum(q * q))
-        grad = 2.0 * np.einsum("k,kij,j->i", q, mats, v)
-        return r, grad
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        return rng.normal(size=n) + 1j * rng.normal(size=n)
 
-    def polish(v: np.ndarray, iters: int = 40) -> np.ndarray:
-        # Gauss-Newton on the residual system q_k(v) = 0, |v|^2 = 1.  The
-        # quartic objective is flat near a null vector, where plain descent
-        # crawls; solving the quadratic system converges quadratically.
-        for _ in range(iters):
-            av = np.einsum("kij,j->ki", mats, v)
-            q = np.einsum("i,ki->k", v.conj(), av).real
-            res = np.concatenate([q, [np.vdot(v, v).real - 1.0]])
-            jac = np.concatenate(
-                [2.0 * av.real, 2.0 * av.imag], axis=1
-            )
-            norm_row = np.concatenate([2.0 * v.real, 2.0 * v.imag])[None, :]
-            jac = np.concatenate([jac, norm_row], axis=0)
-            delta, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-            v = v + delta[:n] + 1j * delta[n:]
-            nv = np.linalg.norm(v)
-            if nv == 0.0:
-                break
-            v = v / nv
-        return v
-
-    seq = np.random.SeedSequence(seed)
-    children = seq.spawn(max(trials, 1))
-    best_r = None
-    best_v = None
-    for ti in range(max(trials, 1)):
-        rng = np.random.default_rng(children[ti])
-        v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        v /= np.linalg.norm(v)
-        for _ in range(steps):
-            r, grad = residual_and_grad(v)
-            v = v - step_size * grad
-            nv = np.linalg.norm(v)
-            if nv == 0.0:
-                v = rng.normal(size=n) + 1j * rng.normal(size=n)
-                nv = np.linalg.norm(v)
-            v /= nv
-        polished = polish(v)
-        r, _ = residual_and_grad(polished)
-        r_raw, _ = residual_and_grad(v)
-        if r_raw < r:
-            r, polished = r_raw, v
-        if best_r is None or r < best_r:
-            best_r, best_v = r, polished.copy()
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(max(trials, 1))]
+    V = np.stack([draw(rng) for rng in rngs])
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    for _ in range(steps):
+        _, grad = _residual_and_grad(flat_mats, V)
+        V = V - step_size * grad
+        nv = np.linalg.norm(V, axis=1)
+        if not nv.all():
+            for t in np.flatnonzero(nv == 0.0):
+                V[t] = draw(rngs[t])
+                nv[t] = np.linalg.norm(V[t])
+        V /= nv[:, None]
+    polished = _polish(mats, V)
+    r_pol, _ = _residual_and_grad(flat_mats, polished)
+    r_raw, _ = _residual_and_grad(flat_mats, V)
+    raw_wins = r_raw < r_pol
+    residuals = np.where(raw_wins, r_raw, r_pol)
+    best = int(np.argmin(residuals))
+    best_v = V[best] if raw_wins[best] else polished[best]
     argmin = Superposition([(complex(best_v[i]), kets[i]) for i in range(n)])
-    return SearchResult(float(best_r), argmin, max(trials, 1), steps)
+    return SearchResult(float(residuals[best]), argmin)
 
 
 # -- topological Cauchy-Schwarz order check ---------------------------------------------

@@ -236,3 +236,20 @@ def test_positivity_report(capsys):
     assert payload["mock_null_residual"] < 1e-8
     assert all(r > 0.05 for r in payload["min_residuals"])
     assert payload["mock_argmin_ratio_re"] == pytest.approx(-1.0, abs=1e-3)
+
+
+def test_positivity_warns_when_families_hold_every_ket(capsys):
+    # 4 points have 3 matchings, so a family of 4 distinct kets cannot exist
+    code, out, err = run_cli(
+        capsys, "positivity", "--seed", "1", "--points", "4", "--families", "2",
+        "--trials", "4", "--steps", "20",
+    )
+    assert code == 0
+    assert json.loads(out)["config"]["kets_per_family"] == 4
+    assert "warning: families have 3 kets, not --kets-per-family 4" in err
+    code, _, err = run_cli(
+        capsys, "positivity", "--seed", "1", "--points", "4", "--families", "2",
+        "--kets-per-family", "3", "--trials", "4", "--steps", "20",
+    )
+    assert code == 0
+    assert "warning" not in err

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from formalchain import cli
 from formalchain.errors import BoundaryError, StructureError
 from formalchain.pairing import (
     Bounded1Ket,
@@ -19,6 +20,7 @@ from formalchain.pairing import (
     OrderViolation,
     SurfaceGluer,
     TriangulationGluer,
+    _residual_and_grad,
     cauchy_schwarz_check,
     disk_with_handles,
     example_mock_null_family,
@@ -225,6 +227,10 @@ def test_lightlike_single_ket_residual_one():
     gluer = MatchingGluer(BoundarySpec(0, points=(0, 1)))
     res = lightlike_search([Bounded1Ket(((0, 1),))], gluer, trials=3, steps=50, seed=0)
     assert math.isclose(res.min_residual, 1.0, abs_tol=1e-9)
+    # step 0.5 maps a unit vector to (1 - |v|^2) v, often exactly 0: rows are redrawn
+    res = lightlike_search([Bounded1Ket(((0, 1),))], gluer, trials=8, steps=20, seed=0, step_size=0.5)
+    assert math.isclose(res.min_residual, 1.0, abs_tol=1e-9)
+    assert math.isclose(res.argmin.norm2(), 1.0, abs_tol=1e-12)
 
 
 def test_lightlike_matching_families_bounded_below():
@@ -248,29 +254,41 @@ def test_lightlike_mock_finds_null_vector():
     assert abs(ratio + 1.0) < 1e-4
 
 
+def _key_matrices(kets, gluer):
+    keys = {}
+    for i, j in itertools.product(range(len(kets)), repeat=2):
+        keys.setdefault(gluer.glue(kets[i], kets[j]), []).append((i, j))
+    mats = np.zeros((len(keys), len(kets), len(kets)))
+    for k, cells in enumerate(keys.values()):
+        for i, j in cells:
+            mats[k, i, j] = 1.0
+    return mats
+
+
 def test_lightlike_gradient_matches_finite_differences():
-    # residual is a smooth quartic; check the analytic gradient numerically
-    kets, mock = example_mock_null_family()
-    mats = np.zeros((1, 2, 2))
-    mats[0] = 1.0
-
-    def r_of(v):
-        q = np.einsum("i,kij,j->k", v.conj(), mats, v).real
-        return float(np.sum(q * q))
-
+    # the residual is a smooth quartic; check the library's batched gradient
+    # numerically, every row at once, on a family with several keys
+    labels = (0, 1, 2, 3)
+    kets = [Bounded1Ket(m, f) for m in all_matchings(list(labels)) for f in (0, 1)]
+    mats = _key_matrices(kets, MatchingGluer(BoundarySpec(0, points=labels)))
+    assert mats.shape[0] > 1
+    flat = mats.reshape(mats.shape[0], -1)
+    n = len(kets)
     rng = np.random.default_rng(0)
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    q = np.einsum("i,kij,j->k", v.conj(), mats, v).real
-    grad = 2.0 * np.einsum("k,kij,j->i", q, mats, v)
+    V = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+    r, grad = _residual_and_grad(flat, V)
+    for t in range(len(V)):
+        q = np.einsum("i,kij,j->k", V[t].conj(), mats, V[t]).real
+        assert math.isclose(r[t], float(np.sum(q * q)), rel_tol=1e-12)
     eps = 1e-6
-    for i in range(2):
+    for i in range(n):
         for direction in (1.0, 1j):
-            dv = np.zeros(2, complex)
-            dv[i] = direction * eps
-            num = (r_of(v + dv) - r_of(v - dv)) / (2 * eps)
+            dV = np.zeros_like(V)
+            dV[:, i] = direction * eps
+            num = (_residual_and_grad(flat, V + dV)[0] - _residual_and_grad(flat, V - dV)[0]) / (2 * eps)
             # d/dt r(v + t u) = 2 Re <grad, u>
-            ana = 2 * np.real(np.conj(grad[i]) * direction)
-            assert abs(num - ana) < 1e-5
+            ana = 2 * np.real(np.conj(grad[:, i]) * direction)
+            assert np.all(np.abs(num - ana) < 1e-5)
 
 
 def test_lightlike_surface_families_positive():
@@ -301,6 +319,132 @@ def test_lightlike_deterministic_given_seed():
     assert {k: complex(x) for k, x in a.argmin.items()} == {
         k: complex(x) for k, x in b.argmin.items()
     }
+
+
+def reference_lightlike_search(kets, gluer, trials=200, steps=500, seed=0, step_size=0.1):
+    """The restart-by-restart search the batched one replaced, kept verbatim
+    except that it returns ``(min_residual, argmin)``."""
+    if not kets:
+        raise StructureError("need at least one ket")
+    gluer.check(list(kets))
+    n = len(kets)
+    key_of = {}
+    keys = []
+    key_index = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        k = gluer.glue(kets[i], kets[j])
+        key_of[(i, j)] = k
+        if k not in key_index:
+            key_index[k] = len(keys)
+            keys.append(k)
+    mats = np.zeros((len(keys), n, n))
+    for (i, j), k in key_of.items():
+        mats[key_index[k], i, j] = 1.0
+
+    def residual_and_grad(v: np.ndarray):
+        q = np.einsum("i,kij,j->k", v.conj(), mats, v).real
+        r = float(np.sum(q * q))
+        grad = 2.0 * np.einsum("k,kij,j->i", q, mats, v)
+        return r, grad
+
+    def polish(v: np.ndarray, iters: int = 40) -> np.ndarray:
+        # Gauss-Newton on the residual system q_k(v) = 0, |v|^2 = 1.  The
+        # quartic objective is flat near a null vector, where plain descent
+        # crawls; solving the quadratic system converges quadratically.
+        for _ in range(iters):
+            av = np.einsum("kij,j->ki", mats, v)
+            q = np.einsum("i,ki->k", v.conj(), av).real
+            res = np.concatenate([q, [np.vdot(v, v).real - 1.0]])
+            jac = np.concatenate(
+                [2.0 * av.real, 2.0 * av.imag], axis=1
+            )
+            norm_row = np.concatenate([2.0 * v.real, 2.0 * v.imag])[None, :]
+            jac = np.concatenate([jac, norm_row], axis=0)
+            delta, *_ = np.linalg.lstsq(jac, -res, rcond=None)
+            v = v + delta[:n] + 1j * delta[n:]
+            nv = np.linalg.norm(v)
+            if nv == 0.0:
+                break
+            v = v / nv
+        return v
+
+    seq = np.random.SeedSequence(seed)
+    children = seq.spawn(max(trials, 1))
+    best_r = None
+    best_v = None
+    for ti in range(max(trials, 1)):
+        rng = np.random.default_rng(children[ti])
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        v /= np.linalg.norm(v)
+        for _ in range(steps):
+            r, grad = residual_and_grad(v)
+            v = v - step_size * grad
+            nv = np.linalg.norm(v)
+            if nv == 0.0:
+                v = rng.normal(size=n) + 1j * rng.normal(size=n)
+                nv = np.linalg.norm(v)
+            v /= nv
+        polished = polish(v)
+        r, _ = residual_and_grad(polished)
+        r_raw, _ = residual_and_grad(v)
+        if r_raw < r:
+            r, polished = r_raw, v
+        if best_r is None or r < best_r:
+            best_r, best_v = r, polished.copy()
+    argmin = Superposition([(complex(best_v[i]), kets[i]) for i in range(n)])
+    return float(best_r), argmin
+
+
+def assert_matches_reference(kets, gluer, **kw):
+    res = lightlike_search(kets, gluer, **kw)
+    ref_r, _ = reference_lightlike_search(kets, gluer, **kw)
+    assert abs(res.min_residual - ref_r) <= 1e-12
+    return res
+
+
+def test_lightlike_matches_reference_on_positivity_families():
+    # the families and the mock search of ``positivity --points 6``
+    labels = tuple(range(6))
+    gluer = MatchingGluer(BoundarySpec(0, points=labels))
+    matchings = cli._perfect_matchings(labels)
+    for seed in (3000, 3001, 3002):
+        rng = random.Random(f"{seed}:positivity")
+        for fam_i in range(4):
+            fam = cli._random_family(matchings, 4, rng)
+            assert_matches_reference(fam, gluer, trials=40, steps=300, seed=seed + fam_i)
+        kets, mock = example_mock_null_family()
+        res = lightlike_search(kets, mock, trials=10, steps=300, seed=seed)
+        _, ref_argmin = reference_lightlike_search(kets, mock, trials=10, steps=300, seed=seed)
+        assert res.min_residual < 1e-8
+        amps = {k: complex(a) for k, a in res.argmin.items()}
+        ref_amps = {k: complex(a) for k, a in ref_argmin.items()}
+        assert abs(amps["B"] / amps["A"] - ref_amps["B"] / ref_amps["A"]) <= 1e-9
+
+
+def test_lightlike_matches_reference_on_surface_families():
+    kets = [BoundedSurfaceKet(((g, frozenset(["c0", "c1"])),)) for g in range(4)]
+    kets += [
+        BoundedSurfaceKet(((g1, frozenset(["c0"])), (g2, frozenset(["c1"]))))
+        for g1 in range(4)
+        for g2 in range(4)
+    ]
+    gluer = SurfaceGluer(BoundarySpec(1, circles=("c0", "c1")))
+    rng = random.Random(13)
+    for _ in range(4):
+        assert_matches_reference(rng.sample(kets, 5), gluer, trials=8, steps=150, seed=99)
+
+
+def test_lightlike_matches_reference_single_ket_and_mock():
+    gluer = MatchingGluer(BoundarySpec(0, points=(0, 1)))
+    assert_matches_reference([Bounded1Ket(((0, 1),))], gluer, trials=3, steps=50, seed=0)
+    kets, mock = example_mock_null_family()
+    for seed in (3, 7, 42):
+        res = assert_matches_reference(kets, mock, trials=8, steps=150, seed=seed)
+        _, ref_argmin = reference_lightlike_search(kets, mock, trials=8, steps=150, seed=seed)
+        assert res.min_residual < 1e-8
+        amps = {k: complex(a) for k, a in res.argmin.items()}
+        ref_amps = {k: complex(a) for k, a in ref_argmin.items()}
+        assert abs(amps["B"] / amps["A"] - ref_amps["B"] / ref_amps["A"]) <= 1e-9
 
 
 # -- topological Cauchy-Schwarz order ----------------------------------------------
