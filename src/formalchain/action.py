@@ -140,10 +140,12 @@ class FluctuationStep:
 
 
 def fugacity_total(steps: Sequence[FluctuationStep], p: ActionParams) -> float:
-    """Sum of f_d |amplitude of the fluctuating term|^2 over moves."""
-    return math.fsum(
-        p.f[p.idx(s.dim)] * float(abs2(s.moved_amp)) for s in steps
-    )
+    """Sum of c_d f_d |amplitude of the fluctuating term|^2 over moves."""
+    total = 0.0
+    for s in steps:
+        k = p.idx(s.dim)
+        total += p.c[k] * p.f[k] * float(abs2(s.moved_amp))
+    return total
 
 
 def kinetic_total(steps: Sequence[FluctuationStep], p: ActionParams) -> float:
@@ -191,8 +193,6 @@ def total_action(chain, p: ActionParams) -> ActionBreakdown:
         out.curvature += p.c[k] * curv
         out.cosmological += p.c[k] * cosm
         out.volume += vol
-    steps = list(chain.fluctuation_steps())
-    for s in steps:
-        out.fugacity += p.c[p.idx(s.dim)] * p.f[p.idx(s.dim)] * float(abs2(s.moved_amp))
-    out.kinetic = kinetic_total(steps, p)
+    out.fugacity = fugacity_total(chain.steps, p)
+    out.kinetic = kinetic_total(chain.steps, p)
     return out

@@ -33,7 +33,7 @@ from .errors import (
     SuperpositionForbiddenError,
     UnsupportedError,
 )
-from .growth import Cobordism, GrowthConfig, double_cross, grow_superposed, mirror_double
+from .growth import Cobordism, GrowthConfig, double_cross, grow_superposed
 from .pairing import pair_terms
 from .superpose import Superposition
 from .topo import Triangulation, apply_pachner, iso_key, moves_for, point_set
@@ -85,9 +85,6 @@ class FormalChain:
 
     def euclidean_sites(self) -> Iterator[ChainSite]:
         return (s for s in self.sites if s.is_euclidean())
-
-    def fluctuation_steps(self) -> Sequence[FluctuationStep]:
-        return self.steps
 
     def extended(self, new_sites: Sequence[ChainSite], new_links: Sequence[str],
                  new_steps: Sequence[FluctuationStep] = ()) -> "FormalChain":
@@ -220,18 +217,30 @@ def _double_site(x_terms: Sequence[Tuple[object, Cobordism]], dim: int) -> Chain
     return ChainSite(dim=dim, kind="Y", state=state, reps=reps)
 
 
+def _layer(x_terms: Sequence[Tuple[object, object]], dim: int) -> Tuple[ChainSite, ChainSite]:
+    """The X site of a layer superposition and its Euclidean double.
+
+    A cobordism is keyed by the isometry class of its space and doubled by
+    cross gluing.  Mock-stage kets are their own keys: ("A", i) and ("B", i)
+    cobound component i, and any two of them glue to its closed class ("S", i).
+    """
+    x_terms = tuple(x_terms)
+    if dim == MOCK_DIM:
+        x_site = ChainSite(dim=dim, kind="mock_X", state=Superposition(x_terms), x_terms=x_terms)
+        y_state = _self_pair(x_terms, lambda ket: ket[1], lambda m, n: ("S", m[1]))
+        return x_site, ChainSite(dim=dim, kind="mock_Y", state=y_state)
+    x_state = Superposition([(amp, iso_key(c.space)) for amp, c in x_terms])
+    x_site = ChainSite(dim=dim, kind="X", state=x_state, x_terms=x_terms)
+    return x_site, _double_site(x_terms, dim)
+
+
 def propose_extend(chain: FormalChain, cfg: SamplerConfig, rng: random.Random) -> Optional[FormalChain]:
     """Grow the next X site over the frontier and double it: two new sites."""
     frontier = chain.frontier()
     if frontier is None:
         pts = point_set(cfg.initial_points)
-        cob = Cobordism(pts, pts.euler_characteristic())
-        x_site = ChainSite(dim=0, kind="X", state=Superposition([(1.0, iso_key(pts))]),
-                           x_terms=((1.0, cob),))
-        y = mirror_double(cob)
-        key = iso_key(y)
-        y_site = ChainSite(dim=0, kind="Y", state=Superposition([(1.0, key)]), reps={key: y})
-        return chain.extended([x_site, y_site], [GROW, DOUBLE])
+        x_terms = [(1.0, Cobordism(pts, pts.euler_characteristic()))]
+        return chain.extended(_layer(x_terms, 0), [GROW, DOUBLE])
     if not frontier.is_euclidean() or frontier.state.is_zero():
         return None
     d_next = frontier.dim + 1
@@ -250,10 +259,7 @@ def propose_extend(chain: FormalChain, cfg: SamplerConfig, rng: random.Random) -
             return None
         grown = grow_superposed(b, rep, cfg.growth, candidates, rng, lower_key=key)
         x_terms.extend(grown.terms)
-    x_state = Superposition([(amp, iso_key(c.space)) for amp, c in x_terms])
-    x_site = ChainSite(dim=d_next, kind="X", state=x_state, x_terms=tuple(x_terms))
-    y_site = _double_site(x_terms, d_next)
-    return chain.extended([x_site, y_site], [GROW, DOUBLE])
+    return chain.extended(_layer(x_terms, d_next), [GROW, DOUBLE])
 
 
 def _propose_mock_stage(chain: FormalChain, frontier: ChainSite) -> FormalChain:
@@ -265,19 +271,7 @@ def _propose_mock_stage(chain: FormalChain, frontier: ChainSite) -> FormalChain:
         b = frontier.state.amplitude(key)
         x_terms.append((b * w, ("A", i)))
         x_terms.append((b * w, ("B", i)))
-    x_site = ChainSite(
-        dim=MOCK_DIM, kind="mock_X",
-        state=Superposition(x_terms),
-        x_terms=tuple(x_terms),
-    )
-    return chain.extended([x_site, _mock_double(x_terms)], [GROW, DOUBLE])
-
-
-def _mock_double(x_terms: Sequence[Tuple[object, Tuple[str, int]]]) -> ChainSite:
-    """Kets ("A", i) and ("B", i) cobound component i; any two of them glue
-    to its closed class ("S", i)."""
-    state = _self_pair(x_terms, lambda ket: ket[1], lambda m, n: ("S", m[1]))
-    return ChainSite(dim=MOCK_DIM, kind="mock_Y", state=state)
+    return chain.extended(_layer(x_terms, MOCK_DIM), [GROW, DOUBLE])
 
 
 def propose_fluctuate(chain: FormalChain, cfg: SamplerConfig, rng: random.Random) -> Optional[FormalChain]:
@@ -337,21 +331,7 @@ def propose_reweight(chain: FormalChain, cfg: SamplerConfig, rng: random.Random)
     new_terms = list(x_site.x_terms)
     amp, ket = new_terms[idx]
     new_terms[idx] = (amp * -1, ket)
-    if x_site.kind == "mock_X":
-        new_x = ChainSite(
-            dim=x_site.dim, kind="mock_X",
-            state=Superposition([(a, k) for a, k in new_terms]),
-            x_terms=tuple(new_terms),
-        )
-        new_y = _mock_double(new_terms)
-    else:
-        new_x = ChainSite(
-            dim=x_site.dim, kind="X",
-            state=Superposition([(a, iso_key(c.space)) for a, c in new_terms]),
-            x_terms=tuple(new_terms),
-        )
-        new_y = _double_site(new_terms, x_site.dim)
-    return chain.with_last_pair_replaced(new_x, new_y)
+    return chain.with_last_pair_replaced(*_layer(new_terms, x_site.dim))
 
 
 PROPOSALS = {
@@ -515,14 +495,7 @@ def example_cancellation_chain(fluctuations: int = 2) -> FormalChain:
     c1 = Cobordism(a1, 1)
     c2 = Cobordism(a2, 1)
     x_terms = ((Fraction(1), c1), (Fraction(-1), c2))
-    x_site = ChainSite(
-        dim=1, kind="X",
-        state=Superposition([(amp, iso_key(c.space)) for amp, c in x_terms]),
-        x_terms=x_terms,
-    )
-    y_site = _double_site(x_terms, 1)
-    chain = FormalChain((x_site, y_site), (GROW, DOUBLE))
-    rng = random.Random("example")
+    chain = FormalChain(_layer(x_terms, 1), (GROW, DOUBLE))
     for _ in range(fluctuations):
         nxt = _example_fluctuation(chain)
         if nxt is None:

@@ -365,6 +365,12 @@ def cmd_twofield(args) -> int:
 def cmd_positivity(args) -> int:
     if args.points % 2 or args.points < 2:
         raise ConfigError("--points must be even and at least 2")
+    if args.kets_per_family < 1:
+        raise ConfigError("--kets-per-family must be at least 1")
+    if args.max_free_circles < 0:
+        raise ConfigError("--max-free-circles must be nonnegative")
+    if args.trials < 1:
+        raise ConfigError("--trials must be at least 1")
     labels = tuple(range(args.points))
     spec = BoundarySpec(0, points=labels)
     gluer = MatchingGluer(spec)

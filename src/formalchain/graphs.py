@@ -17,6 +17,7 @@ from .errors import StructureError, UnsupportedError
 from .topo import (
     Triangulation,
     apply_pachner,
+    connected_groups,
     iso_key,
     moves_for,
     sphere_triangulation,
@@ -51,19 +52,7 @@ class NeighborGraph:
         return lap
 
     def components(self) -> int:
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j in self.edges:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-        return len({find(i) for i in range(self.n)})
+        return len(connected_groups(range(self.n), self.edges))
 
 
 def path_graph(n: int) -> NeighborGraph:

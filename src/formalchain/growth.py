@@ -27,7 +27,6 @@ from .errors import (
     SuperpositionForbiddenError,
     UnsupportedError,
 )
-from .superpose import abs2
 from .topo import (
     LOWER,
     UPPER,
@@ -321,22 +320,21 @@ def wick_rotate(x: Cobordism) -> Triangulation:
     return x.space.wick_rotated()
 
 
-def mirror_double(x: Cobordism) -> Triangulation:
-    """Glue the layer to its mirror along all boundary and Wick-rotate.
-
-    The double of a cobordism over Y with a full upper slice is closed with
-    chi = 2 chi(X) - chi(boundary); for circles the boundary contributes 0.
-    """
-    glued = glue_along_boundary(x.space, x.space.mirrored())
-    return glued.wick_rotated()
-
-
 def double_cross(a: Cobordism, b: Cobordism) -> Triangulation:
     """Glue layer a to the mirror of layer b along their shared boundary ids."""
     if a.space.boundary_mark != b.space.boundary_mark:
         raise StructureError("cross doubling needs identical boundary marks")
     glued = glue_along_boundary(a.space, b.space.mirrored())
     return glued.wick_rotated()
+
+
+def mirror_double(x: Cobordism) -> Triangulation:
+    """Glue the layer to its mirror along all boundary and Wick-rotate.
+
+    The double of a cobordism over Y with a full upper slice is closed with
+    chi = 2 chi(X) - chi(boundary); for circles the boundary contributes 0.
+    """
+    return double_cross(x, x)
 
 
 @dataclass
@@ -352,15 +350,14 @@ def grow_superposed(
     cfg: GrowthConfig,
     candidates: int,
     rng,
-    weights: Optional[Sequence[object]] = None,
     lower_key: object = None,
 ) -> SuperposedGrowth:
-    """Grow ``candidates`` distinct layers over y in superposition.
+    """Grow ``candidates`` distinct layers over y in equal superposition.
 
     Candidate i uses i+1 timelike subdivisions per arc.  Amplitudes are
-    ``alpha_i * y_amp`` with ``sum |alpha_i|^2 = 1``.  A superposition with a
-    nonempty upper boundary is only meaningful when the boundary is
-    0-dimensional, i.e. for growth into dimension 1.
+    ``y_amp / sqrt(candidates)``.  A superposition with a nonempty upper
+    boundary is only meaningful when the boundary is 0-dimensional, i.e. for
+    growth into dimension 1.
     """
     if candidates < 1:
         raise StructureError("need at least one candidate")
@@ -379,10 +376,5 @@ def grow_superposed(
         raise SuperpositionForbiddenError(
             f"superposed growth with nonempty upper boundary is not defined for d={d}"
         )
-    if weights is None:
-        w = 1.0 / math.sqrt(candidates)
-        weights = [w] * candidates
-    total = sum(float(abs2(a)) for a in weights)
-    if abs(total - 1.0) > 1e-9:
-        raise StructureError(f"candidate weights have squared sum {total}, expected 1")
-    return SuperposedGrowth([(y_amp * a, c) for a, c in zip(weights, cands)])
+    w = 1.0 / math.sqrt(candidates)
+    return SuperposedGrowth([(y_amp * w, c) for c in cands])

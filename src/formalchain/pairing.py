@@ -30,6 +30,7 @@ from .topo import (
     Closed1Class,
     ClosedSurfaceClass,
     Triangulation,
+    connected_groups,
     disk_with_handles,
     glue_along_boundary,
     iso_key,
@@ -136,38 +137,16 @@ def glue_2d(a: BoundedSurfaceKet, b: BoundedSurfaceKet) -> ClosedSurfaceClass:
     """
     if a.labels != b.labels:
         raise BoundaryError("kets do not share boundary circles")
-    nodes = [("a", i) for i in range(len(a.components))] + [
-        ("b", j) for j in range(len(b.components))
-    ]
-    parent = {n: n for n in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    comps = {("a", i): c for i, c in enumerate(a.components)}
+    comps.update({("b", j): c for j, c in enumerate(b.components)})
     by_label: Dict[object, List] = {}
-    for i, (_, ls) in enumerate(a.components):
+    for node, (_, ls) in comps.items():
         for l in ls:
-            by_label.setdefault(l, []).append(("a", i))
-    for j, (_, ls) in enumerate(b.components):
-        for l in ls:
-            by_label.setdefault(l, []).append(("b", j))
-    for members in by_label.values():
-        for m in members[1:]:
-            ra, rb = find(members[0]), find(m)
-            if ra != rb:
-                parent[ra] = rb
-    chi: Dict[object, int] = {}
-    for n in nodes:
-        side, idx = n
-        g, ls = (a.components if side == "a" else b.components)[idx]
-        c = 2 - 2 * g - len(ls)
-        r = find(n)
-        chi[r] = chi.get(r, 0) + c
+            by_label.setdefault(l, []).append(node)
+    links = ((members[0], m) for members in by_label.values() for m in members[1:])
     genera = []
-    for total in chi.values():
+    for group in connected_groups(comps, links):
+        total = sum(2 - 2 * comps[n][0] - len(comps[n][1]) for n in group)
         if total % 2 != 0 or total > 2:
             raise StructureError(f"glued component has impossible characteristic {total}")
         genera.append((2 - total) // 2)

@@ -7,7 +7,7 @@ Amplitudes come in two numeric modes that share one interface:
   require.
 * float mode -- Python ``complex`` / ``float``.
 
-A superposition never stores an amplitude with ``|amp| <= eps_zero``; keys are
+A superposition never stores an amplitude with ``|amp| <= EPS_ZERO``; keys are
 whatever canonical objects the caller supplies (class keys from the topology
 layer, opaque ket ids, ...).
 """
@@ -21,6 +21,7 @@ from typing import Any, Dict, Iterable, Iterator, Tuple
 from .errors import ZeroStateError
 
 EPS_ZERO = 1e-12
+_EPS2 = EPS_ZERO * EPS_ZERO
 
 
 @dataclass(frozen=True)
@@ -103,29 +104,27 @@ class Superposition:
     """Collected linear combination ``sum_k amp_k * |key_k>``.
 
     Immutable after construction.  Equal keys are summed on construction and
-    amplitudes of magnitude <= ``eps_zero`` dropped, so the stored term map is
+    amplitudes of magnitude <= ``EPS_ZERO`` dropped, so the stored term map is
     already canonical.
     """
 
-    __slots__ = ("_terms", "eps_zero")
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms: Iterable[Tuple[Any, Any]] = (), eps_zero: float = EPS_ZERO):
+    def __init__(self, terms: Iterable[Tuple[Any, Any]] = ()):
         acc: Dict[Any, Any] = {}
         for amp, key in terms:
             if key in acc:
                 acc[key] = acc[key] + amp
             else:
                 acc[key] = amp
-        eps2 = eps_zero * eps_zero
-        self._terms = {k: a for k, a in acc.items() if not _negligible(a, eps2)}
-        self.eps_zero = eps_zero
+        self._terms = {k: a for k, a in acc.items() if not _negligible(a)}
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def collect(raw: Iterable[Tuple[Any, Any]], eps_zero: float = EPS_ZERO) -> "Superposition":
-        """Sum amplitudes of equal keys; drop entries with |amp| <= eps_zero."""
-        return Superposition(raw, eps_zero=eps_zero)
+    def collect(raw: Iterable[Tuple[Any, Any]]) -> "Superposition":
+        """Sum amplitudes of equal keys; drop entries with |amp| <= EPS_ZERO."""
+        return Superposition(raw)
 
     # -- queries -----------------------------------------------------------
 
@@ -169,12 +168,11 @@ class Superposition:
     # -- algebra -----------------------------------------------------------
 
     def scale(self, factor) -> "Superposition":
-        return Superposition([(factor * a, k) for k, a in self._terms.items()], self.eps_zero)
+        return Superposition([(factor * a, k) for k, a in self._terms.items()])
 
     def add(self, other: "Superposition") -> "Superposition":
         return Superposition(
-            [(a, k) for k, a in self._terms.items()] + [(a, k) for k, a in other._terms.items()],
-            self.eps_zero,
+            [(a, k) for k, a in self._terms.items()] + [(a, k) for k, a in other._terms.items()]
         )
 
     def map_key(self, old_key, new_key) -> "Superposition":
@@ -182,7 +180,7 @@ class Superposition:
         if old_key not in self._terms:
             raise KeyError(old_key)
         moved = [(a, new_key if k == old_key else k) for k, a in self._terms.items()]
-        return Superposition(moved, self.eps_zero)
+        return Superposition(moved)
 
     def normalize(self) -> "Superposition":
         """Rescale to unit norm; exact when norm2 is a rational perfect square."""
@@ -194,14 +192,14 @@ class Superposition:
             if root is not None:
                 return self.scale(Fraction(1) / root)
         inv = 1.0 / float(n2) ** 0.5
-        return Superposition([(complex(a) * inv, k) for k, a in self._terms.items()], self.eps_zero)
+        return Superposition([(complex(a) * inv, k) for k, a in self._terms.items()])
 
 
-def _negligible(a, eps2) -> bool:
+def _negligible(a) -> bool:
     q = abs2(a)
     if isinstance(q, Fraction):
-        return q == 0 or q <= Fraction(eps2)
-    return q <= eps2
+        return q == 0 or q <= Fraction(_EPS2)
+    return q <= _EPS2
 
 
 def _amp_eq(a, b) -> bool:

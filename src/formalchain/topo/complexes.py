@@ -241,22 +241,7 @@ class Triangulation:
         return len(self.component_vertex_sets())
 
     def component_vertex_sets(self) -> List[frozenset]:
-        parent = {v: v for v in self.vertex_sign}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.edges.values():
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        groups: Dict[int, set] = {}
-        for v in self.vertex_sign:
-            groups.setdefault(find(v), set()).add(v)
-        return [frozenset(g) for g in groups.values()]
+        return [frozenset(g) for g in connected_groups(self.vertex_sign, self.edges.values())]
 
     def max_id(self) -> int:
         ids = [0]
@@ -368,6 +353,31 @@ class Triangulation:
         """
         mirror = self.mirrored()
         return glue_along_boundary(self, mirror)
+
+
+def connected_groups(nodes: Iterable, links: Iterable[Tuple[object, object]]) -> List[list]:
+    """Connected components of the graph on ``nodes`` with edges ``links``.
+
+    Each group lists its nodes in ``nodes`` order, and groups come in the
+    order of their first node.
+    """
+    nodes = list(nodes)
+    parent = {n: n for n in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    groups: Dict[object, list] = {}
+    for n in nodes:
+        groups.setdefault(find(n), []).append(n)
+    return list(groups.values())
 
 
 def _angle(p: float, q: float, r: float) -> float:
@@ -542,16 +552,7 @@ def torus_triangulation(len2=Fraction(1)) -> Triangulation:
 def genus2_triangulation(len2=Fraction(1)) -> Triangulation:
     """Closed genus-2 surface: the double of the 7-vertex torus minus one face."""
     t = torus_triangulation(len2)
-    f0 = min(t.faces)
-    faces = dict(t.faces)
-    removed_vs, removed_es = faces.pop(f0)
-    usage: Dict[int, int] = {e: 0 for e in t.edges}
-    for _, es in faces.values():
-        for e in es:
-            usage[e] += 1
-    marks = {e: LOWER for e, c in usage.items() if c == 1}
-    holed = Triangulation(2, t.vertex_sign, t.edges, t.edge_len2, faces, marks, reorient=False)
-    return holed.double()
+    return remove_faces(t, [min(t.faces)]).double()
 
 
 def remove_faces(t: Triangulation, face_ids: Iterable[int], mark: str = LOWER) -> Triangulation:

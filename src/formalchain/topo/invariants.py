@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from ..errors import StructureError, UnsupportedError
-from .complexes import Triangulation
+from .complexes import Triangulation, connected_groups
 
 
 @dataclass(frozen=True, order=True)
@@ -115,7 +115,12 @@ def classify_surface(t: Triangulation) -> ClosedSurfaceClass:
         raise StructureError("complex has simplices outside every face; singular")
     _require_manifold_links(t)
     genera = []
-    for comp in _face_components(t):
+    by_edge: Dict[int, List[int]] = {}
+    for f, (_, fe) in t.faces.items():
+        for e in fe:
+            by_edge.setdefault(e, []).append(f)
+    links = ((fs[0], g) for fs in by_edge.values() for g in fs[1:])
+    for comp in connected_groups(t.faces, links):
         vset, eset = set(), set()
         for f in comp:
             fv, fe = t.faces[f]
@@ -126,30 +131,6 @@ def classify_surface(t: Triangulation) -> ClosedSurfaceClass:
             raise StructureError(f"component has impossible Euler characteristic {chi}")
         genera.append((2 - chi) // 2)
     return ClosedSurfaceClass(tuple(sorted(genera)))
-
-
-def _face_components(t: Triangulation) -> List[List[int]]:
-    parent = {f: f for f in t.faces}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    by_edge: Dict[int, List[int]] = {}
-    for f, (_, fe) in t.faces.items():
-        for e in fe:
-            by_edge.setdefault(e, []).append(f)
-    for fs in by_edge.values():
-        for g in fs[1:]:
-            ra, rb = find(fs[0]), find(g)
-            if ra != rb:
-                parent[ra] = rb
-    comps: Dict[int, List[int]] = {}
-    for f in t.faces:
-        comps.setdefault(find(f), []).append(f)
-    return [sorted(c) for c in comps.values()]
 
 
 def _require_manifold_links(t: Triangulation) -> None:

@@ -142,6 +142,16 @@ def test_fugacity_examples():
     assert fugacity_total(two, p) == pytest.approx(1.0)
 
 
+def test_total_action_fugacity_is_fugacity_total():
+    # two dimension-1 moves of amplitude-1 terms, c_1 = 3, f_1 = 0.7
+    chain = example_cancellation_chain()
+    p = ActionParams(c=(1.0, 3.0, 1.0), f=(0.0, 0.7, 0.0))
+    assert [s.dim for s in chain.steps] == [1, 1]
+    br = total_action(chain, p)
+    assert br.fugacity == fugacity_total(chain.steps, p)
+    assert br.fugacity == pytest.approx(2 * 3.0 * 0.7)
+
+
 def test_kinetic_examples():
     p = ActionParams(h=(1.0, 1.0, 1.0))
     equal = FluctuationStep(dim=1, moved_amp=1.0, amp_pairs=((0.5, 0.5), (1.0, 1.0)))

@@ -253,3 +253,17 @@ def test_positivity_warns_when_families_hold_every_ket(capsys):
     )
     assert code == 0
     assert "warning" not in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--points", "3"),
+    ("--max-free-circles", "-1"),
+    ("--kets-per-family", "0"),
+    ("--kets-per-family", "-3"),
+    ("--trials", "0"),
+])
+def test_positivity_bad_flag_exit_2(capsys, flag, value):
+    code, out, err = run_cli(capsys, "positivity", "--seed", "1", "--steps", "5", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} must be")

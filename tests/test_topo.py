@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formalchain.errors import ParseError, StructureError, UnsupportedError
 from formalchain.topo import (
@@ -16,6 +18,7 @@ from formalchain.topo import (
     classify_0d,
     classify_curves,
     classify_surface,
+    connected_groups,
     curve_profile,
     from_text,
     genus2_triangulation,
@@ -241,3 +244,42 @@ def test_wick_rotation_flips_sign():
         1, w.vertex_sign, w.edges, {5: -w.edge_len2[5]}, {}, w.boundary_mark
     ).wick_rotated()
     assert again.edge_len2[5] == Fraction(1)
+
+
+def _bfs_groups(nodes, links):
+    adj = {n: [] for n in nodes}
+    for a, b in links:
+        adj[a].append(b)
+        adj[b].append(a)
+    groups, seen = [], set()
+    for n in nodes:
+        if n in seen:
+            continue
+        comp, queue = {n}, [n]
+        while queue:
+            for y in adj[queue.pop()]:
+                if y not in comp:
+                    comp.add(y)
+                    queue.append(y)
+        seen |= comp
+        groups.append([m for m in nodes if m in comp])
+    return groups
+
+
+graphs = st.lists(st.integers(-30, 30), unique=True, min_size=1, max_size=20).flatmap(
+    lambda nodes: st.tuples(
+        st.just(nodes),
+        st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)), max_size=25),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs)
+def test_connected_groups_match_bfs(graph):
+    nodes, links = graph
+    assert connected_groups(nodes, links) == _bfs_groups(nodes, links)
+
+
+def test_connected_groups_empty():
+    assert connected_groups([], []) == []
