@@ -118,7 +118,12 @@ def s_d_superposed(
         if rep is None:
             continue
         w = float(abs2(amp))
-        cu, co = s_d_parts(rep, p)
+        # a Triangulation is never changed after construction, so its parts
+        # stay valid; SingularError escapes before anything is stored
+        parts = rep.action_memo.get(p)
+        if parts is None:
+            parts = rep.action_memo[p] = s_d_parts(rep, p)
+        cu, co = parts
         curv += w * cu
         cosm += w * co
     return curv, cosm
@@ -183,16 +188,23 @@ def total_action(chain, p: ActionParams) -> ActionBreakdown:
     superposition) plus g_d |Y|^2, and per fluctuation step c_d f_d |b|^2
     fugacity plus the kinetic penalty.  A site whose collected superposition
     is zero contributes nothing, which is what makes termination cheap.
+
+    Sites are never changed after construction, so each site's
+    (curvature, cosmological, volume) share is computed once per
+    ``ActionParams`` and kept in ``site.action_memo``.
     """
     out = ActionBreakdown()
     for site in chain.euclidean_sites():
-        d = site.dim
-        k = p.idx(d)
-        curv, cosm = s_d_superposed(site.state, site.reps, p, d)
-        vol = p.g[k] * float(site.state.norm2())
-        out.curvature += p.c[k] * curv
-        out.cosmological += p.c[k] * cosm
-        out.volume += vol
+        shares = site.action_memo.get(p)
+        if shares is None:
+            k = p.idx(site.dim)
+            curv, cosm = s_d_superposed(site.state, site.reps, p, site.dim)
+            shares = site.action_memo[p] = (
+                p.c[k] * curv, p.c[k] * cosm, p.g[k] * float(site.state.norm2())
+            )
+        out.curvature += shares[0]
+        out.cosmological += shares[1]
+        out.volume += shares[2]
     out.fugacity = fugacity_total(chain.steps, p)
     out.kinetic = kinetic_total(chain.steps, p)
     return out

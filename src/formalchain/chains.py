@@ -54,6 +54,10 @@ class ChainSite:
     state: Superposition
     reps: Dict[object, Triangulation] = field(default_factory=dict)
     x_terms: Tuple[Tuple[object, object], ...] = ()  # (amplitude, Cobordism | mock id)
+    # ActionParams -> this site's action shares, filled by action.total_action
+    action_memo: Dict[ActionParams, Tuple[float, float, float]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def is_euclidean(self) -> bool:
         return self.kind in ("Y", "mock_Y")
@@ -160,6 +164,9 @@ class SamplerConfig:
     growth: GrowthConfig = field(default_factory=GrowthConfig)
 
     def __post_init__(self):
+        for name in ("chains", "sweeps"):
+            if getattr(self, name) < 0:
+                raise StructureError(f"{name} must be nonnegative")
         w = (self.weight_extend, self.weight_fluctuate, self.weight_reweight)
         if any(x < 0 for x in w) or sum(w) <= 0:
             raise StructureError("proposal weights must be nonnegative with positive sum")

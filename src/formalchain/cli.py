@@ -371,6 +371,8 @@ def cmd_positivity(args) -> int:
         raise ConfigError("--max-free-circles must be nonnegative")
     if args.trials < 1:
         raise ConfigError("--trials must be at least 1")
+    if args.steps < 0:
+        raise ConfigError("--steps must be nonnegative")
     labels = tuple(range(args.points))
     spec = BoundarySpec(0, points=labels)
     gluer = MatchingGluer(spec)

@@ -36,7 +36,8 @@ UPPER = "upper"
 class Triangulation:
     """A dimension 0, 1 or 2 combinatorial manifold (possibly with boundary)."""
 
-    __slots__ = ("dim", "vertex_sign", "edges", "edge_len2", "faces", "boundary_mark")
+    __slots__ = ("dim", "vertex_sign", "edges", "edge_len2", "faces", "boundary_mark",
+                 "action_memo")
 
     def __init__(
         self,
@@ -55,6 +56,8 @@ class Triangulation:
         self.edge_len2: Dict[int, object] = dict(edge_len2)
         self.faces: Dict[int, Face] = dict(faces)
         self.boundary_mark: Dict[int, str] = dict(boundary_mark)
+        # ActionParams -> action.s_d_parts of this space, filled by action.s_d_superposed
+        self.action_memo: Dict[object, Tuple[float, float]] = {}
         if reorient and dim == 2 and self.faces:
             self._reorient_faces()
         if validate:

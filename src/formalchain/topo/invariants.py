@@ -402,6 +402,11 @@ def surface_code(t: Triangulation, metric: bool = True) -> Tuple:
     have the same length and the surviving minimum is the one a full search
     would find.  Edge tokens are computed once per edge and compared through
     their sort ranks.
+
+    A start whose code ties the best one over its full length yields an
+    automorphism of the map, and a start in the orbit of an already searched
+    start under the automorphisms found so far is skipped: it would repeat
+    that start's code (automorphism pruning, McKay & Piperno 2014).
     """
     faces = sorted(t.faces)
     if not faces:
@@ -427,10 +432,25 @@ def surface_code(t: Triangulation, metric: bool = True) -> Tuple:
     n_tok = len(names)
     width = (n + 1) * n_tok
     index = [-1] * n  # BFS number of each dart from the current start, -1 if none
+    # union-find of darts under the automorphisms found so far; searched[root]
+    # tells whether the orbit holds a start that was already searched
+    orbit = list(range(n))
+    searched = [False] * n
+
+    def find(d: int) -> int:
+        while orbit[d] != d:
+            orbit[d] = orbit[orbit[d]]
+            d = orbit[d]
+        return d
 
     def least_code(comp: List[int]) -> List[int]:
         best: List[int] = []
+        best_order: List[int] = []
         for s in comp:
+            root = find(s)
+            if searched[root]:
+                continue
+            searched[root] = True
             index[s] = 0
             order = [s]
             code: List[int] = []
@@ -460,8 +480,17 @@ def surface_code(t: Triangulation, metric: bool = True) -> Tuple:
                 k += 1
             for d in order:
                 index[d] = -1
-            if len(code) == len(order) and not tight:
-                best = code
+            if len(code) < len(order):
+                continue
+            if not tight:
+                best, best_order = code, order
+                continue
+            # equal codes: best_order[i] -> order[i] is an automorphism
+            for a, b in zip(best_order, order):
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    orbit[ra] = rb
+                    searched[rb] = searched[rb] or searched[ra]
         return best
 
     seen = [False] * n

@@ -49,6 +49,8 @@ class TwoFieldParams:
             raise StructureError("need positive dt and nonnegative steps")
         if self.v_width <= 0:
             raise StructureError("potential width must be positive")
+        if self.sample_stride < 1:
+            raise StructureError("sample stride must be at least 1")
 
 
 def grid_points(p: TwoFieldParams) -> np.ndarray:

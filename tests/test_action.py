@@ -5,8 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formalchain.action import (
+    ActionBreakdown,
     ActionParams,
     FluctuationStep,
     fugacity_total,
@@ -16,9 +19,16 @@ from formalchain.action import (
     s_d_parts,
     total_action,
 )
-from formalchain.chains import ChainSite, FormalChain, example_cancellation_chain
+from formalchain.chains import (
+    ChainSite,
+    FormalChain,
+    SamplerConfig,
+    example_cancellation_chain,
+    step,
+)
+from formalchain.growth import GrowthConfig
 from formalchain.errors import SingularError, StructureError
-from formalchain.superpose import Superposition
+from formalchain.superpose import Superposition, abs2
 from formalchain.topo import (
     Triangulation,
     circle,
@@ -244,3 +254,105 @@ def test_breakdown_total_is_sum_of_parts():
         br.curvature + br.cosmological + br.fugacity + br.volume + br.kinetic
     )
     assert br.kinetic > 0.0
+
+
+def reference_total_action(chain, p: ActionParams) -> ActionBreakdown:
+    """total_action without any memo: every site and term priced afresh."""
+    out = ActionBreakdown()
+    for site in chain.euclidean_sites():
+        d = site.dim
+        k = p.idx(d)
+        curv, cosm = reference_s_d_superposed(site.state, site.reps, p, d)
+        vol = p.g[k] * float(site.state.norm2())
+        out.curvature += p.c[k] * curv
+        out.cosmological += p.c[k] * cosm
+        out.volume += vol
+    out.fugacity = fugacity_total(chain.steps, p)
+    out.kinetic = kinetic_total(chain.steps, p)
+    return out
+
+
+def reference_s_d_superposed(state, reps, p: ActionParams, dim: int):
+    curv = 0.0
+    cosm = 0.0
+    for key, amp in state.items():
+        rep = reps.get(key)
+        if rep is None:
+            continue
+        w = float(abs2(amp))
+        cu, co = s_d_parts(rep, p)
+        curv += w * cu
+        cosm += w * co
+    return curv, cosm
+
+
+def bits(br: ActionBreakdown):
+    return tuple(x.hex() for x in (br.curvature, br.cosmological, br.fugacity,
+                                   br.volume, br.kinetic))
+
+
+# cheap volume, partial layers and extra circles: chains reach dimension 2,
+# singular sites and the mock stage, and many reweights are accepted
+TRAJECTORY_CFG = SamplerConfig(
+    weight_extend=0.3, weight_fluctuate=0.4, weight_reweight=0.3,
+    growth=GrowthConfig(layer="partial", topology_change=True, p_circle=0.3),
+)
+SAMPLED = ActionParams(g=(0.1, 0.1, 0.1), f=(0.01, 0.01, 0.01), Lambda=(0.05, 0.0, 0.5),
+                       h=(0.0, 1.0, 0.0), singular_penalty=1.0)
+OTHER = ActionParams(G=0.5, g=(2.0, 0.3, 1.5), f=(0.2, 0.0, 0.1), Lambda=(0.3, 0.7, 0.2),
+                     c=(1.0, 0.5, 2.0), h=(1.0, 0.0, 3.0), singular_penalty=7.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 80))
+def test_memoised_action_matches_reference_along_trajectories(seed, steps):
+    # each chain is priced under two params in alternation, so a memo that
+    # ignored the params would hand one params' shares to the other
+    rng = random.Random(seed)
+    chain = FormalChain.start()
+    br = None
+    for _ in range(steps):
+        chain, info = step(chain, SAMPLED, TRAJECTORY_CFG, rng, br)
+        br = info.breakdown
+        assert bits(br) == bits(reference_total_action(chain, SAMPLED))
+        for p in (OTHER, SAMPLED, OTHER):
+            assert bits(total_action(chain, p)) == bits(reference_total_action(chain, p))
+
+
+def test_trajectories_replace_the_last_pair():
+    # the trajectories above reach with_last_pair_replaced through reweight
+    rng = random.Random(3)
+    chain = FormalChain.start()
+    br = None
+    replaced = 0
+    for _ in range(80):
+        before = chain
+        chain, info = step(chain, SAMPLED, TRAJECTORY_CFG, rng, br)
+        br = info.breakdown
+        if info.kind == "reweight" and info.accepted:
+            assert chain.sites[:-2] == before.sites[:-2]
+            assert chain.sites[-1] is not before.sites[-1]
+            replaced += 1
+        assert bits(total_action(chain, OTHER)) == bits(reference_total_action(chain, OTHER))
+    assert replaced > 0
+
+
+def test_infinite_penalty_raises_on_every_call():
+    dangling = Triangulation(
+        2,
+        {0: 1, 1: 1, 2: 1, 3: 1},
+        {10: (0, 1), 11: (1, 2), 12: (2, 0), 13: (2, 3)},
+        {10: Fraction(1), 11: Fraction(1), 12: Fraction(1), 13: Fraction(1)},
+        {20: ((0, 1, 2), (10, 11, 12))},
+        {10: "lower", 11: "lower", 12: "lower", 13: "lower"},
+    )
+    site = ChainSite(dim=2, kind="Y", state=Superposition([(1.0, "k")]), reps={"k": dangling})
+    chain = FormalChain((site,), ("double",))
+    hard = ActionParams(singular_penalty=math.inf)
+    for _ in range(2):
+        with pytest.raises(SingularError):
+            total_action(chain, hard)
+    soft = ActionParams(singular_penalty=123.0)
+    assert total_action(chain, soft).curvature == 123.0
+    with pytest.raises(SingularError):
+        total_action(chain, hard)

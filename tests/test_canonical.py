@@ -19,7 +19,8 @@ from formalchain.topo import (
     surface_code,
     torus_triangulation,
 )
-from formalchain.topo import invariants
+from formalchain.growth import GrowthConfig, grow_layer, mirror_double
+from formalchain.topo import invariants, surface_from_faces
 from formalchain.topo.invariants import _least_rotation, _min_rotation, _token
 from formalchain.topo.moves import random_orbit
 
@@ -142,6 +143,57 @@ def test_surface_code_matches_reference_on_unions_and_boundaries():
             expected = reference_surface_code(t, metric)
             assert surface_code(t, metric) == expected
             assert surface_code(relabelled(t, rng), metric) == expected
+
+
+def doubled_prism(lens: List[int]) -> Triangulation:
+    """The double of the prism layer over a circle with these edge lengths:
+    rotating the circle by a period of ``lens`` is an automorphism."""
+    c = circle(len(lens))
+    slice_ = Triangulation(1, c.vertex_sign, c.edges,
+                           dict(zip(sorted(c.edges), map(Fraction, lens))), validate=False)
+    return mirror_double(grow_layer(slice_, GrowthConfig(), None, extra_closed=0))
+
+
+def torus_grid(m: int, k: int, marked=Fraction(1)) -> Triangulation:
+    """An m x k periodic grid of squares, each cut into two triangles; the
+    edges of one grid line have length ``marked``, all others length 1.
+    Every translation along that line is an automorphism, and every
+    translation of the grid when ``marked`` is 1."""
+    def v(i, j):
+        return (i % m) * k + j % k
+
+    faces = []
+    for i in range(m):
+        for j in range(k):
+            faces.append((v(i, j), v(i + 1, j), v(i + 1, j + 1)))
+            faces.append((v(i, j), v(i + 1, j + 1), v(i, j + 1)))
+    lens = {frozenset((v(i, 0), v(i + 1, 0))): marked for i in range(m)}
+    return surface_from_faces(faces, lens)
+
+
+def symmetric_surfaces() -> List[Tuple[str, Triangulation]]:
+    out = []
+    for lens in ([1, 1], [1] * 3, [1] * 5, [1] * 8, [1, 2] * 4, [1, 2, 3] * 2):
+        out.append(("doubled-prism-" + "".join(map(str, lens)), doubled_prism(lens)))
+    for m, k, marked in ((3, 3, 1), (3, 4, 1), (4, 6, 1), (3, 3, Fraction(3, 2)),
+                         (4, 6, Fraction(3, 2))):
+        out.append((f"torus-grid-{m}x{k}-{marked}", torus_grid(m, k, marked)))
+    return out
+
+
+SYMMETRIC = symmetric_surfaces()
+
+
+@pytest.mark.parametrize("metric", [True, False])
+@pytest.mark.parametrize("name,t", SYMMETRIC, ids=[n for n, _ in SYMMETRIC])
+def test_surface_code_matches_reference_on_symmetric_maps(name, t, metric):
+    # many start darts tie the best code here, so orbit pruning skips most of
+    # them; relabelling changes which starts are searched first
+    expected = reference_surface_code(t, metric)
+    assert surface_code(t, metric) == expected
+    rng = random.Random(name)
+    for _ in range(6):
+        assert surface_code(relabelled(t, rng), metric) == expected
 
 
 def test_surface_code_of_no_faces_is_empty():

@@ -147,6 +147,14 @@ def test_sample_zero_sweeps_flag(capsys):
     assert payload["unterminated"] == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--chains", "-2"), ("--sweeps", "-1")])
+def test_sample_negative_count_exit_2(capsys, flag, value):
+    code, out, err = run_cli(capsys, "sample", "--seed", "1", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag[2:]} must be nonnegative\n"
+
+
 def test_sample_set_override(capsys):
     code, out, _ = run_cli(capsys, "sample", "--seed", "1", "--sweeps", "2",
                            "--set", "g.1=3", "--set", "chains=2")
@@ -225,6 +233,15 @@ def test_twofield_nan_norm_exit_4(capsys):
     assert "numeric failure" in err
 
 
+@pytest.mark.parametrize("stride", ["0", "-3"])
+def test_twofield_bad_stride_exit_2(capsys, stride):
+    code, out, err = run_cli(capsys, "twofield", "--steps", "2", "--grid", "16",
+                             "--stride", stride)
+    assert code == 2
+    assert out == ""
+    assert err == "error: sample stride must be at least 1\n"
+
+
 def test_positivity_report(capsys):
     code, out, _ = run_cli(
         capsys, "positivity", "--seed", "1", "--points", "4", "--families", "2",
@@ -261,6 +278,7 @@ def test_positivity_warns_when_families_hold_every_ket(capsys):
     ("--kets-per-family", "0"),
     ("--kets-per-family", "-3"),
     ("--trials", "0"),
+    ("--steps", "-5"),
 ])
 def test_positivity_bad_flag_exit_2(capsys, flag, value):
     code, out, err = run_cli(capsys, "positivity", "--seed", "1", "--steps", "5", flag, value)
