@@ -432,8 +432,8 @@ def surface_code(t: Triangulation, metric: bool = True) -> Tuple:
     n_tok = len(names)
     width = (n + 1) * n_tok
     index = [-1] * n  # BFS number of each dart from the current start, -1 if none
-    # union-find of darts under the automorphisms found so far; searched[root]
-    # tells whether the orbit holds a start that was already searched
+    # darts joined by the automorphisms found so far, queried between unions
+    # (unlike connected_groups); searched[root]: the orbit holds a searched start
     orbit = list(range(n))
     searched = [False] * n
 

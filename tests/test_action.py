@@ -26,8 +26,8 @@ from formalchain.chains import (
     example_cancellation_chain,
     step,
 )
-from formalchain.growth import GrowthConfig
 from formalchain.errors import SingularError, StructureError
+from formalchain.growth import GrowthConfig
 from formalchain.superpose import Superposition, abs2
 from formalchain.topo import (
     Triangulation,
@@ -111,9 +111,9 @@ def test_s_d_sphere_curvature_sign():
     assert s_d(sphere_triangulation(), p) == pytest.approx(-2 * TWO_PI, abs=1e-9)
 
 
-def test_singular_penalty_finite():
-    p = ActionParams(singular_penalty=123.0)
-    dangling = Triangulation(
+def dangling_surface() -> Triangulation:
+    """One triangle with a dangling edge: not closed, so priced as singular."""
+    return Triangulation(
         2,
         {0: 1, 1: 1, 2: 1, 3: 1},
         {10: (0, 1), 11: (1, 2), 12: (2, 0), 13: (2, 3)},
@@ -121,22 +121,18 @@ def test_singular_penalty_finite():
         {20: ((0, 1, 2), (10, 11, 12))},
         {10: "lower", 11: "lower", 12: "lower", 13: "lower"},
     )
-    curv, cosm = s_d_parts(dangling, p)
+
+
+def test_singular_penalty_finite():
+    p = ActionParams(singular_penalty=123.0)
+    curv, cosm = s_d_parts(dangling_surface(), p)
     assert (curv, cosm) == (123.0, 0.0)
 
 
 def test_singular_penalty_infinite_raises():
     p = ActionParams(singular_penalty=math.inf)
-    dangling = Triangulation(
-        2,
-        {0: 1, 1: 1, 2: 1, 3: 1},
-        {10: (0, 1), 11: (1, 2), 12: (2, 0), 13: (2, 3)},
-        {10: Fraction(1), 11: Fraction(1), 12: Fraction(1), 13: Fraction(1)},
-        {20: ((0, 1, 2), (10, 11, 12))},
-        {10: "lower", 11: "lower", 12: "lower", 13: "lower"},
-    )
     with pytest.raises(SingularError):
-        s_d_parts(dangling, p)
+        s_d_parts(dangling_surface(), p)
 
 
 def test_fugacity_examples():
@@ -338,15 +334,8 @@ def test_trajectories_replace_the_last_pair():
 
 
 def test_infinite_penalty_raises_on_every_call():
-    dangling = Triangulation(
-        2,
-        {0: 1, 1: 1, 2: 1, 3: 1},
-        {10: (0, 1), 11: (1, 2), 12: (2, 0), 13: (2, 3)},
-        {10: Fraction(1), 11: Fraction(1), 12: Fraction(1), 13: Fraction(1)},
-        {20: ((0, 1, 2), (10, 11, 12))},
-        {10: "lower", 11: "lower", 12: "lower", 13: "lower"},
-    )
-    site = ChainSite(dim=2, kind="Y", state=Superposition([(1.0, "k")]), reps={"k": dangling})
+    site = ChainSite(dim=2, kind="Y", state=Superposition([(1.0, "k")]),
+                     reps={"k": dangling_surface()})
     chain = FormalChain((site,), ("double",))
     hard = ActionParams(singular_penalty=math.inf)
     for _ in range(2):
