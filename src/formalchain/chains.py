@@ -167,6 +167,9 @@ class SamplerConfig:
         for name in ("chains", "sweeps"):
             if getattr(self, name) < 0:
                 raise StructureError(f"{name} must be nonnegative")
+        for name, least in (("initial_points", 0), ("x1_candidates", 1), ("max_dimension", 0)):
+            if getattr(self, name) < least:
+                raise StructureError(f"{name} must be at least {least}, got {getattr(self, name)}")
         w = (self.weight_extend, self.weight_fluctuate, self.weight_reweight)
         if any(x < 0 for x in w) or sum(w) <= 0:
             raise StructureError("proposal weights must be nonnegative with positive sum")

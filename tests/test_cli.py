@@ -161,11 +161,21 @@ def test_sample_set_override(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["config"]["g.1"] == "3"
-    for bad in ("nonsense=1", "a=0", "a=abc", "alpha.2=-1"):
+    for bad, named in (
+        ("nonsense=1", "'nonsense'"),
+        ("a=0", "a must be positive"),
+        ("a=abc", "'abc'"),
+        ("alpha.2=-1", "alpha must be positive"),
+        ("initial_points=-1", "initial_points must be at least 0, got -1"),
+        ("x1_candidates=0", "x1_candidates must be at least 1, got 0"),
+        ("x1_candidates=-2", "x1_candidates must be at least 1, got -2"),
+        ("max_dimension=-1", "max_dimension must be at least 0, got -1"),
+    ):
         code2, _, err = run_cli(capsys, "sample", "--seed", "1", "--sweeps", "1",
                                 "--set", bad)
         assert code2 == 2, bad
         assert err.startswith("error: "), bad
+        assert named in err, bad
 
 
 def test_sample_unknown_key_exit_2(tmp_path, capsys):
@@ -223,14 +233,16 @@ def test_twofield_csv(capsys):
 
 def test_twofield_nan_norm_exit_4(capsys):
     # an overflowing potential turns every norm into NaN, which must fail the
-    # drift check instead of printing nan rows
-    code, out, err = run_cli(
-        capsys, "twofield", "--v-depth", "1e308", "--dt", "1e10", "--steps", "2",
-        "--grid", "16", "--stride", "1",
-    )
-    assert code == 4
-    assert "nan" not in out
-    assert "numeric failure" in err
+    # drift check instead of printing nan rows; with the coupling V the state
+    # evolves on the 2D grid, without it as two factors
+    for potential in ("--v-depth", "--lambda"):
+        code, out, err = run_cli(
+            capsys, "twofield", potential, "1e308", "--dt", "1e10", "--steps", "2",
+            "--grid", "16", "--stride", "1",
+        )
+        assert code == 4, potential
+        assert "nan" not in out, potential
+        assert "numeric failure" in err, potential
 
 
 @pytest.mark.parametrize("stride", ["0", "-3"])

@@ -1,8 +1,10 @@
 """Golden outputs: CLI stdout and trace CSVs compared byte for byte.
 
 The fixtures in ``tests/data`` pin the exact output of a few small runs, so a
-refactor that claims unchanged behaviour can prove it.  Regenerate them only
-together with a stated behaviour change:
+refactor that claims unchanged behaviour can prove it.  ``sample`` and
+``pair`` print JSON (``<case>.json``), and a ``sample`` trace goes to
+``<case>.csv``; ``twofield`` prints CSV (``<case>.csv``).  Regenerate them
+only together with a stated behaviour change:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -52,7 +54,14 @@ CASES = {
     "sample_partial": _sample("sample_partial", 21, 4, 80, PARTIAL),
     "pair_cancellation": ["pair", "--example", "cancellation-3.2"],
     "pair_freedman": ["pair", "--example", "freedman-3.1"],
+    # the coupling V keeps the state on the 2D grid
+    "twofield_coupled": ["twofield", "--lambda", "0.5", "--v-depth", "0.8", "--grid", "32",
+                         "--steps", "200", "--dt", "0.002", "--stride", "20"],
 }
+
+
+def _stdout_file(name):
+    return DATA / (f"{name}.csv" if CASES[name][0] == "twofield" else f"{name}.json")
 
 
 def _run(name, capsys):
@@ -67,10 +76,9 @@ def _run(name, capsys):
 def test_golden_output(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     out, trace = _run(name, capsys)
-    assert out == (DATA / f"{name}.json").read_text()
-    expected_trace = DATA / f"{name}.csv"
-    if expected_trace.exists():
-        assert trace == expected_trace.read_text()
+    assert out == _stdout_file(name).read_text()
+    if "--trace" in CASES[name]:
+        assert trace == (DATA / f"{name}.csv").read_text()
     else:
         assert trace is None
 
@@ -99,4 +107,4 @@ if __name__ == "__main__":
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             assert main(argv) == 0
-        (DATA / f"{case}.json").write_text(buf.getvalue())
+        _stdout_file(case).write_text(buf.getvalue())

@@ -9,6 +9,9 @@ from formalchain.errors import StructureError, ZeroStateError
 from formalchain.twofield import (
     NestedVector,
     TwoFieldParams,
+    TwoFieldState,
+    _com_density,
+    _erase_raw,
     alpha_erase,
     com_density,
     erase_twice,
@@ -35,9 +38,57 @@ def small_params(**kw):
 def test_zero_steps_identity():
     p = small_params(steps=0)
     psi = gaussian_packet(p, 0.5)
-    st = product_state(p, psi, psi)
+    st = product_state(p, psi, gaussian_packet(p, -0.5))
     traj = evolve(st, p)
     assert np.allclose(traj.final.psi, st.psi)
+    assert np.array_equal(traj.final.factors, st.factors)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_factored_evolution_matches_2d(lam):
+    # unequal factors: the records are symmetric under x1 <-> x2, so only the
+    # final wavefunction tells swapped factors apart
+    p = small_params(lam=lam, steps=300, sample_stride=50)
+    a, b = gaussian_packet(p, 1.0), gaussian_packet(p, -0.5)
+    factored = evolve(product_state(p, a, b), p)
+    grid = evolve(TwoFieldState(np.outer(a, b), p), p)
+    assert factored.final.factors is not None and grid.final.factors is None
+    assert factored.times == grid.times
+    for name in ("joint_norms", "erased_norms", "com_means"):
+        assert np.allclose(getattr(factored, name), getattr(grid, name), rtol=0, atol=1e-12), name
+    assert np.allclose(factored.final.psi, grid.final.psi, rtol=0, atol=1e-12)
+    assert np.array_equal(factored.final.psi, np.outer(*factored.final.factors))
+
+
+def reference_erase_raw(psi, dx):
+    """The anti-diagonal sums as one loop over m."""
+    n = psi.shape[0]
+    j = np.arange(n)
+    out = np.empty(n, dtype=complex)
+    for m in range(n):
+        out[m] = psi[j, (2 * m - j) % n].sum() * dx
+    return out
+
+
+def reference_com_density(psi, dx):
+    n = psi.shape[0]
+    j = np.arange(n)
+    dens = np.empty(n)
+    for m in range(n):
+        dens[m] = float(np.sum(np.abs(psi[j, (2 * m - j) % n]) ** 2)) * dx
+    total = dens.sum() * dx
+    return dens / total if total > 0 else dens
+
+
+@pytest.mark.parametrize("n", [16, 64, 128, 256])
+def test_anti_diagonal_sums_match_loops(n):
+    rng = np.random.default_rng(n)
+    psi = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    dx = 16.0 / n
+    assert np.array_equal(_erase_raw(psi, dx), reference_erase_raw(psi, dx))
+    assert np.array_equal(_com_density(psi, dx), reference_com_density(psi, dx))
+    zero = np.zeros((n, n), complex)
+    assert np.array_equal(_com_density(zero, dx), reference_com_density(zero, dx))
 
 
 def test_joint_norm_conserved():
