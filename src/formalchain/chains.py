@@ -29,6 +29,7 @@ from .errors import (
     FormalChainError,
     GeometryError,
     MoveError,
+    SingularError,
     StructureError,
     SuperpositionForbiddenError,
     UnsupportedError,
@@ -56,6 +57,11 @@ class ChainSite:
     x_terms: Tuple[Tuple[object, object], ...] = ()  # (amplitude, Cobordism | mock id)
     # ActionParams -> this site's action shares, filled by action.total_action
     action_memo: Dict[ActionParams, Tuple[float, float, float]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+    # _layer_key of the terms grown over this site -> their (X, Y) sites,
+    # filled by propose_extend
+    layer_memo: Dict[tuple, Tuple["ChainSite", "ChainSite"]] = field(
         default_factory=dict, compare=False, repr=False
     )
 
@@ -269,7 +275,33 @@ def propose_extend(chain: FormalChain, cfg: SamplerConfig, rng: random.Random) -
             return None
         grown = grow_superposed(b, rep, cfg.growth, candidates, rng, lower_key=key)
         x_terms.extend(grown.terms)
-    return chain.extended(_layer(x_terms, d_next), [GROW, DOUBLE])
+    # sites are never changed after construction, so a layer grown again over
+    # this frontier (a rejected extend proposed anew) reuses the sites built
+    # the first time; a _layer that raises stores nothing
+    memo_key = _layer_key(x_terms)
+    layer = frontier.layer_memo.get(memo_key)
+    if layer is None:
+        layer = frontier.layer_memo[memo_key] = _layer(x_terms, d_next)
+    return chain.extended(layer, [GROW, DOUBLE])
+
+
+def _layer_key(x_terms: Sequence[Tuple[object, Cobordism]]) -> tuple:
+    """The exact content of grown layer terms, as a dict key.
+
+    Amplitudes and squared lengths enter with their type and repr, so values
+    that compare equal but print differently (``Fraction(1)`` and ``1.0``,
+    ``0.0`` and ``-0.0``) give different keys; dicts enter in insertion order.
+    """
+    key = []
+    for amp, c in x_terms:
+        t = c.space
+        key.append((
+            type(amp), repr(amp), c.lower_chi, c.lower_key, t.dim,
+            tuple(t.vertex_sign.items()), tuple(t.edges.items()),
+            tuple((e, type(x), repr(x)) for e, x in t.edge_len2.items()),
+            tuple(t.faces.items()), tuple(t.boundary_mark.items()),
+        ))
+    return tuple(key)
 
 
 def _propose_mock_stage(chain: FormalChain, frontier: ChainSite) -> FormalChain:
@@ -385,7 +417,11 @@ def step(
         return chain, StepInfo(kind, False, current)
     if proposal is None:
         return chain, StepInfo(kind, False, current)
-    new = total_action(proposal, p)
+    try:
+        new = total_action(proposal, p)
+    except SingularError:
+        # an infinite singular_penalty: the proposal's action is +inf
+        return chain, StepInfo(kind, False, current, math.inf)
     delta = (new.total - current.total)
     if not metropolis_accept(delta, rng, cfg.temperature):
         return chain, StepInfo(kind, False, current, delta)

@@ -295,6 +295,9 @@ def cmd_sample(args) -> int:
     params = cfgmod.action_params_from(settings)
     cfg = cfgmod.sampler_config_from(settings, args.seed)
     stats = run_chains(cfg, params)
+    proposed = sum(n for _, n in stats.acceptance.values())
+    if proposed and not any(a for a, _ in stats.acceptance.values()):
+        print(f"warning: accepted 0 of {proposed} proposals", file=sys.stderr)
     payload = stats.as_dict()
     payload["config"] = cfgmod.resolved_echo(settings, args.seed)
     if args.trace:

@@ -7,6 +7,7 @@ Unknown keys are rejected so typos cannot silently change a run.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
@@ -73,6 +74,13 @@ def _as_float(settings: Mapping[str, str], key: str, default: float) -> float:
     return float(_as_fraction(settings, key, default))
 
 
+def _as_penalty(settings: Mapping[str, str], key: str, default: float) -> float:
+    """A number, or ``inf`` for hard rejection of singular sites."""
+    if settings.get(key, "").lower() == "inf":
+        return math.inf
+    return _as_float(settings, key, default)
+
+
 def _as_int(settings: Mapping[str, str], key: str, default: int) -> int:
     if key not in settings:
         return default
@@ -109,7 +117,7 @@ def action_params_from(settings: Mapping[str, str]) -> ActionParams:
             f=_triple(settings, "f", base.f),
             g=_triple(settings, "g", base.g),
             h=_triple(settings, "h", base.h),
-            singular_penalty=_as_float(settings, "singular_penalty", base.singular_penalty),
+            singular_penalty=_as_penalty(settings, "singular_penalty", base.singular_penalty),
         )
     except Exception as exc:
         raise ConfigError(str(exc))

@@ -2,10 +2,12 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from formalchain import chains
 from formalchain.action import ActionParams, total_action
 from formalchain.chains import (
     ChainSite,
@@ -22,9 +24,10 @@ from formalchain.chains import (
     step,
     validate_chain,
 )
-from formalchain.errors import StructureError
+from formalchain.errors import GeometryError, StructureError
+from formalchain.growth import Cobordism, GrowthConfig, SuperposedGrowth
 from formalchain.superpose import Superposition
-from formalchain.topo import iso_key, point_set
+from formalchain.topo import arc, iso_key, point_set
 
 
 def default_params(**kw):
@@ -285,3 +288,161 @@ def test_stats_histogram_consistency():
     assert total == cfg.chains
     for kind, (acc, prop) in stats.acceptance.items():
         assert 0 <= acc <= prop
+
+
+def test_infinite_singular_penalty_rejects_singular_proposals():
+    # hard rejection: a proposal with a singular site is priced at +inf and
+    # rejected; it used to escape step() as SingularError and end the run
+    cfg = SamplerConfig(
+        seed=21, chains=4, sweeps=80,
+        weight_extend=0.5, weight_fluctuate=0.3, weight_reweight=0.2,
+        growth=GrowthConfig(layer="partial"),
+    )
+    p = ActionParams(g=(0.1,) * 3, singular_penalty=math.inf)
+    stats = run(cfg, p)
+    assert sum(stats.termination_histogram.values()) + stats.unterminated == cfg.chains
+    assert all(math.isfinite(row[2]) for row in stats.trace)
+    singular = 0
+    for ci in range(cfg.chains):
+        rng = random.Random(f"{cfg.seed}:{ci}")
+        chain, br = FormalChain.start(), None
+        for _ in range(cfg.sweeps):
+            chain, info = step(chain, p, cfg, rng, br)
+            br = info.breakdown
+            singular += info.delta_s == math.inf
+            if info.accepted:
+                # raises SingularError if any site of the chain is singular
+                assert math.isfinite(total_action(chain, p).total)
+    assert singular > 0
+
+
+# -- layers remembered per frontier -------------------------------------------------
+
+
+def _point_chain():
+    """X and Y sites of dimension 0 over one point: the frontier of every test below."""
+    return propose_extend(FormalChain.start(), default_cfg(), random.Random(0))
+
+
+def _grow_exactly(monkeypatch, terms):
+    """Make every growth in propose_extend return ``terms``."""
+    monkeypatch.setattr(chains, "grow_superposed", lambda *a, **k: SuperposedGrowth(list(terms)))
+
+
+def _arc_terms(lower_key, amp, len2):
+    """Two arcs over one point pair, glueable against each other."""
+    return [
+        (amp, Cobordism(arc(1, len2), 1, lower_key)),
+        (amp, Cobordism(arc(2, len2, upper_id=1), 1, lower_key)),
+    ]
+
+
+def _printed(x_terms):
+    return [(repr(a), [repr(x) for x in c.space.edge_len2.values()]) for a, c in x_terms]
+
+
+def test_layer_memo_keeps_equal_terms_of_other_types_apart(monkeypatch):
+    chain = _point_chain()
+    frontier = chain.frontier()
+    (key,) = frontier.state.keys()
+    # amplitudes and squared lengths that compare equal but print differently
+    variants = [
+        _arc_terms(key, Fraction(1, 2), Fraction(1)),
+        _arc_terms(key, Fraction(1, 2), 1.0),
+        _arc_terms(key, 0.5, 1.0),
+        _arc_terms(key, 0.0, 1.0),
+        _arc_terms(key, -0.0, 1.0),
+    ]
+    firsts = []
+    for terms in variants:
+        _grow_exactly(monkeypatch, terms)
+        first = propose_extend(chain, default_cfg(), random.Random(1))
+        again = propose_extend(chain, default_cfg(), random.Random(1))
+        assert again.sites[-2] is first.sites[-2] and again.sites[-1] is first.sites[-1]
+        assert _printed(first.sites[-2].x_terms) == _printed(terms)
+        firsts.append(first.sites[-2])
+    assert len(frontier.layer_memo) == len(variants)
+    assert len({id(x) for x in firsts}) == len(variants)
+    # the same content built anew hits the entry of its first build
+    _grow_exactly(monkeypatch, _arc_terms(key, 0.5, 1.0))
+    assert propose_extend(chain, default_cfg(), random.Random(1)).sites[-2] is firsts[2]
+
+
+def test_failing_layer_is_not_remembered(monkeypatch):
+    chain = _point_chain()
+    frontier = chain.frontier()
+
+    def fail(a, b):
+        raise GeometryError("no double")
+
+    monkeypatch.setattr(chains, "double_cross", fail)
+    with pytest.raises(GeometryError):
+        propose_extend(chain, default_cfg(), random.Random(1))
+    assert frontier.layer_memo == {}
+    monkeypatch.undo()
+    assert propose_extend(chain, default_cfg(), random.Random(1)) is not None
+    assert len(frontier.layer_memo) == 1
+
+
+def test_layer_memo_hit_equals_a_fresh_layer():
+    # along a sampler chain, an extend proposed twice from one RNG state hits
+    # the frontier's memo and equals the same extend from a memo-free copy
+    cfg = default_cfg(seed=7)
+    p = default_params()
+    rng = random.Random(7)
+    chain, br = FormalChain.start(), None
+    hits = 0
+    for _ in range(200):
+        frontier, first = chain.frontier(), None
+        if frontier is not None and frontier.kind == "Y" and frontier.dim < 2 \
+                and not frontier.state.is_zero():
+            state = rng.getstate()
+            try:
+                first = _extend_from(chain, cfg, state)
+            except StructureError:  # growth over a one-edge circle
+                pass
+        if first is not None:
+            total_action(first, p)  # fills the new sites' action memos
+            hit = _extend_from(chain, cfg, state)
+            memo_free = chain.with_last_pair_replaced(
+                chain.sites[-2], replace(frontier, layer_memo={}))
+            fresh = _extend_from(memo_free, cfg, state)
+            for got, first_site, want in zip(hit.sites[-2:], first.sites[-2:], fresh.sites[-2:]):
+                assert got is first_site and got is not want
+                assert [(k, repr(a)) for k, a in got.state.items()] == \
+                    [(k, repr(a)) for k, a in want.state.items()]
+                assert list(got.reps) == list(want.reps)
+            got, want = total_action(hit, p), total_action(fresh, p)
+            assert [x.hex() for x in vars(got).values()] == [x.hex() for x in vars(want).values()]
+            hits += 1
+        chain, info = step(chain, p, cfg, rng, br)
+        br = info.breakdown
+        if chain.terminated:
+            break
+    assert hits >= 5
+
+
+def _extend_from(chain, cfg, rng_state):
+    rng = random.Random()
+    rng.setstate(rng_state)
+    return propose_extend(chain, cfg, rng)
+
+
+def test_layer_memo_does_not_outlive_a_run(monkeypatch):
+    # the memo hangs off the frontier sites of one chain: a second identical
+    # run in the same process doubles as many layers as the first
+    calls = []
+    double_cross = chains.double_cross
+
+    def counted(a, b):
+        calls.append(1)
+        return double_cross(a, b)
+
+    monkeypatch.setattr(chains, "double_cross", counted)
+    cfg = default_cfg(seed=5, chains=3, sweeps=60)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        run(cfg, default_params())
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

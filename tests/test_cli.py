@@ -147,6 +147,43 @@ def test_sample_zero_sweeps_flag(capsys):
     assert payload["unterminated"] == 2
 
 
+@pytest.mark.parametrize("sweeps, warning", [
+    ("100", "warning: accepted 0 of 400 proposals\n"),
+    ("0", ""),
+])
+def test_sample_warns_when_nothing_accepted(capsys, sweeps, warning):
+    # the default volume couplings (g_d = 10) reject every first extend
+    code, out, err = run_cli(capsys, "sample", "--seed", "11", "--chains", "4",
+                             "--sweeps", sweeps)
+    assert code == 0
+    assert err == warning
+    payload = json.loads(out)
+    assert all(v["accepted"] == 0 for v in payload["acceptance"].values())
+
+
+# the golden sample_partial settings without their finite singular_penalty
+PARTIAL = ["g.0=0.1", "g.1=0.1", "g.2=0.1",
+           "weight.extend=0.5", "weight.fluctuate=0.3", "weight.reweight=0.2",
+           "layer=partial", "topology_change=true", "p_circle=0.3"]
+
+
+def test_sample_infinite_singular_penalty(capsys):
+    argv = ["sample", "--seed", "21", "--chains", "4", "--sweeps", "80"]
+    for item in PARTIAL + ["singular_penalty=inf"]:
+        argv += ["--set", item]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["config"]["singular_penalty"] == "inf"
+    assert payload["unterminated"] + sum(payload["termination_histogram"].values()) == 4
+    for bad in ("singular_penalty=nan", "singular_penalty=-inf", "g.1=inf", "G=inf"):
+        code2, out2, err2 = run_cli(capsys, "sample", "--seed", "1", "--sweeps", "1",
+                                    "--set", bad)
+        assert code2 == 2, bad
+        assert out2 == ""
+        assert err2 == f"error: key {bad.split('=')[0]!r}: bad number {bad.split('=')[1]!r}\n"
+
+
 @pytest.mark.parametrize("flag, value", [("--chains", "-2"), ("--sweeps", "-1")])
 def test_sample_negative_count_exit_2(capsys, flag, value):
     code, out, err = run_cli(capsys, "sample", "--seed", "1", flag, value)
