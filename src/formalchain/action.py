@@ -43,6 +43,12 @@ class ActionParams:
     singular_penalty: float = 1.0e6  # math.inf switches to hard rejection
 
     def __post_init__(self):
+        for name in ("G", "Lambda", "c", "f", "g", "h"):
+            value = getattr(self, name)
+            if not all(map(math.isfinite, (value,) if name == "G" else value)):
+                raise StructureError(f"{name} must be finite, got {value!r}")
+        if math.isnan(self.singular_penalty):
+            raise StructureError("singular_penalty must not be nan")
         if self.G <= 0:
             raise StructureError("G must be positive")
         for name in ("c", "f", "g", "h"):

@@ -25,13 +25,11 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .action import ActionBreakdown, ActionParams, FluctuationStep, total_action
 from .errors import (
-    EulerConstraintError,
     FormalChainError,
     GeometryError,
     MoveError,
     SingularError,
     StructureError,
-    SuperpositionForbiddenError,
     UnsupportedError,
 )
 from .growth import Cobordism, GrowthConfig, double_cross, grow_superposed
@@ -59,11 +57,6 @@ class ChainSite:
     action_memo: Dict[ActionParams, Tuple[float, float, float]] = field(
         default_factory=dict, compare=False, repr=False
     )
-    # _layer_key of the terms grown over this site -> their (X, Y) sites,
-    # filled by propose_extend
-    layer_memo: Dict[tuple, Tuple["ChainSite", "ChainSite"]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
 
     def is_euclidean(self) -> bool:
         return self.kind in ("Y", "mock_Y")
@@ -75,12 +68,18 @@ class FormalChain:
 
     The implicit first site is the empty set (dimension -1); ``links[i]``
     connects site i-1 to site i with links[0] leaving the empty set.
+
+    ``doubles`` is the table of keys and doubles that ``_layer`` fills: the
+    exact content of a grown space (``_content``) -> its ``iso_key``, and a
+    pair of contents -> their cross double and its ``iso_key``.  Chains derived
+    from this one share it, and so do all chains of one ``run``.
     """
 
     sites: Tuple[ChainSite, ...] = ()
     links: Tuple[str, ...] = ()
     steps: Tuple[FluctuationStep, ...] = ()
     terminated_dim: Optional[int] = None
+    doubles: Dict[tuple, object] = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
     def start() -> "FormalChain":
@@ -103,11 +102,12 @@ class FormalChain:
             self.links + tuple(new_links),
             self.steps + tuple(new_steps),
             self.terminated_dim,
+            self.doubles,
         )
 
     def with_last_pair_replaced(self, x: ChainSite, y: ChainSite) -> "FormalChain":
         return FormalChain(
-            self.sites[:-2] + (x, y), self.links, self.steps, self.terminated_dim
+            self.sites[:-2] + (x, y), self.links, self.steps, self.terminated_dim, self.doubles
         )
 
 
@@ -176,6 +176,9 @@ class SamplerConfig:
         for name, least in (("initial_points", 0), ("x1_candidates", 1), ("max_dimension", 0)):
             if getattr(self, name) < least:
                 raise StructureError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        for name in ("weight_extend", "weight_fluctuate", "weight_reweight", "temperature"):
+            if not math.isfinite(getattr(self, name)):
+                raise StructureError(f"{name} must be finite, got {getattr(self, name)!r}")
         w = (self.weight_extend, self.weight_fluctuate, self.weight_reweight)
         if any(x < 0 for x in w) or sum(w) <= 0:
             raise StructureError("proposal weights must be nonnegative with positive sum")
@@ -209,45 +212,77 @@ def _self_pair(x_terms: Sequence[Tuple[object, object]], part: Callable[[object]
     )
 
 
-def _double_site(x_terms: Sequence[Tuple[object, Cobordism]], dim: int) -> ChainSite:
+def _content(t: Triangulation) -> tuple:
+    """The exact content of a space, as a dict key.
+
+    Squared lengths enter with their type and repr, so values that compare
+    equal but print differently (``Fraction(1)`` and ``1.0``, ``0.0`` and
+    ``-0.0``) give different keys; dicts enter in insertion order.
+    """
+    return (
+        t.dim, tuple(t.vertex_sign.items()), tuple(t.edges.items()),
+        tuple((e, type(x), repr(x)) for e, x in t.edge_len2.items()),
+        tuple(t.faces.items()), tuple(t.boundary_mark.items()),
+    )
+
+
+def _double_site(x_terms: Sequence[Tuple[object, Cobordism]], contents: Sequence[tuple],
+                 dim: int, doubles: Dict[tuple, object]) -> ChainSite:
     """Pair an X layer superposition against itself, collected by isometry key.
 
     Candidates over different lower components never share a boundary, so
     cross terms only arise within one lower component; candidates are built
     over the same slice with identical boundary ids precisely so those cross
-    gluings are defined.
+    gluings are defined.  ``contents[i]`` is ``_content`` of term i's space;
+    each pair is glued and keyed once per ``doubles`` table.
     """
     reps: Dict[object, Triangulation] = {}
 
-    def glue(c_i: Cobordism, c_j: Cobordism):
-        glued = double_cross(c_i, c_j)
-        key = iso_key(glued)
+    def glue(i: int, j: int):
+        pair = (contents[i], contents[j])
+        hit = doubles.get(pair)
+        if hit is None:
+            glued = double_cross(x_terms[i][1], x_terms[j][1])
+            hit = doubles[pair] = (glued, iso_key(glued))
+        glued, key = hit
         reps.setdefault(key, glued)
         return key
 
-    def part(cob: Cobordism):
+    def part(i: int):
+        cob = x_terms[i][1]
         return cob.lower_key, tuple(sorted(cob.space.boundary_mark.items()))
 
-    state = _self_pair(x_terms, part, glue)
+    state = _self_pair([(amp, i) for i, (amp, _) in enumerate(x_terms)], part, glue)
     reps = {k: reps[k] for k in state.keys()}
     return ChainSite(dim=dim, kind="Y", state=state, reps=reps)
 
 
-def _layer(x_terms: Sequence[Tuple[object, object]], dim: int) -> Tuple[ChainSite, ChainSite]:
+def _layer(x_terms: Sequence[Tuple[object, object]], dim: int,
+           doubles: Dict[tuple, object]) -> Tuple[ChainSite, ChainSite]:
     """The X site of a layer superposition and its Euclidean double.
 
     A cobordism is keyed by the isometry class of its space and doubled by
-    cross gluing.  Mock-stage kets are their own keys: ("A", i) and ("B", i)
-    cobound component i, and any two of them glue to its closed class ("S", i).
+    cross gluing, both looked up by content in ``doubles`` (see
+    ``FormalChain``) before they are built; nothing changes a space after
+    construction, so a stored space and key stand for every space of equal
+    content.  A build that raises stores nothing.  Mock-stage kets are their
+    own keys: ("A", i) and ("B", i) cobound component i, and any two of them
+    glue to its closed class ("S", i).
     """
     x_terms = tuple(x_terms)
     if dim == MOCK_DIM:
         x_site = ChainSite(dim=dim, kind="mock_X", state=Superposition(x_terms), x_terms=x_terms)
         y_state = _self_pair(x_terms, lambda ket: ket[1], lambda m, n: ("S", m[1]))
         return x_site, ChainSite(dim=dim, kind="mock_Y", state=y_state)
-    x_state = Superposition([(amp, iso_key(c.space)) for amp, c in x_terms])
-    x_site = ChainSite(dim=dim, kind="X", state=x_state, x_terms=x_terms)
-    return x_site, _double_site(x_terms, dim)
+    contents = [_content(c.space) for _, c in x_terms]
+    x_keys = []
+    for (amp, c), content in zip(x_terms, contents):
+        key = doubles.get(content)
+        if key is None:
+            key = doubles[content] = iso_key(c.space)
+        x_keys.append((amp, key))
+    x_site = ChainSite(dim=dim, kind="X", state=Superposition(x_keys), x_terms=x_terms)
+    return x_site, _double_site(x_terms, contents, dim, doubles)
 
 
 def propose_extend(chain: FormalChain, cfg: SamplerConfig, rng: random.Random) -> Optional[FormalChain]:
@@ -256,7 +291,7 @@ def propose_extend(chain: FormalChain, cfg: SamplerConfig, rng: random.Random) -
     if frontier is None:
         pts = point_set(cfg.initial_points)
         x_terms = [(1.0, Cobordism(pts, pts.euler_characteristic()))]
-        return chain.extended(_layer(x_terms, 0), [GROW, DOUBLE])
+        return chain.extended(_layer(x_terms, 0, chain.doubles), [GROW, DOUBLE])
     if not frontier.is_euclidean() or frontier.state.is_zero():
         return None
     d_next = frontier.dim + 1
@@ -275,33 +310,7 @@ def propose_extend(chain: FormalChain, cfg: SamplerConfig, rng: random.Random) -
             return None
         grown = grow_superposed(b, rep, cfg.growth, candidates, rng, lower_key=key)
         x_terms.extend(grown.terms)
-    # sites are never changed after construction, so a layer grown again over
-    # this frontier (a rejected extend proposed anew) reuses the sites built
-    # the first time; a _layer that raises stores nothing
-    memo_key = _layer_key(x_terms)
-    layer = frontier.layer_memo.get(memo_key)
-    if layer is None:
-        layer = frontier.layer_memo[memo_key] = _layer(x_terms, d_next)
-    return chain.extended(layer, [GROW, DOUBLE])
-
-
-def _layer_key(x_terms: Sequence[Tuple[object, Cobordism]]) -> tuple:
-    """The exact content of grown layer terms, as a dict key.
-
-    Amplitudes and squared lengths enter with their type and repr, so values
-    that compare equal but print differently (``Fraction(1)`` and ``1.0``,
-    ``0.0`` and ``-0.0``) give different keys; dicts enter in insertion order.
-    """
-    key = []
-    for amp, c in x_terms:
-        t = c.space
-        key.append((
-            type(amp), repr(amp), c.lower_chi, c.lower_key, t.dim,
-            tuple(t.vertex_sign.items()), tuple(t.edges.items()),
-            tuple((e, type(x), repr(x)) for e, x in t.edge_len2.items()),
-            tuple(t.faces.items()), tuple(t.boundary_mark.items()),
-        ))
-    return tuple(key)
+    return chain.extended(_layer(x_terms, d_next, chain.doubles), [GROW, DOUBLE])
 
 
 def _propose_mock_stage(chain: FormalChain, frontier: ChainSite) -> FormalChain:
@@ -313,7 +322,7 @@ def _propose_mock_stage(chain: FormalChain, frontier: ChainSite) -> FormalChain:
         b = frontier.state.amplitude(key)
         x_terms.append((b * w, ("A", i)))
         x_terms.append((b * w, ("B", i)))
-    return chain.extended(_layer(x_terms, MOCK_DIM), [GROW, DOUBLE])
+    return chain.extended(_layer(x_terms, MOCK_DIM, chain.doubles), [GROW, DOUBLE])
 
 
 def propose_fluctuate(chain: FormalChain, cfg: SamplerConfig, rng: random.Random) -> Optional[FormalChain]:
@@ -373,7 +382,7 @@ def propose_reweight(chain: FormalChain, cfg: SamplerConfig, rng: random.Random)
     new_terms = list(x_site.x_terms)
     amp, ket = new_terms[idx]
     new_terms[idx] = (amp * -1, ket)
-    return chain.with_last_pair_replaced(*_layer(new_terms, x_site.dim))
+    return chain.with_last_pair_replaced(*_layer(new_terms, x_site.dim, chain.doubles))
 
 
 PROPOSALS = {
@@ -389,6 +398,7 @@ class StepInfo:
     accepted: bool
     breakdown: ActionBreakdown  # action of the chain that step returned
     delta_s: float = 0.0
+    error: Optional[str] = None  # class name of the FormalChainError the proposal raised
 
 
 def step(
@@ -413,8 +423,8 @@ def step(
     kind = rng.choices(kinds, weights=weights, k=1)[0]
     try:
         proposal = PROPOSALS[kind](chain, cfg, rng)
-    except (EulerConstraintError, SuperpositionForbiddenError, FormalChainError):
-        return chain, StepInfo(kind, False, current)
+    except FormalChainError as exc:
+        return chain, StepInfo(kind, False, current, error=type(exc).__name__)
     if proposal is None:
         return chain, StepInfo(kind, False, current)
     try:
@@ -442,6 +452,7 @@ class ChainStats:
     seed: int
     chains: int
     sweeps: int
+    errors: Dict[str, Dict[str, int]] = field(default_factory=dict)  # kind -> error class -> count
 
     def as_dict(self) -> dict:
         return {
@@ -456,15 +467,20 @@ class ChainStats:
 
 
 def run(cfg: SamplerConfig, p: ActionParams) -> ChainStats:
-    """Sample independent chains; reproducible bit-for-bit from the seed."""
+    """Sample independent chains; reproducible bit-for-bit from the seed.
+
+    The chains share one ``FormalChain.doubles`` table, dropped on return.
+    """
     histogram: Dict[int, int] = {}
     unterminated = 0
     acceptance: Dict[str, List[int]] = {}
+    errors: Dict[str, Dict[str, int]] = {}
     trace: List[Tuple[int, int, float, float, float, float, int]] = []
     norm_acc: Dict[int, List[float]] = {}
+    doubles: Dict[tuple, object] = {}
     for ci in range(cfg.chains):
         rng = random.Random(f"{cfg.seed}:{ci}")
-        chain = FormalChain.start()
+        chain = FormalChain(doubles=doubles)
         br = None
         for sweep in range(cfg.sweeps):
             chain, info = step(chain, p, cfg, rng, br)
@@ -473,6 +489,9 @@ def run(cfg: SamplerConfig, p: ActionParams) -> ChainStats:
                 acc = acceptance.setdefault(info.kind, [0, 0])
                 acc[1] += 1
                 acc[0] += int(info.accepted)
+            if info.error is not None:
+                by_class = errors.setdefault(info.kind, {})
+                by_class[info.error] = by_class.get(info.error, 0) + 1
             term_d = chain.terminated_dim if chain.terminated else -1
             trace.append(
                 (sweep, ci, br.total, br.curvature + br.cosmological, br.volume, br.kinetic, term_d)
@@ -493,6 +512,7 @@ def run(cfg: SamplerConfig, p: ActionParams) -> ChainStats:
         seed=cfg.seed,
         chains=cfg.chains,
         sweeps=cfg.sweeps,
+        errors=errors,
     )
 
 
@@ -541,7 +561,7 @@ def example_cancellation_chain(fluctuations: int = 2) -> FormalChain:
     c1 = Cobordism(a1, 1)
     c2 = Cobordism(a2, 1)
     x_terms = ((Fraction(1), c1), (Fraction(-1), c2))
-    chain = FormalChain(_layer(x_terms, 1), (GROW, DOUBLE))
+    chain = FormalChain(_layer(x_terms, 1, {}), (GROW, DOUBLE))
     for _ in range(fluctuations):
         nxt = _example_fluctuation(chain)
         if nxt is None:

@@ -298,6 +298,12 @@ def cmd_sample(args) -> int:
     proposed = sum(n for _, n in stats.acceptance.values())
     if proposed and not any(a for a, _ in stats.acceptance.values()):
         print(f"warning: accepted 0 of {proposed} proposals", file=sys.stderr)
+    for kind, by_class in sorted(stats.errors.items()):
+        raised, n = sum(by_class.values()), stats.acceptance[kind][1]
+        if raised * 10 > n:
+            classes = ", ".join(f"{name} {count}" for name, count in sorted(by_class.items()))
+            print(f"warning: {raised} of {n} {kind} proposals raised an error ({classes})",
+                  file=sys.stderr)
     payload = stats.as_dict()
     payload["config"] = cfgmod.resolved_echo(settings, args.seed)
     if args.trace:

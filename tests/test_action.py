@@ -242,6 +242,22 @@ def test_action_params_validation():
         ActionParams(singular_penalty=-5.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("G", math.nan), ("G", math.inf),
+    ("Lambda", (0.0, math.nan, 0.0)), ("Lambda", (0.0, 0.0, -math.inf)),
+    ("c", (math.nan, 1.0, 1.0)), ("f", (0.1, math.inf, 0.1)),
+    ("g", (10.0, 10.0, math.nan)), ("h", (math.nan, 0.0, 0.0)),
+    ("singular_penalty", math.nan),
+])
+def test_action_params_reject_non_finite(name, value):
+    with pytest.raises(StructureError, match=name):
+        ActionParams(**{name: value})
+
+
+def test_action_params_keep_hard_rejection():
+    assert ActionParams(singular_penalty=math.inf).singular_penalty == math.inf
+
+
 def test_breakdown_total_is_sum_of_parts():
     chain = example_cancellation_chain(fluctuations=1)
     p = ActionParams(h=(0.0, 2.0, 0.0), Lambda=(0.1, 0.2, 0.3))

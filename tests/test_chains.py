@@ -235,6 +235,16 @@ def test_toy_space_stationarity():
     assert counts == sample_discrete(actions, sweeps, seed=11)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("weight_extend", math.nan), ("weight_extend", math.inf),
+    ("weight_fluctuate", math.nan), ("weight_reweight", math.inf),
+    ("temperature", math.nan), ("temperature", math.inf),
+])
+def test_sampler_config_rejects_non_finite(name, value):
+    with pytest.raises(StructureError, match=name):
+        SamplerConfig(**{name: value})
+
+
 def test_toy_space_needs_two_states():
     with pytest.raises(StructureError):
         sample_discrete([1.0], 10, seed=0)
@@ -316,7 +326,7 @@ def test_infinite_singular_penalty_rejects_singular_proposals():
     assert singular > 0
 
 
-# -- layers remembered per frontier -------------------------------------------------
+# -- the doubles table of a run ----------------------------------------------------
 
 
 def _point_chain():
@@ -327,6 +337,19 @@ def _point_chain():
 def _grow_exactly(monkeypatch, terms):
     """Make every growth in propose_extend return ``terms``."""
     monkeypatch.setattr(chains, "grow_superposed", lambda *a, **k: SuperposedGrowth(list(terms)))
+
+
+def _count_double_cross(monkeypatch):
+    """The list that gets one entry per ``chains.double_cross`` call."""
+    calls = []
+    double_cross = chains.double_cross
+
+    def counted(a, b):
+        calls.append(1)
+        return double_cross(a, b)
+
+    monkeypatch.setattr(chains, "double_cross", counted)
+    return calls
 
 
 def _arc_terms(lower_key, amp, len2):
@@ -341,36 +364,32 @@ def _printed(x_terms):
     return [(repr(a), [repr(x) for x in c.space.edge_len2.values()]) for a, c in x_terms]
 
 
-def test_layer_memo_keeps_equal_terms_of_other_types_apart(monkeypatch):
+def test_double_table_keeps_equal_lengths_of_other_types_apart(monkeypatch):
     chain = _point_chain()
-    frontier = chain.frontier()
-    (key,) = frontier.state.keys()
-    # amplitudes and squared lengths that compare equal but print differently
-    variants = [
-        _arc_terms(key, Fraction(1, 2), Fraction(1)),
-        _arc_terms(key, Fraction(1, 2), 1.0),
-        _arc_terms(key, 0.5, 1.0),
-        _arc_terms(key, 0.0, 1.0),
-        _arc_terms(key, -0.0, 1.0),
-    ]
-    firsts = []
-    for terms in variants:
-        _grow_exactly(monkeypatch, terms)
-        first = propose_extend(chain, default_cfg(), random.Random(1))
-        again = propose_extend(chain, default_cfg(), random.Random(1))
-        assert again.sites[-2] is first.sites[-2] and again.sites[-1] is first.sites[-1]
-        assert _printed(first.sites[-2].x_terms) == _printed(terms)
-        firsts.append(first.sites[-2])
-    assert len(frontier.layer_memo) == len(variants)
-    assert len({id(x) for x in firsts}) == len(variants)
-    # the same content built anew hits the entry of its first build
-    _grow_exactly(monkeypatch, _arc_terms(key, 0.5, 1.0))
-    assert propose_extend(chain, default_cfg(), random.Random(1)).sites[-2] is firsts[2]
+    (key,) = chain.frontier().state.keys()
+    calls = _count_double_cross(monkeypatch)
+    sizes, built = [], []
+    # squared lengths that compare equal but print differently, each under
+    # amplitudes that compare equal but print differently
+    for len2 in (Fraction(1), 1.0, Fraction(1)):
+        for amp in (Fraction(1, 2), 0.5):
+            terms = _arc_terms(key, amp, len2)
+            _grow_exactly(monkeypatch, terms)
+            x, y = propose_extend(chain, default_cfg(), random.Random(1)).sites[-2:]
+            assert _printed(x.x_terms) == _printed(terms)
+            assert [type(a) for _, a in y.state.items()] == [type(amp)] * 3
+            for rep in y.reps.values():
+                assert {type(v) for v in rep.edge_len2.values()} == {type(len2)}
+            sizes.append(len(chain.doubles))
+            built.append(len(calls))
+    # the table holds spaces, not amplitudes: one new set of entries per
+    # length type, and four doubles (two arcs against two) for each
+    assert sizes[0] == sizes[1] < sizes[2] == sizes[3] == sizes[4] == sizes[5]
+    assert built == [4, 4, 8, 8, 8, 8]
 
 
-def test_failing_layer_is_not_remembered(monkeypatch):
+def test_failing_double_is_not_remembered(monkeypatch):
     chain = _point_chain()
-    frontier = chain.frontier()
 
     def fail(a, b):
         raise GeometryError("no double")
@@ -378,67 +397,70 @@ def test_failing_layer_is_not_remembered(monkeypatch):
     monkeypatch.setattr(chains, "double_cross", fail)
     with pytest.raises(GeometryError):
         propose_extend(chain, default_cfg(), random.Random(1))
-    assert frontier.layer_memo == {}
     monkeypatch.undo()
-    assert propose_extend(chain, default_cfg(), random.Random(1)) is not None
-    assert len(frontier.layer_memo) == 1
+    other = _point_chain()
+    calls = _count_double_cross(monkeypatch)
+    fresh = propose_extend(other, default_cfg(), random.Random(1))
+    n_pairs = len(calls)
+    calls.clear()
+    got = propose_extend(chain, default_cfg(), random.Random(1))
+    assert got is not None and len(calls) == n_pairs > 0
+    assert list(got.sites[-1].state.items()) == list(fresh.sites[-1].state.items())
+    calls.clear()
+    propose_extend(chain, default_cfg(), random.Random(1))
+    assert calls == []
 
 
-def test_layer_memo_hit_equals_a_fresh_layer():
-    # along a sampler chain, an extend proposed twice from one RNG state hits
-    # the frontier's memo and equals the same extend from a memo-free copy
+def _propose_from(proposal, chain, cfg, rng_state):
+    rng = random.Random()
+    rng.setstate(rng_state)
+    return proposal(chain, cfg, rng)
+
+
+def test_double_table_hit_equals_a_table_free_layer(monkeypatch):
+    # along a sampler chain, an extend or reweight proposed twice from one RNG
+    # state hits the run's table the second time and equals the same proposal
+    # from a copy of the chain with an empty table
+    calls = _count_double_cross(monkeypatch)
     cfg = default_cfg(seed=7)
     p = default_params()
     rng = random.Random(7)
     chain, br = FormalChain.start(), None
-    hits = 0
+    hits = {propose_extend: 0, propose_reweight: 0}
     for _ in range(200):
-        frontier, first = chain.frontier(), None
-        if frontier is not None and frontier.kind == "Y" and frontier.dim < 2 \
-                and not frontier.state.is_zero():
-            state = rng.getstate()
+        state = rng.getstate()
+        for proposal in hits:
             try:
-                first = _extend_from(chain, cfg, state)
+                first = _propose_from(proposal, chain, cfg, state)
             except StructureError:  # growth over a one-edge circle
-                pass
-        if first is not None:
-            total_action(first, p)  # fills the new sites' action memos
-            hit = _extend_from(chain, cfg, state)
-            memo_free = chain.with_last_pair_replaced(
-                chain.sites[-2], replace(frontier, layer_memo={}))
-            fresh = _extend_from(memo_free, cfg, state)
+                continue
+            if first is None or first.sites[-1].kind != "Y":
+                continue
+            total_action(first, p)  # fills the new doubles' action memos
+            calls.clear()
+            hit = _propose_from(proposal, chain, cfg, state)
+            assert calls == []
+            fresh = _propose_from(proposal, replace(chain, doubles={}), cfg, state)
+            assert calls
             for got, first_site, want in zip(hit.sites[-2:], first.sites[-2:], fresh.sites[-2:]):
-                assert got is first_site and got is not want
                 assert [(k, repr(a)) for k, a in got.state.items()] == \
                     [(k, repr(a)) for k, a in want.state.items()]
                 assert list(got.reps) == list(want.reps)
+                assert all(got.reps[k] is first_site.reps[k] is not want.reps[k] for k in got.reps)
             got, want = total_action(hit, p), total_action(fresh, p)
             assert [x.hex() for x in vars(got).values()] == [x.hex() for x in vars(want).values()]
-            hits += 1
+            hits[proposal] += 1
         chain, info = step(chain, p, cfg, rng, br)
         br = info.breakdown
         if chain.terminated:
             break
-    assert hits >= 5
+    assert hits[propose_extend] >= 5 and hits[propose_reweight] >= 5
 
 
-def _extend_from(chain, cfg, rng_state):
-    rng = random.Random()
-    rng.setstate(rng_state)
-    return propose_extend(chain, cfg, rng)
-
-
-def test_layer_memo_does_not_outlive_a_run(monkeypatch):
-    # the memo hangs off the frontier sites of one chain: a second identical
-    # run in the same process doubles as many layers as the first
-    calls = []
-    double_cross = chains.double_cross
-
-    def counted(a, b):
-        calls.append(1)
-        return double_cross(a, b)
-
-    monkeypatch.setattr(chains, "double_cross", counted)
+def test_double_table_does_not_outlive_a_run(monkeypatch):
+    # the table belongs to one run: a second identical run in the same
+    # process doubles as many layers as the first
+    calls = _count_double_cross(monkeypatch)
     cfg = default_cfg(seed=5, chains=3, sweeps=60)
     counts = []
     for _ in range(2):
@@ -446,3 +468,22 @@ def test_layer_memo_does_not_outlive_a_run(monkeypatch):
         run(cfg, default_params())
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_chains_of_one_run_share_their_doubles(monkeypatch):
+    calls = _count_double_cross(monkeypatch)
+    cfg = default_cfg(seed=5, chains=3, sweeps=60)
+    p = default_params()
+    stats = run(cfg, p)
+    shared, alone, totals = len(calls), 0, []
+    for ci in range(cfg.chains):
+        calls.clear()
+        rng = random.Random(f"{cfg.seed}:{ci}")
+        chain, br = FormalChain.start(), None
+        for _ in range(cfg.sweeps):
+            chain, info = step(chain, p, cfg, rng, br)
+            br = info.breakdown
+            totals.append(br.total.hex())
+        alone += len(calls)
+    assert 0 < shared < alone
+    assert [row[2].hex() for row in stats.trace] == totals

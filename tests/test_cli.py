@@ -161,6 +161,30 @@ def test_sample_warns_when_nothing_accepted(capsys, sweeps, warning):
     assert all(v["accepted"] == 0 for v in payload["acceptance"].values())
 
 
+# the couplings and proposal weights of acceptance 9, free kinetic term
+ACCEPTANCE_9 = ["g.0=0.5", "g.1=1", "g.2=6", "f.0=0.01", "f.1=0.01", "f.2=0.01",
+                "Lambda.0=0.05", "Lambda.2=0.5",
+                "weight.extend=0.15", "weight.fluctuate=0.65", "weight.reweight=0.2"]
+
+
+@pytest.mark.parametrize("sweeps, warning", [
+    ("200", "warning: 137 of 342 extend proposals raised an error (StructureError 137)\n"),
+    ("0", ""),
+])
+def test_sample_warns_when_proposals_keep_raising(capsys, sweeps, warning):
+    # extends over a one-edge circle raise StructureError
+    argv = ["sample", "--seed", "5000", "--chains", "12", "--sweeps", sweeps]
+    for item in ACCEPTANCE_9:
+        argv += ["--set", item]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err == warning
+    payload = json.loads(out)
+    assert "errors" not in payload
+    if warning:
+        assert payload["acceptance"]["extend"]["proposed"] == 342
+
+
 # the golden sample_partial settings without their finite singular_penalty
 PARTIAL = ["g.0=0.1", "g.1=0.1", "g.2=0.1",
            "weight.extend=0.5", "weight.fluctuate=0.3", "weight.reweight=0.2",
