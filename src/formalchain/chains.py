@@ -308,8 +308,7 @@ def propose_extend(chain: FormalChain, cfg: SamplerConfig, rng: random.Random) -
         rep = frontier.reps.get(key)
         if rep is None:
             return None
-        grown = grow_superposed(b, rep, cfg.growth, candidates, rng, lower_key=key)
-        x_terms.extend(grown.terms)
+        x_terms.extend(grow_superposed(b, rep, cfg.growth, candidates, rng, lower_key=key))
     return chain.extended(_layer(x_terms, d_next, chain.doubles), [GROW, DOUBLE])
 
 

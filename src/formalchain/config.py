@@ -27,7 +27,7 @@ ACTION_KEYS = {
 
 GROWTH_KEYS = {
     "a", "alpha.0", "alpha.1", "alpha.2",
-    "layer", "p_circle", "topology_change", "partial_retry",
+    "layer", "p_circle", "topology_change",
 }
 
 SAMPLER_KEYS = {
@@ -132,7 +132,6 @@ def growth_config_from(settings: Mapping[str, str]) -> GrowthConfig:
             layer=settings.get("layer", base.layer),
             topology_change=_as_bool(settings, "topology_change", base.topology_change),
             p_circle=_as_float(settings, "p_circle", base.p_circle),
-            partial_retry=_as_int(settings, "partial_retry", base.partial_retry),
         )
     except ConfigError:
         raise

@@ -9,7 +9,7 @@ deflated power iteration; tests check it against a dense eigensolver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
@@ -79,16 +79,15 @@ def build_neighbor_graph(
     dim: int,
     size_cap: int,
     min_size: int = 3,
-    seed_triangulation: Optional[Triangulation] = None,
     class_cap: int = 64,
 ) -> NeighborGraph:
     """Classes of one topology linked by single Pachner moves.
 
     Dimension 1 enumerates circles by edge count in [min_size, size_cap];
     a subdivision links consecutive counts.  Dimension 2 explores the move
-    graph from a seed triangulation (default: the minimal sphere), collecting
-    combinatorial classes with at most ``size_cap`` vertices, up to
-    ``class_cap`` classes (sets ``truncated`` beyond that).
+    graph from the minimal sphere, collecting combinatorial classes with at
+    most ``size_cap`` vertices, up to ``class_cap`` classes (sets
+    ``truncated`` beyond that).
     """
     if dim == 1:
         sizes = list(range(min_size, size_cap + 1))
@@ -98,7 +97,7 @@ def build_neighbor_graph(
         return g
     if dim != 2:
         raise UnsupportedError(f"no neighbor graph for dimension {dim}")
-    seed = seed_triangulation if seed_triangulation is not None else sphere_triangulation()
+    seed = sphere_triangulation()
     key0 = iso_key(seed, metric=False)
     index: Dict[object, int] = {key0: 0}
     reps: List[Triangulation] = [seed]
@@ -127,17 +126,15 @@ def build_neighbor_graph(
     return g
 
 
-def spectral_gap(
-    g: NeighborGraph, max_solves: int = 500, tol: float = 1e-9
-) -> Tuple[float, bool]:
+def spectral_gap(g: NeighborGraph) -> Tuple[float, bool]:
     """(smallest nonzero Laplacian eigenvalue, connected flag).
 
     Disconnected graphs report gap 0.  Connected graphs run inverse iteration
     on the Laplacian with the kernel filled in (L + ones ones^T / n is
     positive definite and agrees with L off the constant vector), deflating
     the constant direction each step.  Iteration stops once the residual
-    ``|L v - ray v|`` is below tol, which for a symmetric matrix bounds the
-    distance from ``ray`` to the nearest eigenvalue.
+    ``|L v - ray v|`` is below 1e-9, which for a symmetric matrix bounds the
+    distance from ``ray`` to the nearest eigenvalue, or after 500 solves.
     """
     n = g.n
     if n == 0:
@@ -154,7 +151,7 @@ def spectral_gap(
     v -= ones * (ones @ v)
     v /= np.linalg.norm(v)
     ray = float(v @ (lap @ v))
-    for _ in range(max_solves):
+    for _ in range(500):
         w = np.linalg.solve(filled, v)
         w -= ones * (ones @ w)
         nw = np.linalg.norm(w)
@@ -163,6 +160,6 @@ def spectral_gap(
         v = w / nw
         lv = lap @ v
         ray = float(v @ lv)
-        if np.linalg.norm(lv - ray * v) < tol:
+        if np.linalg.norm(lv - ray * v) < 1e-9:
             break
     return ray, True

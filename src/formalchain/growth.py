@@ -46,15 +46,20 @@ class GrowthConfig:
     layer: str = "full"  # "full" | "partial"
     topology_change: bool = False
     p_circle: float = 0.1
-    partial_retry: int = 64
 
     def __post_init__(self):
+        for name, values in (("alpha", self.alpha), ("a", (self.a,))):
+            if not all(math.isfinite(float(x)) for x in values):
+                raise StructureError(f"{name} must be finite, got {getattr(self, name)!r}")
         if any(float(x) <= 0 for x in self.alpha):
             raise StructureError("alpha must be positive in every dimension")
         if float(self.a) <= 0:
             raise StructureError("spacelike squared length a must be positive")
         if self.layer not in ("full", "partial"):
             raise StructureError(f"unknown layer policy {self.layer!r}")
+        # grow_layer adds circles until a uniform draw reaches p_circle; a NaN fails too
+        if not 0 <= self.p_circle < 1:
+            raise StructureError(f"p_circle must lie in [0, 1), got {self.p_circle!r}")
 
     def alpha_for(self, d: int):
         return self.alpha[d] if d < len(self.alpha) else self.alpha[-1]
@@ -136,7 +141,7 @@ def _oriented_curve(t: Triangulation, edge_ids: Sequence[int]) -> Triangulation:
         deg[a] = deg.get(a, 0) + 1
         deg[b] = deg.get(b, 0) + 1
     marks = {v: LOWER for v, d in deg.items() if d == 1}
-    return Triangulation(1, verts, edges, len2, {}, marks, reorient=False)
+    return Triangulation(1, verts, edges, len2, {}, marks)
 
 
 def grow_layer(
@@ -159,8 +164,6 @@ def grow_layer(
         raise UnsupportedError(f"growth into dimension {d} is not supported")
     if not y.is_closed():
         raise StructureError("growth needs a closed lower slice")
-    if y.dim == 2:
-        y.require_euclidean()
     if lower_key is None:
         lower_key = iso_key(y)
     if extra_closed is None:
@@ -206,7 +209,7 @@ def _grow_arcs(y: Triangulation, cfg: GrowthConfig, subdivisions: int, extra_cir
         edges[e0] = (c0, c1)
         edges[e1] = (c1, c0)
         len2[e0] = len2[e1] = tl2
-    space = Triangulation(1, vs, edges, len2, {}, marks, reorient=False)
+    space = Triangulation(1, vs, edges, len2, {}, marks)
     return Cobordism(space, y.euler_characteristic(), lower_key)
 
 
@@ -224,7 +227,7 @@ def _grow_circle_layer(y: Triangulation, cfg: GrowthConfig, rng, extra_tori: int
     for cycle in _directed_cycles(y):
         n = len(cycle)
         if cfg.layer == "partial" and rng is not None:
-            chosen = _partial_subset(n, rng, cfg.partial_retry)
+            chosen = _partial_subset(n, rng)
         else:
             chosen = [True] * n
         ups: Dict[int, int] = {}
@@ -265,7 +268,7 @@ def _grow_circle_layer(y: Triangulation, cfg: GrowthConfig, rng, extra_tori: int
             marks[e] = LOWER  # extruded bottoms are boundary, skipped ones dangle
         elif usage[e] <= 1:
             marks[e] = UPPER  # tops and the end verticals of partial runs
-    base = Triangulation(2, vs, edges, len2, faces, marks, reorient=False)
+    base = Triangulation(2, vs, edges, len2, faces, marks)
     out = base
     for _ in range(extra_tori):
         out = out.disjoint_union(_extra_torus(cfg))
@@ -297,9 +300,9 @@ def _directed_cycles(y: Triangulation) -> List[List[Tuple[int, int, int]]]:
     return cycles
 
 
-def _partial_subset(n: int, rng, retries: int) -> List[bool]:
+def _partial_subset(n: int, rng) -> List[bool]:
     """Random nonempty subset of layer positions (full subset allowed)."""
-    for _ in range(max(1, retries)):
+    for _ in range(64):
         chosen = [rng.random() < 0.7 for _ in range(n)]
         if any(chosen):
             return chosen
@@ -337,13 +340,6 @@ def mirror_double(x: Cobordism) -> Triangulation:
     return double_cross(x, x)
 
 
-@dataclass
-class SuperposedGrowth:
-    """A grown X-site: amplitudes alpha_i * b on concrete cobordisms."""
-
-    terms: List[Tuple[object, Cobordism]]
-
-
 def grow_superposed(
     y_amp,
     y: Triangulation,
@@ -351,10 +347,11 @@ def grow_superposed(
     candidates: int,
     rng,
     lower_key: object = None,
-) -> SuperposedGrowth:
+) -> List[Tuple[object, Cobordism]]:
     """Grow ``candidates`` distinct layers over y in equal superposition.
 
-    Candidate i uses i+1 timelike subdivisions per arc.  Amplitudes are
+    Returns the ``(amplitude, layer)`` terms of the grown X site.  Candidate
+    i uses i+1 timelike subdivisions per arc.  Amplitudes are
     ``y_amp / sqrt(candidates)``.  A superposition with a nonempty upper
     boundary is only meaningful when the boundary is 0-dimensional, i.e. for
     growth into dimension 1.
@@ -377,4 +374,4 @@ def grow_superposed(
             f"superposed growth with nonempty upper boundary is not defined for d={d}"
         )
     w = 1.0 / math.sqrt(candidates)
-    return SuperposedGrowth([(y_amp * w, c) for c in cands])
+    return [(y_amp * w, c) for c in cands]

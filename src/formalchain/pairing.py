@@ -157,9 +157,6 @@ def glue_2d(a: BoundedSurfaceKet, b: BoundedSurfaceKet) -> ClosedSurfaceClass:
 class TriangulationGluer(Gluer):
     """Glue cobordism triangulations along shared boundary ids; keys are isometry classes."""
 
-    def __init__(self, metric: bool = True):
-        self.metric = metric
-
     def check(self, kets: Sequence[Triangulation]) -> None:
         if not kets:
             return
@@ -170,14 +167,11 @@ class TriangulationGluer(Gluer):
 
     def glue(self, a: Triangulation, b: Triangulation):
         glued = glue_along_boundary(a, b.mirrored())
-        return iso_key(glued, metric=self.metric)
+        return iso_key(glued)
 
 
 class DisjointUnionGluer(Gluer):
     """Pairing over the empty boundary: gluing is disjoint union with the mirror."""
-
-    def __init__(self, metric: bool = True):
-        self.metric = metric
 
     def check(self, kets: Sequence[Triangulation]) -> None:
         for k in kets:
@@ -185,7 +179,7 @@ class DisjointUnionGluer(Gluer):
                 raise BoundaryError("empty-boundary pairing needs closed kets")
 
     def glue(self, a: Triangulation, b: Triangulation):
-        return iso_key(a.disjoint_union(b.mirrored()), metric=self.metric)
+        return iso_key(a.disjoint_union(b.mirrored()))
 
 
 class MockEquivalence(Gluer):

@@ -34,7 +34,10 @@ UPPER = "upper"
 
 
 class Triangulation:
-    """A dimension 0, 1 or 2 combinatorial manifold (possibly with boundary)."""
+    """A dimension 0, 1 or 2 combinatorial manifold (possibly with boundary).
+
+    Faces are taken as given; ``surface_from_faces`` orients outside face lists.
+    """
 
     __slots__ = ("dim", "vertex_sign", "edges", "edge_len2", "faces", "boundary_mark",
                  "action_memo")
@@ -48,7 +51,6 @@ class Triangulation:
         faces: Mapping[int, Face] = (),
         boundary_mark: Mapping[int, str] = (),
         validate: bool = True,
-        reorient: bool = True,
     ):
         self.dim = dim
         self.vertex_sign: Dict[int, int] = dict(vertex_sign)
@@ -58,8 +60,6 @@ class Triangulation:
         self.boundary_mark: Dict[int, str] = dict(boundary_mark)
         # ActionParams -> action.s_d_parts of this space, filled by action.s_d_superposed
         self.action_memo: Dict[object, Tuple[float, float]] = {}
-        if reorient and dim == 2 and self.faces:
-            self._reorient_faces()
         if validate:
             self._validate()
 
@@ -152,56 +152,8 @@ class Triangulation:
             if m not in (LOWER, UPPER):
                 raise StructureError(f"bad boundary mark {m!r} on edge {e}")
 
-    def _reorient_faces(self) -> None:
-        """Flip face orientations so neighbours traverse shared edges oppositely.
-
-        Raises :class:`UnsupportedError` when no consistent choice exists,
-        i.e. the surface is non-orientable.
-        """
-        side_of: Dict[int, List[int]] = {}
-        for f, (_, es) in self.faces.items():
-            for e in es:
-                side_of.setdefault(e, []).append(f)
-        flipped: Dict[int, bool] = {}
-        for start in sorted(self.faces):
-            if start in flipped:
-                continue
-            flipped[start] = False
-            queue = [start]
-            while queue:
-                f = queue.pop()
-                _, es = self.faces[f]
-                for e in es:
-                    sharers = side_of.get(e, [])
-                    if len(sharers) > 2:
-                        continue  # non-manifold edge; validation reports it
-                    for g in sharers:
-                        if g == f:
-                            continue
-                        # flipping a face negates its traversal of every edge, so
-                        # opposed traversals demand flip_g = flip_f XOR (same stored direction)
-                        need = flipped[f] ^ (self._traversal(f, e) == self._traversal(g, e))
-                        if g in flipped:
-                            if flipped[g] != need:
-                                raise UnsupportedError(
-                                    "complex is non-orientable (no consistent orientation exists)"
-                                )
-                        else:
-                            flipped[g] = need
-                            queue.append(g)
-        new_faces = {}
-        for f, (vs, es) in self.faces.items():
-            if flipped.get(f):
-                new_faces[f] = ((vs[0], vs[2], vs[1]), (es[2], es[1], es[0]))
-            else:
-                new_faces[f] = (vs, es)
-        self.faces = new_faces
-
     def _traversal(self, f: int, e: int) -> int:
-        vs, es = self.faces[f]
-        i = es.index(e)
-        a, b = vs[i], vs[(i + 1) % 3]
-        return +1 if (a, b) == self.edges[e] else -1
+        return _traversal(self.faces[f], e, self.edges)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -222,20 +174,13 @@ class Triangulation:
         used_v = {v for vs, _ in self.faces.values() for v in vs}
         return used_e == set(self.edges) and used_v == set(self.vertex_sign)
 
-    def is_euclidean(self, eps: float = EPS_GEOM) -> bool:
-        try:
-            self.require_euclidean(eps)
-        except GeometryError:
-            return False
-        return True
-
-    def require_euclidean(self, eps: float = EPS_GEOM) -> None:
+    def require_euclidean(self) -> None:
         for e, l2 in self.edge_len2.items():
             if float(l2) <= 0.0:
                 raise GeometryError(f"edge {e} has non-positive squared length {l2}")
         for f, (_, es) in self.faces.items():
             p, q, r = (math.sqrt(float(self.edge_len2[e])) for e in es)
-            if p + q - r <= eps or q + r - p <= eps or r + p - q <= eps:
+            if p + q - r <= EPS_GEOM or q + r - p <= EPS_GEOM or r + p - q <= EPS_GEOM:
                 raise GeometryError(
                     f"face {f} violates the triangle inequality with lengths {(p, q, r)}"
                 )
@@ -289,13 +234,13 @@ class Triangulation:
         if self.dim == 1:
             edges = {e: (b, a) for e, (a, b) in self.edges.items()}
             return Triangulation(
-                1, self.vertex_sign, edges, self.edge_len2, {}, self.boundary_mark, reorient=False
+                1, self.vertex_sign, edges, self.edge_len2, {}, self.boundary_mark
             )
         faces = {
             f: ((vs[0], vs[2], vs[1]), (es[2], es[1], es[0])) for f, (vs, es) in self.faces.items()
         }
         return Triangulation(
-            2, self.vertex_sign, self.edges, self.edge_len2, faces, self.boundary_mark, reorient=False
+            2, self.vertex_sign, self.edges, self.edge_len2, faces, self.boundary_mark
         )
 
     def wick_rotated(self) -> "Triangulation":
@@ -305,7 +250,6 @@ class Triangulation:
             new_len2[e] = -l2 if float(l2) < 0 else l2
         t = Triangulation(
             self.dim, self.vertex_sign, self.edges, new_len2, self.faces, self.boundary_mark,
-            reorient=False,
         )
         if self.dim == 2:
             try:
@@ -345,7 +289,7 @@ class Triangulation:
         )
         marks = dict(self.boundary_mark)
         marks.update({s + off: m for s, m in other.boundary_mark.items()})
-        return Triangulation(self.dim, vs, edges, len2, faces, marks, reorient=False)
+        return Triangulation(self.dim, vs, edges, len2, faces, marks)
 
     def double(self) -> "Triangulation":
         """Glue this space to its mirror image along its entire boundary.
@@ -381,6 +325,57 @@ def connected_groups(nodes: Iterable, links: Iterable[Tuple[object, object]]) ->
     for n in nodes:
         groups.setdefault(find(n), []).append(n)
     return list(groups.values())
+
+
+def _traversal(face: Face, e: int, edges: Mapping[int, Tuple[int, int]]) -> int:
+    """+1 when the face's side along edge e runs with the edge's direction."""
+    vs, es = face
+    i = es.index(e)
+    return +1 if (vs[i], vs[(i + 1) % 3]) == edges[e] else -1
+
+
+def _reoriented(faces: Mapping[int, Face], edges: Mapping[int, Tuple[int, int]]) -> Dict[int, Face]:
+    """Faces flipped so neighbours traverse shared edges oppositely.
+
+    Raises :class:`UnsupportedError` when no consistent choice exists,
+    i.e. the surface is non-orientable.
+    """
+    side_of: Dict[int, List[int]] = {}
+    for f, (_, es) in faces.items():
+        for e in es:
+            side_of.setdefault(e, []).append(f)
+    flipped: Dict[int, bool] = {}
+    for start in sorted(faces):
+        if start in flipped:
+            continue
+        flipped[start] = False
+        queue = [start]
+        while queue:
+            f = queue.pop()
+            _, es = faces[f]
+            for e in es:
+                sharers = side_of.get(e, [])
+                if len(sharers) > 2:
+                    continue  # non-manifold edge; validation reports it
+                for g in sharers:
+                    if g == f:
+                        continue
+                    # flipping a face negates its traversal of every edge, so
+                    # opposed traversals demand flip_g = flip_f XOR (same stored direction)
+                    same = _traversal(faces[f], e, edges) == _traversal(faces[g], e, edges)
+                    need = flipped[f] ^ same
+                    if g in flipped:
+                        if flipped[g] != need:
+                            raise UnsupportedError(
+                                "complex is non-orientable (no consistent orientation exists)"
+                            )
+                    else:
+                        flipped[g] = need
+                        queue.append(g)
+    return {
+        f: ((vs[0], vs[2], vs[1]), (es[2], es[1], es[0])) if flipped[f] else (vs, es)
+        for f, (vs, es) in faces.items()
+    }
 
 
 def _angle(p: float, q: float, r: float) -> float:
@@ -437,7 +432,7 @@ def glue_along_boundary(a: Triangulation, b: Triangulation) -> Triangulation:
         for e, (x, y) in b.edges.items():
             edges[e + off] = (map_v(x), map_v(y))
             len2[e + off] = b.edge_len2[e]
-        return Triangulation(1, vs, edges, len2, {}, {}, reorient=False)
+        return Triangulation(1, vs, edges, len2, {}, {})
 
     def map_e(e: int) -> int:
         return e if e in shared_e else e + off
@@ -449,7 +444,7 @@ def glue_along_boundary(a: Triangulation, b: Triangulation) -> Triangulation:
         len2[e + off] = b.edge_len2[e]
     for f, (fv, fe) in b.faces.items():
         faces[f + off] = (tuple(map_v(v) for v in fv), tuple(map_e(e) for e in fe))
-    return Triangulation(2, vs, edges, len2, faces, {}, reorient=False)
+    return Triangulation(2, vs, edges, len2, faces, {})
 
 
 # -- constructors -------------------------------------------------------------------
@@ -467,10 +462,10 @@ def circle(n_edges: int, len2=Fraction(1)) -> Triangulation:
     if n_edges < 1:
         raise StructureError("a circle needs at least one edge")
     if n_edges == 1:
-        return Triangulation(1, {0: 1}, {0: (0, 0)}, {0: len2}, {}, {}, reorient=False)
+        return Triangulation(1, {0: 1}, {0: (0, 0)}, {0: len2}, {}, {})
     vs = {i: 1 for i in range(n_edges)}
     edges = {i: (i, (i + 1) % n_edges) for i in range(n_edges)}
-    return Triangulation(1, vs, edges, {i: len2 for i in edges}, {}, {}, reorient=False)
+    return Triangulation(1, vs, edges, {i: len2 for i in edges}, {}, {})
 
 
 def arc(n_edges: int, len2=Fraction(1), lower_id: int = 0, upper_id: Optional[int] = None) -> Triangulation:
@@ -484,7 +479,7 @@ def arc(n_edges: int, len2=Fraction(1), lower_id: int = 0, upper_id: Optional[in
     vs = {v: 1 for v in ids}
     edges = {base + n_edges + i: (ids[i], ids[i + 1]) for i in range(n_edges)}
     marks = {ids[0]: LOWER, ids[-1]: UPPER}
-    return Triangulation(1, vs, edges, {e: len2 for e in edges}, {}, marks, reorient=False)
+    return Triangulation(1, vs, edges, {e: len2 for e in edges}, {}, marks)
 
 
 def surface_from_faces(
@@ -496,7 +491,9 @@ def surface_from_faces(
     """Build a surface from vertex triples, creating one edge per vertex pair.
 
     This is the ordinary simplicial constructor: it cannot express parallel
-    edges, which only arise from gluing operations.
+    edges, which only arise from gluing operations.  The triples may come in
+    any orientation; faces are flipped to a consistent one, and a
+    non-orientable surface raises :class:`UnsupportedError`.
     """
     face_vertices = [tuple(fv) for fv in face_vertices]
     verts = sorted({v for fv in face_vertices for v in fv})
@@ -523,6 +520,7 @@ def surface_from_faces(
         es = tuple(pair_to_id[frozenset((fv[i], fv[(i + 1) % 3]))] for i in range(3))
         faces[next_f] = (fv, es)
         next_f += 1
+    faces = _reoriented(faces, edges)
     marks = {}
     if boundary_by_pair:
         for pair, m in boundary_by_pair.items():
@@ -573,7 +571,7 @@ def remove_faces(t: Triangulation, face_ids: Iterable[int], mark: str = LOWER) -
     marks = dict(t.boundary_mark)
     marks = {e: m for e, m in marks.items() if e in edges}
     marks.update({e: mark for e, c in usage.items() if c == 1 and e in edges})
-    return Triangulation(2, vs, edges, len2, faces, marks, reorient=False)
+    return Triangulation(2, vs, edges, len2, faces, marks)
 
 
 # -- text format ---------------------------------------------------------------------

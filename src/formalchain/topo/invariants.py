@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from ..errors import StructureError, UnsupportedError
+from ..errors import StructureError
 from .complexes import Triangulation, connected_groups
 
 
@@ -57,15 +57,12 @@ class ClosedSurfaceClass:
     """Closed orientable surface: sorted multiset of component genera."""
 
     genera: Tuple[int, ...]
-    orientable: bool = True
 
     def __post_init__(self):
         if list(self.genera) != sorted(self.genera):
             object.__setattr__(self, "genera", tuple(sorted(self.genera)))
         if any(g < 0 for g in self.genera):
             raise StructureError("genus must be nonnegative")
-        if not self.orientable:
-            raise UnsupportedError("non-orientable surfaces are not supported")
 
     @property
     def components(self) -> int:
@@ -299,7 +296,6 @@ def iso_key(t: Triangulation, metric: bool = True):
         t.faces,
         {e: m for e, m in t.boundary_mark.items() if e in used_e},
         validate=False,
-        reorient=False,
     )
     curve_part = tuple(sorted(_token(t.edge_len2[e], metric) for e in dangling))
     return ("mixed", surface_code(surf, metric=metric), curve_part)

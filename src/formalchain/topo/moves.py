@@ -1,9 +1,10 @@
 """Bistellar (Pachner) moves on 1- and 2-dimensional triangulations.
 
 Moves preserve the underlying manifold; only the local combinatorics and the
-metric change.  New edges default to unit spacelike squared length except for
-the vertex-insertion move, which by default places the new vertex at the
-barycenter of the target face (exact rational squared distances).
+metric change.  New edges in dimension 1 get unit spacelike squared length;
+the vertex-insertion move places the new vertex at the barycenter of the
+target face (exact rational squared distances), and the flip gives the new
+diagonal its length in the quad unfolded flat.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..errors import GeometryError, MoveError
 from .complexes import Triangulation
@@ -28,41 +29,36 @@ KINDS_2D = (MOVE_1_3, MOVE_3_1, FLIP_2_2)
 
 @dataclass(frozen=True)
 class PachnerMove:
-    """A single local retriangulation: kind, target simplex id, new lengths."""
+    """A single local retriangulation: kind and target simplex id."""
 
     kind: str
     target: int
-    new_len2: Optional[Tuple[object, ...]] = None
 
 
 def apply_pachner(t: Triangulation, m: PachnerMove) -> Triangulation:
     if t.dim == 1 and m.kind in KINDS_1D:
         if m.kind == SUBDIVIDE_1_2:
-            return subdivide_edge(t, m.target, m.new_len2)
-        return merge_vertex(t, m.target, m.new_len2[0] if m.new_len2 else None)
+            return subdivide_edge(t, m.target)
+        return merge_vertex(t, m.target)
     if t.dim == 2 and m.kind in KINDS_2D:
         if m.kind == MOVE_1_3:
-            return insert_vertex(t, m.target, m.new_len2)
+            return insert_vertex(t, m.target)
         if m.kind == MOVE_3_1:
             return remove_vertex(t, m.target)
-        return flip_edge(t, m.target, m.new_len2[0] if m.new_len2 else None)
+        return flip_edge(t, m.target)
     raise MoveError(f"move {m.kind} does not apply in dimension {t.dim}")
 
 
 # -- dimension 1 ----------------------------------------------------------------
 
 
-def subdivide_edge(t: Triangulation, edge_id: int, new_len2=None) -> Triangulation:
+def subdivide_edge(t: Triangulation, edge_id: int) -> Triangulation:
     """Split one edge into two through a new vertex."""
     if t.dim != 1:
         raise MoveError("subdivide_1_2 requires dimension 1")
     if edge_id not in t.edges:
         raise MoveError(f"no edge {edge_id}")
     a, b = t.edges[edge_id]
-    if new_len2 is None:
-        new_len2 = (Fraction(1), Fraction(1))
-    l1, l2 = new_len2
-    _require_positive(l1, l2)
     m = t.max_id() + 1
     e1, e2 = m + 1, m + 2
     vs = dict(t.vertex_sign)
@@ -71,12 +67,11 @@ def subdivide_edge(t: Triangulation, edge_id: int, new_len2=None) -> Triangulati
     len2 = {e: l for e, l in t.edge_len2.items() if e != edge_id}
     edges[e1] = (a, m)
     edges[e2] = (m, b)
-    len2[e1] = l1
-    len2[e2] = l2
-    return Triangulation(1, vs, edges, len2, {}, t.boundary_mark, reorient=False)
+    len2[e1] = len2[e2] = Fraction(1)
+    return Triangulation(1, vs, edges, len2, {}, t.boundary_mark)
 
 
-def merge_vertex(t: Triangulation, vertex_id: int, new_len2=None) -> Triangulation:
+def merge_vertex(t: Triangulation, vertex_id: int) -> Triangulation:
     """Remove a degree-2 interior vertex, fusing its two edges into one."""
     if t.dim != 1:
         raise MoveError("merge_2_1 requires dimension 1")
@@ -91,16 +86,13 @@ def merge_vertex(t: Triangulation, vertex_id: int, new_len2=None) -> Triangulati
     e_in, e_out = incoming[0], outgoing[0]
     a = t.edges[e_in][0]
     b = t.edges[e_out][1]
-    if new_len2 is None:
-        new_len2 = Fraction(1)
-    _require_positive(new_len2)
     g = t.max_id() + 1
     vs = {v: s for v, s in t.vertex_sign.items() if v != vertex_id}
     edges = {e: d for e, d in t.edges.items() if e not in (e_in, e_out)}
     len2 = {e: l for e, l in t.edge_len2.items() if e not in (e_in, e_out)}
     edges[g] = (a, b)
-    len2[g] = new_len2
-    return Triangulation(1, vs, edges, len2, {}, t.boundary_mark, reorient=False)
+    len2[g] = Fraction(1)
+    return Triangulation(1, vs, edges, len2, {}, t.boundary_mark)
 
 
 # -- dimension 2 ----------------------------------------------------------------
@@ -117,16 +109,14 @@ def barycentric_len2(t: Triangulation, face_id: int) -> Tuple[object, object, ob
     )
 
 
-def insert_vertex(t: Triangulation, face_id: int, new_len2=None) -> Triangulation:
+def insert_vertex(t: Triangulation, face_id: int) -> Triangulation:
     """1->3 move: cone a face from a new interior vertex."""
     if t.dim != 2:
         raise MoveError("move_1_3 requires dimension 2")
     if face_id not in t.faces:
         raise MoveError(f"no face {face_id}")
     vs3, es3 = t.faces[face_id]
-    if new_len2 is None:
-        new_len2 = barycentric_len2(t, face_id)
-    l0, l1, l2 = new_len2
+    l0, l1, l2 = barycentric_len2(t, face_id)
     _require_positive(l0, l1, l2)
     m = t.max_id() + 1
     em0, em1, em2 = m + 1, m + 2, m + 3
@@ -143,7 +133,7 @@ def insert_vertex(t: Triangulation, face_id: int, new_len2=None) -> Triangulatio
     faces[f0] = ((vs3[0], vs3[1], m), (es3[0], em1, em0))
     faces[f1] = ((vs3[1], vs3[2], m), (es3[1], em2, em1))
     faces[f2] = ((vs3[2], vs3[0], m), (es3[2], em0, em2))
-    out = Triangulation(2, vs, edges, len2, faces, t.boundary_mark, reorient=False)
+    out = Triangulation(2, vs, edges, len2, faces, t.boundary_mark)
     _check_new_faces(out, (f0, f1, f2))
     return out
 
@@ -186,12 +176,12 @@ def remove_vertex(t: Triangulation, vertex_id: int) -> Triangulation:
     len2 = {e: l for e, l in t.edge_len2.items() if e not in star_edges}
     faces = {f: fd for f, fd in t.faces.items() if f not in star_faces}
     faces[g] = (tuple(cycle_v[:3]), tuple(cycle_e))
-    out = Triangulation(2, vs, edges, len2, faces, t.boundary_mark, reorient=False)
+    out = Triangulation(2, vs, edges, len2, faces, t.boundary_mark)
     _check_new_faces(out, (g,))
     return out
 
 
-def flip_edge(t: Triangulation, edge_id: int, new_len2=None) -> Triangulation:
+def flip_edge(t: Triangulation, edge_id: int) -> Triangulation:
     """2->2 move: replace an interior edge with the opposite diagonal of its quad."""
     if t.dim != 2:
         raise MoveError("flip_2_2 requires dimension 2")
@@ -215,22 +205,21 @@ def flip_edge(t: Triangulation, edge_id: int, new_len2=None) -> Triangulation:
     e_ca = _side_between(t, f1, c, a)
     e_ad = _side_between(t, f2, a, d)
     e_db = _side_between(t, f2, d, b)
-    if new_len2 is None:
-        new_len2 = _unfolded_diagonal_len2(
-            t.edge_len2[edge_id], t.edge_len2[e_ca], t.edge_len2[e_bc],
-            t.edge_len2[e_ad], t.edge_len2[e_db],
-        )
-    _require_positive(new_len2)
+    diag_len2 = _unfolded_diagonal_len2(
+        t.edge_len2[edge_id], t.edge_len2[e_ca], t.edge_len2[e_bc],
+        t.edge_len2[e_ad], t.edge_len2[e_db],
+    )
+    _require_positive(diag_len2)
     g = t.max_id() + 1
     nf1, nf2 = g + 1, g + 2
     edges = {e: dd for e, dd in t.edges.items() if e != edge_id}
     len2 = {e: l for e, l in t.edge_len2.items() if e != edge_id}
     edges[g] = (c, d)
-    len2[g] = new_len2
+    len2[g] = diag_len2
     faces = {f: fd for f, fd in t.faces.items() if f not in (f1, f2)}
     faces[nf1] = ((a, d, c), (e_ad, g, e_ca))
     faces[nf2] = ((d, b, c), (e_db, e_bc, g))
-    out = Triangulation(2, t.vertex_sign, edges, len2, faces, t.boundary_mark, reorient=False)
+    out = Triangulation(2, t.vertex_sign, edges, len2, faces, t.boundary_mark)
     _check_new_faces(out, (nf1, nf2))
     return out
 

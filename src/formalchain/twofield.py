@@ -29,6 +29,8 @@ import numpy as np
 
 from .errors import IntegratorError, StructureError, ZeroStateError
 
+MAX_NORM_DRIFT = 1e-6  # joint-norm drift beyond which evolve raises
+
 
 @dataclass(frozen=True)
 class TwoFieldParams:
@@ -40,7 +42,6 @@ class TwoFieldParams:
     grid_n: int = 256
     grid_l: float = 8.0
     sample_stride: int = 50
-    max_norm_drift: float = 1e-6
 
     def __post_init__(self):
         if self.grid_n < 16 or self.grid_n & (self.grid_n - 1):
@@ -136,7 +137,7 @@ def evolve(state: TwoFieldState, p: TwoFieldParams) -> Trajectory:
     recorded.  Any other state evolves on the 2D grid.
 
     Raises :class:`IntegratorError` when the joint norm drifts by more than
-    the configured bound (the joint evolution is exactly unitary; drift beyond
+    ``MAX_NORM_DRIFT`` (the joint evolution is exactly unitary; drift beyond
     roundoff signals a broken configuration).
     """
     factored = state.factors is not None and p.v_depth == 0.0
@@ -172,7 +173,7 @@ def evolve(state: TwoFieldState, p: TwoFieldParams) -> Trajectory:
         traj.joint_norms.append(n)
         traj.erased_norms.append(raw_norm * erase_scale)
         traj.com_means.append(mean)
-        if not abs(n - norm0) <= p.max_norm_drift:  # a NaN norm fails too
+        if not abs(n - norm0) <= MAX_NORM_DRIFT:  # a NaN norm fails too
             raise IntegratorError(
                 f"joint norm drifted by {abs(n - norm0):.3e} at t = {t:.4f}"
             )
@@ -201,17 +202,11 @@ def _erase_raw(psi: np.ndarray, dx: float) -> np.ndarray:
     return _anti_diagonals(psi).sum(axis=1) * dx
 
 
-def ket_erase(state: TwoFieldState, normalize_scale: Optional[float] = None) -> np.ndarray:
-    """Induced center-of-mass wavefunction of the state.
-
-    With ``normalize_scale`` None the raw integral is scaled to unit norm (the
-    t = 0 convention); to observe drift pass the scale captured at t = 0.
-    """
+def ket_erase(state: TwoFieldState) -> np.ndarray:
+    """Induced center-of-mass wavefunction of the state, scaled to unit norm."""
     dx = grid_dx(state.params)
     raw = _erase_raw(state.psi, dx)
     nrm = math.sqrt(float(np.sum(np.abs(raw) ** 2)) * dx)
-    if normalize_scale is not None:
-        return raw * normalize_scale
     if nrm == 0.0:
         raise ZeroStateError("erased wavefunction has zero norm")
     return raw / nrm

@@ -101,7 +101,6 @@ def relabelled(t: Triangulation, rng: random.Random) -> Triangulation:
          for f, (fv, fe) in t.faces.items()},
         {pe[e]: m for e, m in t.boundary_mark.items()},
         validate=False,
-        reorient=False,
     )
 
 
@@ -211,7 +210,7 @@ def test_mixed_iso_key_matches_reference(monkeypatch):
     edges[top], lens[top] = (vs[0], vs[3]), 2.5
     edges[top + 1], lens[top + 1] = (vs[1], vs[2]), Fraction(1, 3)
     t = Triangulation(2, base.vertex_sign, edges, lens, base.faces,
-                      validate=False, reorient=False)
+                      validate=False)
     actual = [iso_key(t, metric) for metric in (True, False)]
     assert actual[0][0] == "mixed"
     with monkeypatch.context() as m:

@@ -25,7 +25,7 @@ from formalchain.chains import (
     validate_chain,
 )
 from formalchain.errors import GeometryError, StructureError
-from formalchain.growth import Cobordism, GrowthConfig, SuperposedGrowth
+from formalchain.growth import Cobordism, GrowthConfig
 from formalchain.superpose import Superposition
 from formalchain.topo import arc, iso_key, point_set
 
@@ -283,10 +283,10 @@ def test_superposed_growth_can_shed_circles():
     rng = _random.Random(2)
     seen = False
     for _ in range(10):
-        sg = grow_superposed(1.0, point_set(1), cfg, 2, rng)
-        if any(c.space.component_count() > 1 for _, c in sg.terms):
+        terms = grow_superposed(1.0, point_set(1), cfg, 2, rng)
+        if any(c.space.component_count() > 1 for _, c in terms):
             seen = True
-        for _, c in sg.terms:
+        for _, c in terms:
             assert c.space.euler_characteristic() == c.lower_chi
     assert seen
 
@@ -336,7 +336,7 @@ def _point_chain():
 
 def _grow_exactly(monkeypatch, terms):
     """Make every growth in propose_extend return ``terms``."""
-    monkeypatch.setattr(chains, "grow_superposed", lambda *a, **k: SuperposedGrowth(list(terms)))
+    monkeypatch.setattr(chains, "grow_superposed", lambda *a, **k: list(terms))
 
 
 def _count_double_cross(monkeypatch):

@@ -231,6 +231,9 @@ def test_sample_set_override(capsys):
         ("x1_candidates=0", "x1_candidates must be at least 1, got 0"),
         ("x1_candidates=-2", "x1_candidates must be at least 1, got -2"),
         ("max_dimension=-1", "max_dimension must be at least 0, got -1"),
+        ("p_circle=1", "p_circle must lie in [0, 1), got 1.0"),
+        ("p_circle=-0.1", "p_circle must lie in [0, 1), got -0.1"),
+        ("partial_retry=64", "unknown key 'partial_retry'"),
     ):
         code2, _, err = run_cli(capsys, "sample", "--seed", "1", "--sweeps", "1",
                                 "--set", bad)

@@ -106,6 +106,23 @@ def test_alpha_must_be_positive():
         GrowthConfig(alpha=(1, 1, -2))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("a", math.nan), ("a", math.inf),
+    ("alpha", (1, math.nan, 1)), ("alpha", (1, 1, math.inf)),
+    ("p_circle", 1.0), ("p_circle", 1.5), ("p_circle", -0.1), ("p_circle", math.nan),
+    ("p_circle", math.inf),
+])
+def test_growth_config_rejects_bad_settings(field, value):
+    # with topology change on, p_circle >= 1 would never stop drawing circles
+    with pytest.raises(StructureError, match=rf"^{field} must"):
+        GrowthConfig(topology_change=True, **{field: value})
+
+
+def test_growth_config_accepts_p_circle_range():
+    for p in (0.0, 0.5, 0.999):
+        assert GrowthConfig(topology_change=True, p_circle=p).p_circle == p
+
+
 def test_mirror_double_arc_is_circle():
     y = point_set(1)
     x = grow_layer(y, cfg(), random.Random(0))
@@ -157,18 +174,18 @@ def test_collar_double_classification_matches_product():
 
 def test_grow_superposed_two_candidates():
     y = point_set(2)
-    sg = grow_superposed(1.0, y, cfg(), 2, random.Random(0))
-    assert len(sg.terms) == 2
-    weights = [abs(complex(a)) ** 2 for a, _ in sg.terms]
+    terms = grow_superposed(1.0, y, cfg(), 2, random.Random(0))
+    assert len(terms) == 2
+    weights = [abs(complex(a)) ** 2 for a, _ in terms]
     assert math.isclose(sum(weights), 1.0, abs_tol=1e-12)
     assert math.isclose(weights[0], 0.5, abs_tol=1e-12)
 
 
 def test_grow_superposed_single_candidate():
     y = circle(4)
-    sg = grow_superposed(1.0, y, cfg(), 1, random.Random(0))
-    assert len(sg.terms) == 1
-    assert abs(abs(complex(sg.terms[0][0])) - 1.0) < 1e-12
+    terms = grow_superposed(1.0, y, cfg(), 1, random.Random(0))
+    assert len(terms) == 1
+    assert abs(abs(complex(terms[0][0])) - 1.0) < 1e-12
 
 
 def test_grow_superposed_forbidden_above_dim1():
@@ -179,8 +196,7 @@ def test_grow_superposed_forbidden_above_dim1():
 
 def test_cross_double_profiles():
     y = point_set(1)
-    sg = grow_superposed(1.0, y, cfg(), 2, random.Random(0))
-    (a1, c1), (a2, c2) = sg.terms
+    (a1, c1), (a2, c2) = grow_superposed(1.0, y, cfg(), 2, random.Random(0))
     from formalchain.topo import curve_profile
 
     assert curve_profile(double_cross(c1, c1)) == (("circle", "1", "1"),)
@@ -190,7 +206,7 @@ def test_cross_double_profiles():
 
 def test_extra_circles_respect_chi():
     y = point_set(2)
-    x = grow_layer(y, cfg(topology_change=True, p_circle=1.0), random.Random(3),
+    x = grow_layer(y, cfg(topology_change=True, p_circle=0.5), random.Random(3),
                    extra_closed=2)
     assert x.space.euler_characteristic() == y.euler_characteristic()
     d = mirror_double(x)

@@ -104,12 +104,13 @@ def test_inapplicable_moves_raise():
 
 
 def test_degenerate_new_lengths_rejected():
-    s = sphere_triangulation()
-    f = min(s.faces)
-    with pytest.raises(GeometryError):
-        insert_vertex(s, f, new_len2=(Fraction(100), Fraction(1, 100), Fraction(1, 100)))
-    with pytest.raises(GeometryError):
-        insert_vertex(s, f, new_len2=(Fraction(-1), Fraction(1), Fraction(1)))
+    # squared sides 1, 1, 4 give a flat face and 1, 1, 9 an impossible one;
+    # a barycentric squared length comes out 0 or negative
+    for long_side in (4, 9):
+        lengths = {(0, 1): Fraction(1), (1, 2): Fraction(1), (2, 0): Fraction(long_side)}
+        s = surface_from_faces([(0, 1, 2)], edge_len2_by_pair=lengths)
+        with pytest.raises(GeometryError, match="must be positive"):
+            insert_vertex(s, min(s.faces))
 
 
 def test_classification_invariant_under_random_orbits():

@@ -86,6 +86,26 @@ def test_nonorientable_rejected():
         surface_from_faces(strip)
 
 
+def test_only_outside_faces_are_reoriented():
+    # the first face of a tetrahedron boundary turned against the others
+    triples = [(0, 2, 1), (0, 3, 1), (1, 3, 2), (0, 2, 3)]
+    t = surface_from_faces(triples)
+    assert t.faces == {
+        10: ((0, 2, 1), (4, 5, 6)),
+        11: ((0, 1, 3), (6, 8, 7)),
+        12: ((1, 2, 3), (5, 9, 8)),
+        13: ((0, 3, 2), (7, 9, 4)),
+    }
+    parsed = from_text("dim=2\n" + "".join("s 2 %d %d %d\n" % f for f in triples))
+    assert (parsed.faces, parsed.edges) == (t.faces, t.edges)
+    # the constructor takes faces as given: one flipped face is an error
+    faces = dict(t.faces)
+    (a, b, c), (x, y, z) = faces[10]
+    faces[10] = ((a, c, b), (z, y, x))
+    with pytest.raises(UnsupportedError, match="disagree on orientation"):
+        Triangulation(2, t.vertex_sign, t.edges, t.edge_len2, faces, t.boundary_mark)
+
+
 def test_homology_circle():
     fp = homology_ranks(circle(6))
     assert fp.betti == (1, 1) and fp.torsion == ()
