@@ -7,7 +7,7 @@ over formal chains, in dimensions 0 through 2 plus an opaque mock stage.
 
 from .action import ActionParams, total_action
 from .chains import FormalChain, SamplerConfig, detect_termination, run, step
-from .growth import Cobordism, GrowthConfig, grow_layer, mirror_double, wick_rotate
+from .growth import Cobordism, GrowthConfig, grow_layer, mirror_double
 from .pairing import (
     Bounded1Ket,
     BoundedSurfaceKet,
@@ -19,7 +19,7 @@ from .pairing import (
     pair,
 )
 from .superpose import Superposition
-from .topo import Triangulation, classify_surface, euler_characteristic, homology_ranks
+from .topo import Triangulation, classify_surface, homology_ranks
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,6 @@ __all__ = [
     "GrowthConfig",
     "grow_layer",
     "mirror_double",
-    "wick_rotate",
     "Bounded1Ket",
     "BoundedSurfaceKet",
     "BoundarySpec",
@@ -47,7 +46,6 @@ __all__ = [
     "Superposition",
     "Triangulation",
     "classify_surface",
-    "euler_characteristic",
     "homology_ranks",
     "__version__",
 ]

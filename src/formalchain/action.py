@@ -104,13 +104,8 @@ def s_d_parts(y: Triangulation, p: ActionParams) -> Tuple[float, float]:
         return p.singular_penalty, 0.0
 
 
-def s_d(y: Triangulation, p: ActionParams) -> float:
-    curv, cosm = s_d_parts(y, p)
-    return curv + cosm
-
-
 def s_d_superposed(
-    state: Superposition, reps: Dict[object, Triangulation], p: ActionParams, dim: int
+    state: Superposition, reps: Dict[object, Triangulation], p: ActionParams
 ) -> Tuple[float, float]:
     """Site action extended linearly over a superposition, |amplitude|^2 weights.
 
@@ -204,7 +199,7 @@ def total_action(chain, p: ActionParams) -> ActionBreakdown:
         shares = site.action_memo.get(p)
         if shares is None:
             k = p.idx(site.dim)
-            curv, cosm = s_d_superposed(site.state, site.reps, p, site.dim)
+            curv, cosm = s_d_superposed(site.state, site.reps, p)
             shares = site.action_memo[p] = (
                 p.c[k] * curv, p.c[k] * cosm, p.g[k] * float(site.state.norm2())
             )

@@ -121,36 +121,6 @@ def detect_termination(chain: FormalChain) -> Tuple[bool, Optional[int]]:
     return False, None
 
 
-def validate_chain(chain: FormalChain) -> None:
-    """Structural invariants: link cycle, alternation, dimension growth."""
-    if len(chain.sites) != len(chain.links):
-        raise StructureError("every site needs exactly one incoming link")
-    prev_dim = -1  # the empty set
-    prev_kind = None
-    for site, link in zip(chain.sites, chain.links):
-        if link == GROW:
-            if site.kind not in ("X", "mock_X"):
-                raise StructureError("grow must produce an X site")
-            if site.dim <= prev_dim:
-                raise StructureError("grow must raise dimension")
-            if prev_kind not in (None, "Y", "mock_Y"):
-                raise StructureError("grow must leave a Euclidean site")
-        elif link == DOUBLE:
-            if site.kind not in ("Y", "mock_Y"):
-                raise StructureError("double must produce a Euclidean site")
-            if prev_kind not in ("X", "mock_X") or site.dim != prev_dim:
-                raise StructureError("double must follow the X site of equal dimension")
-        elif link == FLUCTUATE:
-            if site.kind != "Y" or prev_kind != "Y" or site.dim != prev_dim:
-                raise StructureError("fluctuate connects Euclidean sites of one dimension")
-        else:
-            raise StructureError(f"unknown link {link!r}")
-        prev_dim, prev_kind = site.dim, site.kind
-    n_fluct = sum(1 for l in chain.links if l == FLUCTUATE)
-    if n_fluct != len(chain.steps):
-        raise StructureError("fluctuation steps out of sync with fluctuate links")
-
-
 # -- sampler -------------------------------------------------------------------------
 
 

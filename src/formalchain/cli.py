@@ -60,6 +60,10 @@ EXIT_CONFIG = 2
 EXIT_BOUNDARY = 3
 EXIT_NUMERIC = 4
 
+GRAPH_SPECS = "path<n> | cycle<n> | star<n> | circles:<min>:<max> | sphere:<max vertices>"
+# graph spec prefix -> how many integers follow it
+GRAPH_SPEC_INTS = {"path": 1, "cycle": 1, "star": 1, "circles:": 2, "sphere:": 1}
+
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
@@ -95,10 +99,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_sample.add_argument("--trace", help="write per-sweep action trace CSV here")
 
     p_gap = sub.add_parser("gap", help="spectral gap of a neighbor graph")
-    p_gap.add_argument(
-        "--graph", required=True,
-        help="path<n> | cycle<n> | star<n> | circles:<min>:<max> | sphere:<max vertices>",
-    )
+    p_gap.add_argument("--graph", required=True, help=GRAPH_SPECS)
 
     p_two = sub.add_parser("twofield", help="two-particle molecule evolution")
     p_two.add_argument("--lambda", dest="lam", type=float, default=0.0)
@@ -193,34 +194,55 @@ def cmd_pair(args) -> int:
 
 
 def _kets_from_json(data: dict):
-    """Ket file: {"boundary": {...}, "kets": [...]} or {"mock": {...}, "kets": [...]}."""
-    terms = []
+    """Ket file: {"boundary": {...}, "kets": [...]} or {"mock": {...}, "kets": [...]}.
+
+    A missing or malformed entry raises :class:`ConfigError` naming the ket
+    index and the key.
+    """
     if "mock" in data:
-        mock = MockEquivalence.from_json(json.dumps(data["mock"]))
-        for k in data["kets"]:
-            terms.append((complex(k.get("re", 0.0), k.get("im", 0.0)), k["id"]))
-        return Superposition(terms), mock
-    bd = data.get("boundary")
-    if bd is None:
-        raise ConfigError("ket file needs a 'boundary' or 'mock' object")
-    if bd.get("dimension") == 0:
-        spec = BoundarySpec(0, points=tuple(bd.get("points", ())))
-        for k in data["kets"]:
-            ket = Bounded1Ket(
-                tuple(tuple(p) for p in k["matching"]), k.get("free_circles", 0)
-            )
-            terms.append((complex(k.get("re", 0.0), k.get("im", 0.0)), ket))
-        return Superposition(terms), MatchingGluer(spec)
-    if bd.get("dimension") == 1:
-        spec = BoundarySpec(1, circles=tuple(bd.get("circles", ())))
-        for k in data["kets"]:
-            ket = BoundedSurfaceKet(
-                tuple((int(g), frozenset(ls)) for g, ls in k["components"]),
-                tuple(k.get("closed", ())),
-            )
-            terms.append((complex(k.get("re", 0.0), k.get("im", 0.0)), ket))
-        return Superposition(terms), SurfaceGluer(spec)
-    raise ConfigError(f"unsupported boundary dimension {bd.get('dimension')!r}")
+        gluer = MockEquivalence.from_json(json.dumps(data["mock"]))
+
+        def make(k):
+            return k["id"]
+    else:
+        bd = data.get("boundary")
+        if bd is None:
+            raise ConfigError("ket file needs a 'boundary' or 'mock' object")
+        if bd.get("dimension") == 0:
+            gluer = MatchingGluer(BoundarySpec(0, points=tuple(bd.get("points", ()))))
+
+            def make(k):
+                return Bounded1Ket(
+                    tuple(tuple(p) for p in k["matching"]), k.get("free_circles", 0)
+                )
+        elif bd.get("dimension") == 1:
+            gluer = SurfaceGluer(BoundarySpec(1, circles=tuple(bd.get("circles", ()))))
+
+            def make(k):
+                return BoundedSurfaceKet(
+                    tuple((int(g), frozenset(ls)) for g, ls in k["components"]),
+                    tuple(k.get("closed", ())),
+                )
+        else:
+            raise ConfigError(f"unsupported boundary dimension {bd.get('dimension')!r}")
+    kets = data.get("kets")
+    if not isinstance(kets, list):
+        raise ConfigError("ket file needs a 'kets' list")
+    terms = []
+    for i, k in enumerate(kets):
+        if not isinstance(k, dict):
+            raise ConfigError(f"ket {i} must be an object, got {k!r}")
+        for key in ("re", "im"):
+            if not isinstance(k.get(key, 0.0), (int, float)):
+                raise ConfigError(f"ket {i}: {key!r} must be a number, got {k[key]!r}")
+        try:
+            ket = make(k)
+        except KeyError as exc:
+            raise ConfigError(f"ket {i} has no {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"ket {i}: {exc}") from None
+        terms.append((complex(k.get("re", 0.0), k.get("im", 0.0)), ket))
+    return Superposition(terms), gluer
 
 
 def cmd_series(args) -> int:
@@ -317,19 +339,24 @@ def cmd_sample(args) -> int:
 
 
 def _parse_graph(spec: str) -> NeighborGraph:
-    if spec.startswith("path"):
-        return path_graph(int(spec[4:]))
-    if spec.startswith("cycle"):
-        return cycle_graph(int(spec[5:]))
-    if spec.startswith("star"):
-        return star_graph(int(spec[4:]))
-    if spec.startswith("circles:"):
-        _, lo, hi = spec.split(":")
-        return build_neighbor_graph(1, int(hi), min_size=int(lo))
-    if spec.startswith("sphere:"):
-        _, cap = spec.split(":")
-        return build_neighbor_graph(2, int(cap))
-    raise ConfigError(f"unknown graph spec {spec!r}")
+    kind = next((k for k in GRAPH_SPEC_INTS if spec.startswith(k)), None)
+    if kind is None:
+        raise ConfigError(f"unknown graph spec {spec!r}; expected {GRAPH_SPECS}")
+    try:
+        n = [int(x) for x in spec[len(kind):].split(":")]
+    except ValueError:
+        n = []
+    if len(n) != GRAPH_SPEC_INTS[kind]:
+        raise ConfigError(f"malformed graph spec {spec!r}; expected {GRAPH_SPECS}")
+    if kind == "path":
+        return path_graph(n[0])
+    if kind == "cycle":
+        return cycle_graph(n[0])
+    if kind == "star":
+        return star_graph(n[0])
+    if kind == "circles:":
+        return build_neighbor_graph(1, n[1], min_size=n[0])
+    return build_neighbor_graph(2, n[0])
 
 
 def cmd_gap(args) -> int:

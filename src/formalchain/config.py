@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 from .action import ActionParams
 from .chains import SamplerConfig
@@ -162,9 +162,8 @@ def sampler_config_from(settings: Mapping[str, str], seed: int) -> SamplerConfig
         raise ConfigError(str(exc))
 
 
-def resolved_echo(settings: Mapping[str, str], seed: Optional[int] = None) -> Dict[str, str]:
+def resolved_echo(settings: Mapping[str, str], seed: int) -> Dict[str, str]:
     """What actually went into the run, for embedding in outputs."""
     out = dict(sorted(settings.items()))
-    if seed is not None:
-        out["seed"] = str(seed)
+    out["seed"] = str(seed)
     return out

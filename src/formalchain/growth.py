@@ -35,6 +35,7 @@ from .topo import (
     iso_key,
     torus_triangulation,
 )
+from .topo.complexes import edge_faces
 
 
 @dataclass(frozen=True)
@@ -258,15 +259,12 @@ def _grow_circle_layer(y: Triangulation, cfg: GrowthConfig, rng, extra_tori: int
             faces[t1] = ((a, b, ua), (e, d_diag, verticals[a]))
             faces[t2] = ((b, ub, ua), (verticals[b], f_top, d_diag))
 
-    usage: Dict[int, int] = {e: 0 for e in edges}
-    for _, fe in faces.values():
-        for e in fe:
-            usage[e] += 1
+    sides = edge_faces(faces)
     marks: Dict[int, str] = {}
     for e in edges:
         if e in y.edges:
             marks[e] = LOWER  # extruded bottoms are boundary, skipped ones dangle
-        elif usage[e] <= 1:
+        elif len(sides.get(e, ())) <= 1:
             marks[e] = UPPER  # tops and the end verticals of partial runs
     base = Triangulation(2, vs, edges, len2, faces, marks)
     out = base
@@ -316,11 +314,6 @@ def _extra_torus(cfg: GrowthConfig) -> Triangulation:
     circles of dimension-1 growth: compact directions shed by the process.
     """
     return torus_triangulation(len2=cfg.a)
-
-
-def wick_rotate(x: Cobordism) -> Triangulation:
-    """Flip timelike squared lengths positive; validity errors carry an alpha hint."""
-    return x.space.wick_rotated()
 
 
 def double_cross(a: Cobordism, b: Cobordism) -> Triangulation:

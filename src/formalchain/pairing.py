@@ -270,8 +270,8 @@ def _residual_and_grad(flat_mats: np.ndarray, V: np.ndarray) -> Tuple[np.ndarray
     return np.sum(q * q, axis=1), grad
 
 
-def _polish(mats: np.ndarray, V: np.ndarray, iters: int = 40) -> np.ndarray:
-    """Gauss-Newton on the residual system ``q_k(v) = 0, |v|^2 = 1``, every row at once.
+def _polish(mats: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """40 Gauss-Newton steps on the residual system ``q_k(v) = 0, |v|^2 = 1``, every row at once.
 
     The quartic objective is flat near a null vector, where plain descent
     crawls; solving the quadratic system converges quadratically.  Each step
@@ -280,7 +280,7 @@ def _polish(mats: np.ndarray, V: np.ndarray, iters: int = 40) -> np.ndarray:
     stays the zero vector.
     """
     n = V.shape[1]
-    for _ in range(iters):
+    for _ in range(40):
         # one row M_k v per key, then v itself for the norm constraint
         rows = np.concatenate([np.einsum("kij,tj->tki", mats, V), V[:, None, :]], axis=1)
         res = np.einsum("ti,tki->tk", V.conj(), rows).real
@@ -393,15 +393,6 @@ def order_circle_count(c: Closed1Class) -> int:
     return c.circles
 
 
-def order_neg_components(c) -> Tuple:
-    """Component count negated, as needed for the ascending chain condition."""
-    if isinstance(c, Closed1Class):
-        return (-c.circles,)
-    if isinstance(c, ClosedSurfaceClass):
-        return (-c.components, c.euler_characteristic())
-    raise TypeError(f"no component order for {type(c).__name__}")
-
-
 # -- handle series -----------------------------------------------------------------------
 
 
@@ -459,15 +450,6 @@ def example_superposed_arcs() -> Tuple[Superposition, MatchingGluer]:
     kets = [(rc(s, 0) * rc(Fraction(1, 2)), Bounded1Ket(((0, 1),), c)) for c, s in enumerate(signs)]
     v = Superposition([(a, k) for a, k in kets])
     return v, MatchingGluer(spec)
-
-
-def example_superposed_arcs_profile() -> Dict[Closed1Class, Fraction]:
-    """The collected coefficient profile of the example, keyed by circle count."""
-    vals = [
-        Fraction(1, 4), Fraction(-1, 2), Fraction(-1, 4), Fraction(1),
-        Fraction(-1, 4), Fraction(-1, 2), Fraction(1, 4),
-    ]
-    return {Closed1Class(n + 1): vals[n] for n in range(7)}
 
 
 def example_mock_null_family() -> Tuple[List[str], MockEquivalence]:

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, Iterable, Iterator, Tuple
 
-from .errors import ZeroStateError
-
 EPS_ZERO = 1e-12
 _EPS2 = EPS_ZERO * EPS_ZERO
 
@@ -182,17 +180,6 @@ class Superposition:
         moved = [(a, new_key if k == old_key else k) for k, a in self._terms.items()]
         return Superposition(moved)
 
-    def normalize(self) -> "Superposition":
-        """Rescale to unit norm; exact when norm2 is a rational perfect square."""
-        n2 = self.norm2()
-        if self.is_zero() or float(n2) <= 0.0:
-            raise ZeroStateError("cannot normalize the zero superposition")
-        if isinstance(n2, Fraction):
-            root = _exact_sqrt(n2)
-            if root is not None:
-                return self.scale(Fraction(1) / root)
-        inv = 1.0 / float(n2) ** 0.5
-        return Superposition([(complex(a) * inv, k) for k, a in self._terms.items()])
 
 
 def _negligible(a) -> bool:
@@ -209,33 +196,15 @@ def _amp_eq(a, b) -> bool:
     return complex(a) == complex(b)
 
 
-def _exact_sqrt(q: Fraction):
-    """Return sqrt(q) as a Fraction if q is a perfect rational square, else None."""
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn, rd = _isqrt_exact(num), _isqrt_exact(den)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
-def _isqrt_exact(n: int):
-    import math
-
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def superposition_to_json(s: Superposition, key_str=str) -> dict:
+def superposition_to_json(s: Superposition) -> dict:
     """JSON form: {"terms": [{"key": ..., "re": ..., "im": ...}, ...]}.
 
     Exact amplitudes additionally carry "re_exact"/"im_exact" strings.
     """
     out = []
-    for key, amp in sorted(s.items(), key=lambda t: key_str(t[0])):
+    for key, amp in sorted(s.items(), key=lambda t: str(t[0])):
         re, im = amp_re_im(amp)
-        entry = {"key": key_str(key), "re": re, "im": im}
+        entry = {"key": str(key), "re": re, "im": im}
         if is_exact(amp):
             z = amp if isinstance(amp, RC) else RC(Fraction(amp))
             entry["re_exact"] = str(z.re)

@@ -50,7 +50,6 @@ class Triangulation:
         edge_len2: Mapping[int, object] = (),
         faces: Mapping[int, Face] = (),
         boundary_mark: Mapping[int, str] = (),
-        validate: bool = True,
     ):
         self.dim = dim
         self.vertex_sign: Dict[int, int] = dict(vertex_sign)
@@ -60,8 +59,7 @@ class Triangulation:
         self.boundary_mark: Dict[int, str] = dict(boundary_mark)
         # ActionParams -> action.s_d_parts of this space, filled by action.s_d_superposed
         self.action_memo: Dict[object, Tuple[float, float]] = {}
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- structural checks ---------------------------------------------------
 
@@ -186,10 +184,7 @@ class Triangulation:
                 )
 
     def component_count(self) -> int:
-        return len(self.component_vertex_sets())
-
-    def component_vertex_sets(self) -> List[frozenset]:
-        return [frozenset(g) for g in connected_groups(self.vertex_sign, self.edges.values())]
+        return len(connected_groups(self.vertex_sign, self.edges.values()))
 
     def max_id(self) -> int:
         ids = [0]
@@ -327,6 +322,15 @@ def connected_groups(nodes: Iterable, links: Iterable[Tuple[object, object]]) ->
     return list(groups.values())
 
 
+def edge_faces(faces: Mapping[int, Face]) -> Dict[int, List[int]]:
+    """Each edge used by a face -> the faces with that side, in ``faces`` order."""
+    out: Dict[int, List[int]] = {}
+    for f, (_, es) in faces.items():
+        for e in es:
+            out.setdefault(e, []).append(f)
+    return out
+
+
 def _traversal(face: Face, e: int, edges: Mapping[int, Tuple[int, int]]) -> int:
     """+1 when the face's side along edge e runs with the edge's direction."""
     vs, es = face
@@ -340,10 +344,7 @@ def _reoriented(faces: Mapping[int, Face], edges: Mapping[int, Tuple[int, int]])
     Raises :class:`UnsupportedError` when no consistent choice exists,
     i.e. the surface is non-orientable.
     """
-    side_of: Dict[int, List[int]] = {}
-    for f, (_, es) in faces.items():
-        for e in es:
-            side_of.setdefault(e, []).append(f)
+    side_of = edge_faces(faces)
     flipped: Dict[int, bool] = {}
     for start in sorted(faces):
         if start in flipped:
@@ -354,7 +355,7 @@ def _reoriented(faces: Mapping[int, Face], edges: Mapping[int, Tuple[int, int]])
             f = queue.pop()
             _, es = faces[f]
             for e in es:
-                sharers = side_of.get(e, [])
+                sharers = side_of[e]
                 if len(sharers) > 2:
                     continue  # non-manifold edge; validation reports it
                 for g in sharers:
@@ -468,14 +469,14 @@ def circle(n_edges: int, len2=Fraction(1)) -> Triangulation:
     return Triangulation(1, vs, edges, {i: len2 for i in edges}, {}, {})
 
 
-def arc(n_edges: int, len2=Fraction(1), lower_id: int = 0, upper_id: Optional[int] = None) -> Triangulation:
-    """Path of n >= 1 edges; first vertex marked lower, last marked upper."""
+def arc(n_edges: int, len2=Fraction(1), upper_id: Optional[int] = None) -> Triangulation:
+    """Path of n >= 1 edges from vertex 0; first vertex marked lower, last marked upper."""
     if n_edges < 1:
         raise StructureError("an arc needs at least one edge")
     if upper_id is None:
-        upper_id = lower_id + n_edges
-    base = max(lower_id, upper_id) + 1
-    ids = [lower_id] + [base + i for i in range(n_edges - 1)] + [upper_id]
+        upper_id = n_edges
+    base = max(0, upper_id) + 1
+    ids = [0] + [base + i for i in range(n_edges - 1)] + [upper_id]
     vs = {v: 1 for v in ids}
     edges = {base + n_edges + i: (ids[i], ids[i + 1]) for i in range(n_edges)}
     marks = {ids[0]: LOWER, ids[-1]: UPPER}
@@ -526,11 +527,8 @@ def surface_from_faces(
         for pair, m in boundary_by_pair.items():
             marks[pair_to_id[frozenset(pair)]] = m
     else:
-        usage: Dict[int, int] = {e: 0 for e in edges}
-        for _, es in faces.values():
-            for e in es:
-                usage[e] += 1
-        marks = {e: LOWER for e, c in usage.items() if c == 1}
+        sides = edge_faces(faces)
+        marks = {e: LOWER for e in edges if len(sides[e]) == 1}
     return Triangulation(2, vs, edges, len2, faces, marks)
 
 
@@ -556,21 +554,17 @@ def genus2_triangulation(len2=Fraction(1)) -> Triangulation:
     return remove_faces(t, [min(t.faces)]).double()
 
 
-def remove_faces(t: Triangulation, face_ids: Iterable[int], mark: str = LOWER) -> Triangulation:
-    """Delete faces from a closed surface, marking the exposed edges."""
+def remove_faces(t: Triangulation, face_ids: Iterable[int]) -> Triangulation:
+    """Delete faces from a closed surface, marking the exposed edges lower."""
     face_ids = set(face_ids)
     faces = {f: fd for f, fd in t.faces.items() if f not in face_ids}
-    usage: Dict[int, int] = {e: 0 for e in t.edges}
-    for _, es in faces.values():
-        for e in es:
-            usage[e] += 1
-    edges = {e: d for e, d in t.edges.items() if usage[e] > 0}
+    sides = edge_faces(faces)
+    edges = {e: d for e, d in t.edges.items() if e in sides}
     len2 = {e: t.edge_len2[e] for e in edges}
     used_v = {v for fv, _ in faces.values() for v in fv}
     vs = {v: s for v, s in t.vertex_sign.items() if v in used_v}
-    marks = dict(t.boundary_mark)
-    marks = {e: m for e, m in marks.items() if e in edges}
-    marks.update({e: mark for e, c in usage.items() if c == 1 and e in edges})
+    marks = {e: m for e, m in t.boundary_mark.items() if e in edges}
+    marks.update({e: LOWER for e in edges if len(sides[e]) == 1})
     return Triangulation(2, vs, edges, len2, faces, marks)
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from ..errors import StructureError
-from .complexes import Triangulation, connected_groups
+from .complexes import Triangulation, connected_groups, edge_faces
 
 
 @dataclass(frozen=True, order=True)
@@ -68,19 +68,11 @@ class ClosedSurfaceClass:
     def components(self) -> int:
         return len(self.genera)
 
-    def euler_characteristic(self) -> int:
-        return sum(2 - 2 * g for g in self.genera)
-
     def union(self, other: "ClosedSurfaceClass") -> "ClosedSurfaceClass":
         return ClosedSurfaceClass(tuple(sorted(self.genera + other.genera)))
 
     def __str__(self):
         return "surface(" + ",".join(f"g{g}" for g in self.genera) + ")"
-
-
-def euler_characteristic(t: Triangulation) -> int:
-    """Alternating simplex count sum((-1)^k #k-simplices)."""
-    return t.euler_characteristic()
 
 
 def classify_0d(t: Triangulation) -> Closed0Class:
@@ -110,12 +102,9 @@ def classify_surface(t: Triangulation) -> ClosedSurfaceClass:
         raise StructureError("surface classification requires a closed surface")
     if not t.is_pure():
         raise StructureError("complex has simplices outside every face; singular")
-    _require_manifold_links(t)
+    by_edge = edge_faces(t.faces)
+    _require_manifold_links(t, by_edge)
     genera = []
-    by_edge: Dict[int, List[int]] = {}
-    for f, (_, fe) in t.faces.items():
-        for e in fe:
-            by_edge.setdefault(e, []).append(f)
     links = ((fs[0], g) for fs in by_edge.values() for g in fs[1:])
     for comp in connected_groups(t.faces, links):
         vset, eset = set(), set()
@@ -130,17 +119,15 @@ def classify_surface(t: Triangulation) -> ClosedSurfaceClass:
     return ClosedSurfaceClass(tuple(sorted(genera)))
 
 
-def _require_manifold_links(t: Triangulation) -> None:
-    """Every vertex link must be a single cycle (closed surface assumed)."""
+def _require_manifold_links(t: Triangulation, side_faces: Dict[int, List[int]]) -> None:
+    """Every vertex link must be a single cycle (closed surface assumed).
+
+    ``side_faces`` is ``edge_faces(t.faces)``.
+    """
     corners: Dict[int, List[Tuple[int, int]]] = {}
     for f, (fv, _) in t.faces.items():
         for i, v in enumerate(fv):
             corners.setdefault(v, []).append((f, i))
-    # neighbor across the outgoing side of the corner
-    side_faces: Dict[int, List[int]] = {}
-    for f, (_, fe) in t.faces.items():
-        for e in fe:
-            side_faces.setdefault(e, []).append(f)
     for v, cs in corners.items():
         if not cs:
             continue
@@ -151,6 +138,7 @@ def _require_manifold_links(t: Triangulation) -> None:
             f, i = cur
             fv, fe = t.faces[f]
             out_edge = fe[i]  # side v -> next corner vertex
+            # neighbor across the outgoing side of the corner
             nbrs = [g for g in side_faces[out_edge] if g != f]
             if not nbrs:
                 break
@@ -284,21 +272,11 @@ def iso_key(t: Triangulation, metric: bool = True):
         return ("curves",) + curve_profile(t, metric=metric)
     if t.is_pure():
         return ("surface", surface_code(t, metric=metric))
-    pure_faces = t.faces
-    used_e = {e for _, fe in pure_faces.values() for e in fe}
+    # surface_code reads only the faces and their sides' lengths
+    used_e = {e for _, fe in t.faces.values() for e in fe}
     dangling = [e for e in t.edges if e not in used_e]
-    surf = Triangulation(
-        2,
-        {v: s for v, s in t.vertex_sign.items()
-         if any(v in fv for fv, _ in t.faces.values())},
-        {e: d for e, d in t.edges.items() if e in used_e},
-        {e: t.edge_len2[e] for e in used_e},
-        t.faces,
-        {e: m for e, m in t.boundary_mark.items() if e in used_e},
-        validate=False,
-    )
     curve_part = tuple(sorted(_token(t.edge_len2[e], metric) for e in dangling))
-    return ("mixed", surface_code(surf, metric=metric), curve_part)
+    return ("mixed", surface_code(t, metric=metric), curve_part)
 
 
 def curve_profile(t: Triangulation, metric: bool = True) -> Tuple:

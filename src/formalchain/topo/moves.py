@@ -10,12 +10,13 @@ diagonal its length in the quad unfolded flat.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
 from ..errors import GeometryError, MoveError
-from .complexes import Triangulation
+from .complexes import Triangulation, edge_faces
 
 SUBDIVIDE_1_2 = "subdivide_1_2"
 MERGE_2_1 = "merge_2_1"
@@ -227,34 +228,31 @@ def flip_edge(t: Triangulation, edge_id: int) -> Triangulation:
 def moves_for(t: Triangulation) -> List[PachnerMove]:
     """All structurally applicable moves (geometric validity checked on apply)."""
     out: List[PachnerMove] = []
+    ends = Counter(v for ab in t.edges.values() for v in ab)
     if t.dim == 1:
         out += [PachnerMove(SUBDIVIDE_1_2, e) for e in sorted(t.edges)]
+        # a self-loop puts both its ends on one vertex
+        loops = {x for x, y in t.edges.values() if x == y}
         for v in sorted(t.vertex_sign):
-            if v in t.boundary_mark:
-                continue
-            deg = sum(1 for x, y in t.edges.values() if v in (x, y))
-            loop = any(x == y == v for x, y in t.edges.values())
-            if deg == 2 and not loop:
+            if v not in t.boundary_mark and ends[v] == 2 and v not in loops:
                 out.append(PachnerMove(MERGE_2_1, v))
     elif t.dim == 2:
         out += [PachnerMove(MOVE_1_3, f) for f in sorted(t.faces)]
+        # edges have two distinct ends and faces three distinct corners here
+        star = Counter(v for fv, _ in t.faces.values() for v in fv)
+        on_boundary = {v for e in t.boundary_mark for v in t.edges[e]}
         for v in sorted(t.vertex_sign):
-            star = [f for f, (fv, _) in t.faces.items() if v in fv]
-            star_e = [e for e, (x, y) in t.edges.items() if v in (x, y)]
-            if len(star) == 3 and len(star_e) == 3 and not any(
-                e in t.boundary_mark for e in star_e
-            ):
+            if star[v] == 3 and ends[v] == 3 and v not in on_boundary:
                 out.append(PachnerMove(MOVE_3_1, v))
+        sides = edge_faces(t.faces)
         for e in sorted(t.edges):
-            if e not in t.boundary_mark:
-                incident = [f for f, (_, fe) in t.faces.items() if e in fe]
-                if len(incident) == 2:
-                    out.append(PachnerMove(FLIP_2_2, e))
+            if e not in t.boundary_mark and len(sides.get(e, ())) == 2:
+                out.append(PachnerMove(FLIP_2_2, e))
     return out
 
 
-def random_orbit(t: Triangulation, n_moves: int, rng, max_attempts: int = 200) -> Triangulation:
-    """Apply ``n_moves`` random applicable moves, resampling geometric failures.
+def random_orbit(t: Triangulation, n_moves: int, rng) -> Triangulation:
+    """Apply ``n_moves`` random applicable moves, resampling failures up to 200 times each.
 
     Metric validity is preserved: moves whose new lengths would violate a
     triangle inequality are skipped, so every intermediate stays Euclidean
@@ -263,7 +261,7 @@ def random_orbit(t: Triangulation, n_moves: int, rng, max_attempts: int = 200) -
     cur = t
     for _ in range(n_moves):
         applied = False
-        for _ in range(max_attempts):
+        for _ in range(200):
             options = moves_for(cur)
             if not options:
                 break
@@ -319,9 +317,10 @@ def _require_positive(*lengths) -> None:
             raise GeometryError(f"new edge squared length {l} must be positive")
 
 
-def _check_new_faces(t: Triangulation, face_ids, eps: float = 1e-9) -> None:
+def _check_new_faces(t: Triangulation, face_ids) -> None:
     # margin well above the global validity epsilon so repeated moves cannot
     # walk a face into near-degeneracy that later checks reject
+    eps = 1e-9
     for f in face_ids:
         _, es = t.faces[f]
         p, q, r = (math.sqrt(abs(float(t.edge_len2[e]))) for e in es)

@@ -62,10 +62,10 @@ def grid_dx(p: TwoFieldParams) -> float:
     return 2.0 * p.grid_l / p.grid_n
 
 
-def gaussian_packet(p: TwoFieldParams, center: float = 0.0, width: float = 1.0) -> np.ndarray:
-    """Unit-normalized Gaussian on the grid."""
+def gaussian_packet(p: TwoFieldParams, center: float = 0.0) -> np.ndarray:
+    """Unit-normalized Gaussian of width 1 on the grid."""
     x = grid_points(p)
-    psi = np.exp(-((x - center) ** 2) / (2.0 * width * width)).astype(complex)
+    psi = np.exp(-((x - center) ** 2) / 2.0).astype(complex)
     return psi / math.sqrt(float(np.sum(np.abs(psi) ** 2) * grid_dx(p)))
 
 

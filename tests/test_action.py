@@ -15,7 +15,6 @@ from formalchain.action import (
     fugacity_total,
     kinetic_total,
     regge_deficit_sum,
-    s_d,
     s_d_parts,
     total_action,
 )
@@ -92,23 +91,23 @@ def test_flat_flip_preserves_deficits():
 
 def test_s_d_points():
     p = ActionParams(Lambda=(1.0, 0.0, 0.0))
-    assert s_d(point_set(4), p) == pytest.approx(8.0)
+    assert sum(s_d_parts(point_set(4), p)) == pytest.approx(8.0)
 
 
 def test_s_d_circle_length():
     p = ActionParams(Lambda=(0.0, 1.0, 0.0))
-    assert s_d(circle(5), p) == pytest.approx(10.0)
+    assert sum(s_d_parts(circle(5), p)) == pytest.approx(10.0)
 
 
 def test_s_d_flat_torus_zero():
     p = ActionParams(Lambda=(0.0, 0.0, 0.0))
-    assert s_d(torus_triangulation(), p) == pytest.approx(0.0, abs=1e-9)
+    assert sum(s_d_parts(torus_triangulation(), p)) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_s_d_sphere_curvature_sign():
     p = ActionParams(G=2.0, Lambda=(0.0, 0.0, 0.0))
     # -(2/G) * 4 pi = -4 pi for G = 2
-    assert s_d(sphere_triangulation(), p) == pytest.approx(-2 * TWO_PI, abs=1e-9)
+    assert sum(s_d_parts(sphere_triangulation(), p)) == pytest.approx(-2 * TWO_PI, abs=1e-9)
 
 
 def dangling_surface() -> Triangulation:
@@ -272,9 +271,8 @@ def reference_total_action(chain, p: ActionParams) -> ActionBreakdown:
     """total_action without any memo: every site and term priced afresh."""
     out = ActionBreakdown()
     for site in chain.euclidean_sites():
-        d = site.dim
-        k = p.idx(d)
-        curv, cosm = reference_s_d_superposed(site.state, site.reps, p, d)
+        k = p.idx(site.dim)
+        curv, cosm = reference_s_d_superposed(site.state, site.reps, p)
         vol = p.g[k] * float(site.state.norm2())
         out.curvature += p.c[k] * curv
         out.cosmological += p.c[k] * cosm
@@ -284,7 +282,7 @@ def reference_total_action(chain, p: ActionParams) -> ActionBreakdown:
     return out
 
 
-def reference_s_d_superposed(state, reps, p: ActionParams, dim: int):
+def reference_s_d_superposed(state, reps, p: ActionParams):
     curv = 0.0
     cosm = 0.0
     for key, amp in state.items():

@@ -43,3 +43,11 @@ def _annotated(module):
 def test_annotations_resolve(name):
     for obj in _annotated(importlib.import_module(name)):
         typing.get_type_hints(obj)
+
+
+@pytest.mark.parametrize("name", ["formalchain", "formalchain.topo"])
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert missing == []
+    assert len(set(module.__all__)) == len(module.__all__)

@@ -100,7 +100,6 @@ def relabelled(t: Triangulation, rng: random.Random) -> Triangulation:
         {pf[f]: (tuple(pv[v] for v in fv), tuple(pe[e] for e in fe))
          for f, (fv, fe) in t.faces.items()},
         {pe[e]: m for e, m in t.boundary_mark.items()},
-        validate=False,
     )
 
 
@@ -149,7 +148,7 @@ def doubled_prism(lens: List[int]) -> Triangulation:
     rotating the circle by a period of ``lens`` is an automorphism."""
     c = circle(len(lens))
     slice_ = Triangulation(1, c.vertex_sign, c.edges,
-                           dict(zip(sorted(c.edges), map(Fraction, lens))), validate=False)
+                           dict(zip(sorted(c.edges), map(Fraction, lens))))
     return mirror_double(grow_layer(slice_, GrowthConfig(), None, extra_closed=0))
 
 
@@ -196,7 +195,7 @@ def test_surface_code_matches_reference_on_symmetric_maps(name, t, metric):
 
 
 def test_surface_code_of_no_faces_is_empty():
-    empty = Triangulation(2, {}, validate=False)
+    empty = Triangulation(2, {})
     assert surface_code(empty) == reference_surface_code(empty) == ()
 
 
@@ -209,8 +208,7 @@ def test_mixed_iso_key_matches_reference(monkeypatch):
     lens = dict(base.edge_len2)
     edges[top], lens[top] = (vs[0], vs[3]), 2.5
     edges[top + 1], lens[top + 1] = (vs[1], vs[2]), Fraction(1, 3)
-    t = Triangulation(2, base.vertex_sign, edges, lens, base.faces,
-                      validate=False)
+    t = Triangulation(2, base.vertex_sign, edges, lens, base.faces)
     actual = [iso_key(t, metric) for metric in (True, False)]
     assert actual[0][0] == "mixed"
     with monkeypatch.context() as m:
@@ -246,7 +244,7 @@ def test_curve_profile_of_varied_circle_is_rotation_and_reflection_invariant():
                 ls = ls[::-1]
             # circle(n) has edges in walking order
             t = Triangulation(1, c.vertex_sign, c.edges,
-                              dict(zip(sorted(c.edges), ls)), validate=False)
+                              dict(zip(sorted(c.edges), ls)))
             keys.append(curve_profile(t))
     assert len(set(keys)) == 1
     assert keys[0] == (("circle", "1", "2", "1", "2", "1", "3"),)

@@ -66,10 +66,22 @@ def test_pair_boundary_mismatch_exit_3(tmp_path, capsys):
 
 
 def test_pair_bad_file_exit_2(tmp_path, capsys):
+    mock = {"kets": ["A", "B"], "glue": {"A|A": "s", "A|B": "s", "B|A": "s", "B|B": "s"}}
+    points = {"dimension": 0, "points": [0, 1]}
+    cases = [
+        ("{not json", ""),
+        (json.dumps({"boundary": points}), "'kets'"),
+        (json.dumps({"boundary": points, "kets": [{"re": 1.0}]}), "ket 0 has no 'matching'"),
+        (json.dumps({"mock": mock, "kets": [{"id": "B", "re": 1.0}, {"id": "A", "re": "one"}]}),
+         "ket 1: 're' must be a number"),
+    ]
     f = tmp_path / "kets.json"
-    f.write_text("{not json")
-    code, _, _ = run_cli(capsys, "pair", "--kets", str(f))
-    assert code == 2
+    for text, message in cases:
+        f.write_text(text)
+        code, out, err = run_cli(capsys, "pair", "--kets", str(f))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
 
 
 def test_pair_requires_exactly_one_source(capsys):
@@ -280,8 +292,11 @@ def test_gap_circle_classes(capsys):
 
 
 def test_gap_unknown_spec(capsys):
-    code, _, _ = run_cli(capsys, "gap", "--graph", "dodecahedron")
-    assert code == 2
+    for spec in ("dodecahedron", "pathx", "star", "circles:3", "sphere:abc"):
+        code, out, err = run_cli(capsys, "gap", "--graph", spec)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and repr(spec) in err
 
 
 def test_twofield_csv(capsys):

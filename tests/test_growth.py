@@ -20,7 +20,6 @@ from formalchain.growth import (
     grow_layer,
     grow_superposed,
     mirror_double,
-    wick_rotate,
 )
 from formalchain.topo import (
     LOWER,
@@ -83,7 +82,7 @@ def test_wick_rotation_simple():
     x = grow_layer(y, cfg(alpha=(1, 1, 1)), random.Random(0))
     e = next(iter(x.space.edges))
     assert float(x.space.edge_len2[e]) == -1.0
-    w = wick_rotate(x)
+    w = x.space.wick_rotated()
     assert float(w.edge_len2[e]) == 1.0
 
 
@@ -91,11 +90,11 @@ def test_wick_rotation_alpha_range():
     # alpha = 1 gives the equilateral (1,1,1) layer triangle, valid
     y = circle(4)
     x = grow_layer(y, cfg(alpha=(1, 1, 1)), random.Random(0))
-    wick_rotate(x)
+    x.space.wick_rotated()
     # alpha <= 1/4 degenerates the (a, -alpha a, -alpha a) triangles
     x_bad = grow_layer(y, cfg(alpha=(1, 1, Fraction(1, 5))), random.Random(0))
     with pytest.raises(GeometryError) as err:
-        wick_rotate(x_bad)
+        x_bad.space.wick_rotated()
     assert "alpha" in str(err.value)
 
 

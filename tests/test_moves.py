@@ -7,17 +7,25 @@ import pytest
 
 from formalchain.errors import GeometryError, MoveError
 from formalchain.topo import (
+    FLIP_2_2,
+    MERGE_2_1,
+    MOVE_1_3,
+    MOVE_3_1,
+    SUBDIVIDE_1_2,
     PachnerMove,
     apply_pachner,
+    arc,
     barycentric_len2,
     circle,
     classify_curves,
     classify_surface,
     flip_edge,
+    genus2_triangulation,
     insert_vertex,
     iso_key,
     merge_vertex,
     moves_for,
+    remove_faces,
     remove_vertex,
     sphere_triangulation,
     subdivide_edge,
@@ -138,3 +146,48 @@ def test_moves_for_lists_applicable_kinds():
     assert kinds2 == {"move_1_3", "move_3_1", "flip_2_2"}
     t = torus_triangulation()
     assert "move_3_1" not in {m.kind for m in moves_for(t)}  # all vertices degree 6
+
+
+def reference_moves_for(t):
+    """moves_for as a scan of every face or edge per vertex and per edge."""
+    out = []
+    if t.dim == 1:
+        out += [PachnerMove(SUBDIVIDE_1_2, e) for e in sorted(t.edges)]
+        for v in sorted(t.vertex_sign):
+            if v in t.boundary_mark:
+                continue
+            deg = sum(1 for x, y in t.edges.values() if v in (x, y))
+            loop = any(x == y == v for x, y in t.edges.values())
+            if deg == 2 and not loop:
+                out.append(PachnerMove(MERGE_2_1, v))
+    elif t.dim == 2:
+        out += [PachnerMove(MOVE_1_3, f) for f in sorted(t.faces)]
+        for v in sorted(t.vertex_sign):
+            star = [f for f, (fv, _) in t.faces.items() if v in fv]
+            star_e = [e for e, (x, y) in t.edges.items() if v in (x, y)]
+            if len(star) == 3 and len(star_e) == 3 and not any(
+                e in t.boundary_mark for e in star_e
+            ):
+                out.append(PachnerMove(MOVE_3_1, v))
+        for e in sorted(t.edges):
+            if e not in t.boundary_mark:
+                incident = [f for f, (_, fe) in t.faces.items() if e in fe]
+                if len(incident) == 2:
+                    out.append(PachnerMove(FLIP_2_2, e))
+    return out
+
+
+def test_moves_for_matches_reference_scan():
+    rng = random.Random(31)
+    torus = torus_triangulation()
+    spaces = [circle(1), circle(2), circle(5), arc(3), remove_faces(torus, [min(torus.faces)])]
+    for seed_t in (sphere_triangulation(), torus, genus2_triangulation(), circle(5)):
+        spaces += [random_orbit(seed_t, n, rng) for n in (0, 5, 15, 30)]
+    # marked edges next to vertices of every degree
+    g2 = random_orbit(genus2_triangulation(), 15, rng)
+    holed = remove_faces(g2, sorted(g2.faces)[:3])
+    spaces += [holed, random_orbit(holed, 10, rng)]
+    for t in spaces:
+        assert moves_for(t) == reference_moves_for(t)
+    kinds = {m.kind for t in spaces for m in moves_for(t)}
+    assert kinds == {SUBDIVIDE_1_2, MERGE_2_1, MOVE_1_3, MOVE_3_1, FLIP_2_2}

@@ -25,13 +25,11 @@ from formalchain.pairing import (
     disk_with_handles,
     example_mock_null_family,
     example_superposed_arcs,
-    example_superposed_arcs_profile,
     glue_1d,
     glue_2d,
     l2_handle_series,
     lightlike_search,
     order_circle_count,
-    order_neg_components,
     pair,
     square_partial_sums,
 )
@@ -121,6 +119,15 @@ def test_pair_single_ket_diagonal():
     v = Superposition([(1, Bounded1Ket(((1, 2),)))])
     res = pair(v, v, MatchingGluer(spec))
     assert list(res.items()) == [(Closed1Class(1), 1)]
+
+
+def example_superposed_arcs_profile():
+    """The published coefficient profile of the four-ket arc family, keyed by circle count."""
+    vals = [
+        Fraction(1, 4), Fraction(-1, 2), Fraction(-1, 4), Fraction(1),
+        Fraction(-1, 4), Fraction(-1, 2), Fraction(1, 4),
+    ]
+    return {Closed1Class(n + 1): vals[n] for n in range(7)}
 
 
 def test_example_superposed_arcs_profile_and_norm():
@@ -499,11 +506,6 @@ def test_cs_check_point_sets_naive_orders_fail():
         if v.is_zero():
             continue
         assert not pair(v, v, gluer).is_zero()
-
-
-def test_order_neg_components_values():
-    assert order_neg_components(Closed1Class(3)) == (-3,)
-    assert order_neg_components(ClosedSurfaceClass((0, 1))) == (-2, 2)
 
 
 # -- fixed-triangulation pairing -----------------------------------------------------

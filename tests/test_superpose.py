@@ -1,12 +1,9 @@
-"""Collection, norms, and normalized superpositions."""
+"""Collection, norms, algebra and JSON form of superpositions."""
 
 import math
 import random
 from fractions import Fraction
 
-import pytest
-
-from formalchain.errors import ZeroStateError
 from formalchain.superpose import (
     RC,
     Superposition,
@@ -47,22 +44,6 @@ def test_norm2_zero_superposition():
 def test_norm2_complex_unit():
     s = Superposition([(rc(Fraction(3, 5)), "A"), (RC(Fraction(0), Fraction(4, 5)), "B")])
     assert s.norm2() == Fraction(1)
-
-
-def test_normalize_single():
-    s = Superposition([(2, "A")]).normalize()
-    assert s.amplitude("A") == Fraction(1)
-
-
-def test_normalize_pair_floats():
-    s = Superposition([(1, "A"), (1, "B")]).normalize()
-    assert math.isclose(float(s.norm2()), 1.0, abs_tol=1e-12)
-    assert math.isclose(abs(complex(s.amplitude("A"))), 1 / math.sqrt(2), abs_tol=1e-12)
-
-
-def test_normalize_zero_raises():
-    with pytest.raises(ZeroStateError):
-        Superposition().normalize()
 
 
 def test_collect_idempotent():
