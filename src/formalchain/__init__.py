@@ -19,7 +19,7 @@ from .pairing import (
     pair,
 )
 from .superpose import Superposition
-from .topo import Triangulation, classify_surface, homology_ranks
+from .topo import HomologyFingerprint, Triangulation, classify_surface, homology_ranks
 
 __version__ = "0.1.0"
 
@@ -46,6 +46,7 @@ __all__ = [
     "Superposition",
     "Triangulation",
     "classify_surface",
+    "HomologyFingerprint",
     "homology_ranks",
     "__version__",
 ]

@@ -98,6 +98,8 @@ def build_neighbor_graph(
     if dim != 2:
         raise UnsupportedError(f"no neighbor graph for dimension {dim}")
     seed = sphere_triangulation()
+    if size_cap < len(seed.vertex_sign):
+        raise StructureError(f"size cap {size_cap} is below the seed sphere's 4 vertices")
     key0 = iso_key(seed, metric=False)
     index: Dict[object, int] = {key0: 0}
     reps: List[Triangulation] = [seed]

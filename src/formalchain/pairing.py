@@ -210,9 +210,13 @@ class MockEquivalence(Gluer):
     def from_json(text: str) -> "MockEquivalence":
         """Load {"kets": [...], "glue": {"A|B": "class", ...}}."""
         data = json.loads(text)
-        kets = data["kets"]
+        kets, glue = (data.get("kets"), data.get("glue")) if isinstance(data, dict) else (None, None)
+        if not isinstance(kets, list) or not all(isinstance(k, str) for k in kets):
+            raise StructureError(f"mock table needs a 'kets' list of names, got {kets!r}")
+        if not isinstance(glue, dict) or not all(isinstance(c, str) for c in glue.values()):
+            raise StructureError(f"mock table needs a 'glue' object of class names, got {glue!r}")
         table = {}
-        for pair, cls in data["glue"].items():
+        for pair, cls in glue.items():
             a, _, b = pair.partition("|")
             table[(a, b)] = cls
         for a, b in itertools.product(kets, repeat=2):

@@ -8,9 +8,9 @@ Closed manifolds are collected into classes:
 * dimension 2 -- sorted multiset of component genera (topological) or a
   canonical combinatorial-map code (isometry / combinatorial).
 
-Homology Betti numbers and torsion come from integer Smith normal form of the
-boundary matrices and serve as an approximate fingerprint where full
-classification is unavailable.
+Every space the package builds is classified by these keys.  Homology Betti
+numbers come from the same component searches (see ``homology_ranks``), and
+the torsion is always empty.
 """
 
 from __future__ import annotations
@@ -166,99 +166,26 @@ class HomologyFingerprint:
 
 
 def homology_ranks(t: Triangulation) -> HomologyFingerprint:
-    """Betti numbers b_0..b_dim and H_* torsion via integer Smith normal form."""
-    v_index = {v: i for i, v in enumerate(sorted(t.vertex_sign))}
-    e_index = {e: i for i, e in enumerate(sorted(t.edges))}
-    f_index = {f: i for i, f in enumerate(sorted(t.faces))}
-    nv, ne, nf = len(v_index), len(e_index), len(f_index)
+    """Betti numbers b_0..b_dim, counted from vertex and face components.
 
-    d1 = [[0] * ne for _ in range(nv)]
-    for e, (a, b) in t.edges.items():
-        d1[v_index[b]][e_index[e]] += 1
-        d1[v_index[a]][e_index[e]] -= 1
-    d2 = [[0] * nf for _ in range(ne)]
-    for f, (fv, fe) in t.faces.items():
-        for i in range(3):
-            a, b = fv[i], fv[(i + 1) % 3]
-            sign = 1 if (a, b) == t.edges[fe[i]] else -1
-            d2[e_index[fe[i]]][f_index[f]] += sign
-
-    diag1 = smith_normal_form(d1) if ne else []
-    diag2 = smith_normal_form(d2) if nf else []
-    rank1 = sum(1 for x in diag1 if x != 0)
-    rank2 = sum(1 for x in diag2 if x != 0)
-
-    b0 = nv - rank1
-    if t.dim == 0:
-        return HomologyFingerprint((b0,), ())
-    b1 = ne - rank1 - rank2
-    if t.dim == 1:
-        return HomologyFingerprint((b0, b1), ())
-    b2 = nf - rank2
-    torsion = tuple(x for x in diag2 if x not in (0, 1))
-    return HomologyFingerprint((b0, b1, b2), torsion)
-
-
-def smith_normal_form(matrix: List[List[int]]) -> List[int]:
-    """Diagonal of the Smith normal form of an integer matrix.
-
-    Returns the invariant factors (nonnegative, each dividing the next),
-    padded with zeros up to min(rows, cols).
+    d_1 is the incidence matrix of a directed graph, so b_0 counts vertex
+    components.  A cycle of d_2 is constant on a face component and vanishes
+    on one with a side in a single face, so b_2 counts the other face
+    components; b_1 follows from chi = b_0 - b_1 + b_2.  The torsion is empty:
+    validation rejects an edge in over two faces, two faces running along an
+    edge the same way, a face repeating an edge and 2D self-loops, so a row of
+    d_2 has at most two nonzero entries, of opposite signs.  Both matrices are
+    network matrices, hence totally unimodular (Schrijver 1986, ch. 19).
     """
-    m = [row[:] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    diag: List[int] = []
-    r = 0
-    while r < min(rows, cols):
-        pr, pc, best = -1, -1, None
-        for i in range(r, rows):
-            for j in range(r, cols):
-                x = abs(m[i][j])
-                if x and (best is None or x < best):
-                    pr, pc, best = i, j, x
-        if best is None:
-            break
-        m[r], m[pr] = m[pr], m[r]
-        for row in m:
-            row[r], row[pc] = row[pc], row[r]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(r + 1, rows):
-                if m[i][r]:
-                    q = m[i][r] // m[r][r]
-                    for j in range(r, cols):
-                        m[i][j] -= q * m[r][j]
-                    if m[i][r]:
-                        m[r], m[i] = m[i], m[r]
-                        changed = True
-            for j in range(r + 1, cols):
-                if m[r][j]:
-                    q = m[r][j] // m[r][r]
-                    for i in range(r, rows):
-                        m[i][j] -= q * m[i][r]
-                    if m[r][j]:
-                        for i in range(rows):
-                            m[i][r], m[i][j] = m[i][j], m[i][r]
-                        changed = True
-        # entry must divide the rest of the submatrix for true invariant factors
-        pivot = abs(m[r][r])
-        for i in range(r + 1, rows):
-            for j in range(r + 1, cols):
-                if m[i][j] % pivot:
-                    for jj in range(r, cols):
-                        m[r][jj] += m[i][jj]
-                    changed = True
-                    break
-            if changed:
-                break
-        if changed:
-            continue
-        diag.append(pivot)
-        r += 1
-    diag += [0] * (min(rows, cols) - len(diag))
-    return diag
+    b0 = len(connected_groups(t.vertex_sign, t.edges.values()))
+    by_edge = edge_faces(t.faces)
+    links = ((fs[0], g) for fs in by_edge.values() for g in fs[1:])
+    b2 = sum(
+        all(len(by_edge[e]) == 2 for f in comp for e in t.faces[f][1])
+        for comp in connected_groups(t.faces, links)
+    )
+    b1 = b0 + b2 - t.euler_characteristic()
+    return HomologyFingerprint((b0, b1, b2)[: t.dim + 1], ())
 
 
 # -- canonical isometry / combinatorial keys -----------------------------------

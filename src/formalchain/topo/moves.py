@@ -149,8 +149,6 @@ def remove_vertex(t: Triangulation, vertex_id: int) -> Triangulation:
     star_faces = [f for f, (fv, _) in t.faces.items() if vertex_id in fv]
     if len(star_edges) != 3 or len(star_faces) != 3:
         raise MoveError(f"vertex {vertex_id} is not interior of degree 3")
-    if any(e in t.boundary_mark for e in star_edges):
-        raise MoveError(f"vertex {vertex_id} touches the boundary")
     outer = []
     for f in star_faces:
         fv, fe = t.faces[f]
@@ -239,10 +237,10 @@ def moves_for(t: Triangulation) -> List[PachnerMove]:
     elif t.dim == 2:
         out += [PachnerMove(MOVE_1_3, f) for f in sorted(t.faces)]
         # edges have two distinct ends and faces three distinct corners here
+        # three faces and three edges at v put each edge at v in two faces: none is marked
         star = Counter(v for fv, _ in t.faces.values() for v in fv)
-        on_boundary = {v for e in t.boundary_mark for v in t.edges[e]}
         for v in sorted(t.vertex_sign):
-            if star[v] == 3 and ends[v] == 3 and v not in on_boundary:
+            if star[v] == 3 and ends[v] == 3:
                 out.append(PachnerMove(MOVE_3_1, v))
         sides = edge_faces(t.faces)
         for e in sorted(t.edges):

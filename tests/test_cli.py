@@ -74,6 +74,8 @@ def test_pair_bad_file_exit_2(tmp_path, capsys):
         (json.dumps({"boundary": points, "kets": [{"re": 1.0}]}), "ket 0 has no 'matching'"),
         (json.dumps({"mock": mock, "kets": [{"id": "B", "re": 1.0}, {"id": "A", "re": "one"}]}),
          "ket 1: 're' must be a number"),
+        (json.dumps({"mock": {"kets": ["A"]}, "kets": [{"id": "A", "re": 1.0}]}), "'glue'"),
+        (json.dumps({"mock": {"kets": "A", "glue": {}}, "kets": []}), "'kets' list of names"),
     ]
     f = tmp_path / "kets.json"
     for text, message in cases:
@@ -292,11 +294,15 @@ def test_gap_circle_classes(capsys):
 
 
 def test_gap_unknown_spec(capsys):
-    for spec in ("dodecahedron", "pathx", "star", "circles:3", "sphere:abc"):
+    cases = [(spec, repr(spec)) for spec in ("dodecahedron", "pathx", "star", "circles:3",
+                                             "sphere:abc")]
+    # a vertex cap below the seed sphere's 4 vertices
+    cases += [("sphere:-1", "size cap -1 "), ("sphere:3", "size cap 3 ")]
+    for spec, message in cases:
         code, out, err = run_cli(capsys, "gap", "--graph", spec)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and repr(spec) in err
+        assert err.startswith("error: ") and message in err
 
 
 def test_twofield_csv(capsys):

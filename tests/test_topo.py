@@ -2,16 +2,19 @@
 
 import random
 from fractions import Fraction
+from typing import List
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formalchain.errors import ParseError, StructureError, UnsupportedError
+from formalchain.growth import GrowthConfig, grow_layer, mirror_double
 from formalchain.topo import (
     Closed0Class,
     Closed1Class,
     ClosedSurfaceClass,
+    HomologyFingerprint,
     Triangulation,
     arc,
     circle,
@@ -27,7 +30,6 @@ from formalchain.topo import (
     iso_key,
     point_set,
     remove_faces,
-    smith_normal_form,
     sphere_triangulation,
     surface_code,
     surface_from_faces,
@@ -136,11 +138,45 @@ def test_homology_matches_classification_random():
 
 def test_smith_normal_form_torsion():
     # Z/2 x Z/4 presentation
-    diag = smith_normal_form([[2, 0], [0, 4]])
+    diag = reference_smith_normal_form([[2, 0], [0, 4]])
     assert diag == [2, 4]
-    diag2 = smith_normal_form([[4, 0], [0, 2]])
+    diag2 = reference_smith_normal_form([[4, 0], [0, 2]])
     assert diag2 == [2, 4]
-    assert smith_normal_form([[2, 1], [0, 2]]) == [1, 4]
+    assert reference_smith_normal_form([[2, 1], [0, 2]]) == [1, 4]
+
+
+def homology_corpus() -> List[Triangulation]:
+    """Every kind of complex the package builds, in dimensions 0 to 2."""
+    from formalchain.topo.moves import random_orbit
+
+    rng = random.Random(7)
+    spaces = [point_set(0), point_set(3, 2), circle(1), circle(2), circle(6), arc(1), arc(4)]
+    spaces.append(circle(3).disjoint_union(circle(1)).disjoint_union(arc(2)))
+    for seed_t in (sphere_triangulation(), torus_triangulation(), genus2_triangulation()):
+        spaces += [random_orbit(seed_t, n, rng) for n in (0, 4, 12)]
+    torus = torus_triangulation()
+    holed = remove_faces(torus, sorted(torus.faces)[:3])
+    spaces += [holed, remove_faces(sphere_triangulation(), [min(sphere_triangulation().faces)])]
+    spaces.append(sphere_triangulation().disjoint_union(holed))
+    # a dimension-2 complex with only an edge and an isolated vertex
+    spaces.append(Triangulation(2, {0: 1, 1: 1, 2: 1}, {3: (0, 1)}, {3: Fraction(1)}))
+    grown = GrowthConfig(layer="partial", topology_change=True, p_circle=0.3)
+    for i in range(24):
+        y = point_set(1 + i % 3, 1 + i % 2) if i % 4 == 0 else circle(3 + i % 5)
+        x = grow_layer(y, grown if i % 2 else GrowthConfig(), rng)
+        spaces += [x.space, mirror_double(x)]
+    return spaces
+
+
+def test_homology_counts_match_smith_normal_form():
+    spaces = homology_corpus()
+    for t in spaces:
+        assert homology_ranks(t) == reference_homology_ranks(t)
+    # the corpus reaches self-loops, marked surfaces and the dangling edges of
+    # partial layers and their doubles
+    assert any(a == b for t in spaces for a, b in t.edges.values())
+    assert any(t.dim == 2 and t.boundary_mark for t in spaces)
+    assert sum(1 for t in spaces if t.dim == 2 and not t.is_pure()) > 5
 
 
 def test_gluing_chi_additive_over_circle_boundary():
@@ -303,3 +339,102 @@ def test_connected_groups_match_bfs(graph):
 
 def test_connected_groups_empty():
     assert connected_groups([], []) == []
+
+
+# -- homology reference: the integer Smith normal form that homology_ranks replaced ----
+
+
+def reference_homology_ranks(t: Triangulation) -> HomologyFingerprint:
+    """Betti numbers b_0..b_dim and H_* torsion via integer Smith normal form."""
+    v_index = {v: i for i, v in enumerate(sorted(t.vertex_sign))}
+    e_index = {e: i for i, e in enumerate(sorted(t.edges))}
+    f_index = {f: i for i, f in enumerate(sorted(t.faces))}
+    nv, ne, nf = len(v_index), len(e_index), len(f_index)
+
+    d1 = [[0] * ne for _ in range(nv)]
+    for e, (a, b) in t.edges.items():
+        d1[v_index[b]][e_index[e]] += 1
+        d1[v_index[a]][e_index[e]] -= 1
+    d2 = [[0] * nf for _ in range(ne)]
+    for f, (fv, fe) in t.faces.items():
+        for i in range(3):
+            a, b = fv[i], fv[(i + 1) % 3]
+            sign = 1 if (a, b) == t.edges[fe[i]] else -1
+            d2[e_index[fe[i]]][f_index[f]] += sign
+
+    diag1 = reference_smith_normal_form(d1) if ne else []
+    diag2 = reference_smith_normal_form(d2) if nf else []
+    rank1 = sum(1 for x in diag1 if x != 0)
+    rank2 = sum(1 for x in diag2 if x != 0)
+
+    b0 = nv - rank1
+    if t.dim == 0:
+        return HomologyFingerprint((b0,), ())
+    b1 = ne - rank1 - rank2
+    if t.dim == 1:
+        return HomologyFingerprint((b0, b1), ())
+    b2 = nf - rank2
+    torsion = tuple(x for x in diag2 if x not in (0, 1))
+    return HomologyFingerprint((b0, b1, b2), torsion)
+
+
+def reference_smith_normal_form(matrix: List[List[int]]) -> List[int]:
+    """Diagonal of the Smith normal form of an integer matrix.
+
+    Returns the invariant factors (nonnegative, each dividing the next),
+    padded with zeros up to min(rows, cols).
+    """
+    m = [row[:] for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    diag: List[int] = []
+    r = 0
+    while r < min(rows, cols):
+        pr, pc, best = -1, -1, None
+        for i in range(r, rows):
+            for j in range(r, cols):
+                x = abs(m[i][j])
+                if x and (best is None or x < best):
+                    pr, pc, best = i, j, x
+        if best is None:
+            break
+        m[r], m[pr] = m[pr], m[r]
+        for row in m:
+            row[r], row[pc] = row[pc], row[r]
+        changed = True
+        while changed:
+            changed = False
+            for i in range(r + 1, rows):
+                if m[i][r]:
+                    q = m[i][r] // m[r][r]
+                    for j in range(r, cols):
+                        m[i][j] -= q * m[r][j]
+                    if m[i][r]:
+                        m[r], m[i] = m[i], m[r]
+                        changed = True
+            for j in range(r + 1, cols):
+                if m[r][j]:
+                    q = m[r][j] // m[r][r]
+                    for i in range(r, rows):
+                        m[i][j] -= q * m[i][r]
+                    if m[r][j]:
+                        for i in range(rows):
+                            m[i][r], m[i][j] = m[i][j], m[i][r]
+                        changed = True
+        # entry must divide the rest of the submatrix for true invariant factors
+        pivot = abs(m[r][r])
+        for i in range(r + 1, rows):
+            for j in range(r + 1, cols):
+                if m[i][j] % pivot:
+                    for jj in range(r, cols):
+                        m[r][jj] += m[i][jj]
+                    changed = True
+                    break
+            if changed:
+                break
+        if changed:
+            continue
+        diag.append(pivot)
+        r += 1
+    diag += [0] * (min(rows, cols) - len(diag))
+    return diag
