@@ -26,8 +26,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from .action import ActionBreakdown, ActionParams, FluctuationStep, total_action
 from .errors import (
     FormalChainError,
-    GeometryError,
-    MoveError,
     SingularError,
     StructureError,
     UnsupportedError,
@@ -275,10 +273,8 @@ def propose_extend(chain: FormalChain, cfg: SamplerConfig, rng: random.Random) -
     x_terms: List[Tuple[object, Cobordism]] = []
     for key in sorted(frontier.state.keys(), key=str):
         b = frontier.state.amplitude(key)
-        rep = frontier.reps.get(key)
-        if rep is None:
-            return None
-        x_terms.extend(grow_superposed(b, rep, cfg.growth, candidates, rng, lower_key=key))
+        x_terms.extend(grow_superposed(b, frontier.reps[key], cfg.growth, candidates, rng,
+                                       lower_key=key))
     return chain.extended(_layer(x_terms, d_next, chain.doubles), [GROW, DOUBLE])
 
 
@@ -303,18 +299,12 @@ def propose_fluctuate(chain: FormalChain, cfg: SamplerConfig, rng: random.Random
         return None
     keys = sorted(frontier.state.keys(), key=str)
     key = keys[rng.randrange(len(keys))]
-    rep = frontier.reps.get(key)
-    if rep is None:
-        return None
+    rep = frontier.reps[key]
     moves = moves_for(rep)
     if not moves:
         return None
     move = moves[rng.randrange(len(moves))]
-    try:
-        new_rep = apply_pachner(rep, move)
-    except (MoveError, GeometryError):
-        return None
-    return _fluctuated(chain, frontier, key, new_rep)
+    return _fluctuated(chain, frontier, key, apply_pachner(rep, move))
 
 
 def _fluctuated(chain: FormalChain, frontier: ChainSite, key, new_rep: Triangulation) -> FormalChain:

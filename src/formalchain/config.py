@@ -2,40 +2,48 @@
 
 Grammar: one ``key = value`` pair per line, ``#`` starts a comment, blank
 lines ignored.  Dotted keys address per-dimension arrays (``Lambda.2 = 0.1``).
-Unknown keys are rejected so typos cannot silently change a run.
+Unknown keys are rejected so typos cannot silently change a run.  The keys
+are the fields of ``ActionParams``, ``GrowthConfig`` and ``SamplerConfig``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .action import ActionParams
 from .chains import SamplerConfig
 from .errors import ConfigError
 from .growth import GrowthConfig
 
-ACTION_KEYS = {
-    "G", "singular_penalty",
-    "Lambda.0", "Lambda.1", "Lambda.2",
-    "c.0", "c.1", "c.2",
-    "f.0", "f.1", "f.2",
-    "g.0", "g.1", "g.2",
-    "h.0", "h.1", "h.2",
-}
+_FLAGS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
-GROWTH_KEYS = {
-    "a", "alpha.0", "alpha.1", "alpha.2",
-    "layer", "p_circle", "topology_change",
-}
 
-SAMPLER_KEYS = {
-    "chains", "sweeps", "max_dimension", "mock_stage", "initial_points",
-    "x1_candidates", "weight.extend", "weight.fluctuate", "weight.reweight",
-    "temperature",
-}
+def _keys(cls) -> Dict[str, Tuple[str, Optional[int], object]]:
+    """Each config key of ``cls`` -> (field name, tuple index or None, default).
 
+    A tuple field ``x`` gives keys ``x.0``, ``x.1``, ...; ``weight_<kind>`` is
+    spelled ``weight.<kind>``.  ``seed`` comes from the command line, and a
+    field holding a config class (``SamplerConfig.growth``) has its own keys.
+    """
+    keys: Dict[str, Tuple[str, Optional[int], object]] = {}
+    for f in fields(cls):
+        if f.name == "seed" or is_dataclass(f.default_factory):
+            continue
+        stem = f.name.replace("weight_", "weight.")
+        if isinstance(f.default, tuple):
+            keys.update((f"{stem}.{i}", (f.name, i, d)) for i, d in enumerate(f.default))
+        else:
+            keys[stem] = (f.name, None, f.default)
+    return keys
+
+
+ACTION_KEYS = _keys(ActionParams)
+GROWTH_KEYS = _keys(GrowthConfig)
+SAMPLER_KEYS = _keys(SamplerConfig)
 SAMPLE_COMMAND_KEYS = ACTION_KEYS | GROWTH_KEYS | SAMPLER_KEYS
 
 
@@ -61,105 +69,58 @@ def parse_config_text(text: str, allowed: Iterable[str]) -> Dict[str, str]:
     return out
 
 
-def _as_fraction(settings: Mapping[str, str], key: str, default):
-    if key not in settings:
-        return default
+def _parsed(key: str, text: str, default):
+    """``text`` as the type of ``default``; a float goes through ``Fraction``."""
+    if isinstance(default, bool):
+        if text.lower() not in _FLAGS:
+            raise ConfigError(f"key {key!r}: bad flag {text!r}")
+        return _FLAGS[text.lower()]
+    if isinstance(default, int):
+        try:
+            return int(text)
+        except ValueError:
+            raise ConfigError(f"key {key!r}: bad integer {text!r}")
+    if isinstance(default, str):
+        return text
+    if key == "singular_penalty" and text.lower() == "inf":
+        return math.inf  # hard rejection of singular sites
     try:
-        return Fraction(settings[key])
+        number = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"key {key!r}: bad number {settings[key]!r}")
-
-
-def _as_float(settings: Mapping[str, str], key: str, default: float) -> float:
-    return float(_as_fraction(settings, key, default))
-
-
-def _as_penalty(settings: Mapping[str, str], key: str, default: float) -> float:
-    """A number, or ``inf`` for hard rejection of singular sites."""
-    if settings.get(key, "").lower() == "inf":
-        return math.inf
-    return _as_float(settings, key, default)
-
-
-def _as_int(settings: Mapping[str, str], key: str, default: int) -> int:
-    if key not in settings:
-        return default
+        raise ConfigError(f"key {key!r}: bad number {text!r}")
     try:
-        return int(settings[key])
-    except ValueError:
-        raise ConfigError(f"key {key!r}: bad integer {settings[key]!r}")
+        real = float(number)  # GrowthConfig converts its Fraction fields too
+    except OverflowError as exc:
+        raise ConfigError(str(exc))
+    return number if isinstance(default, Fraction) else real
 
 
-def _as_bool(settings: Mapping[str, str], key: str, default: bool) -> bool:
-    if key not in settings:
-        return default
-    v = settings[key].lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"key {key!r}: bad flag {settings[key]!r}")
+def _built(cls, settings: Mapping[str, str], **given):
+    """A ``cls`` from ``given``, its keys in ``settings`` and its defaults.
 
-
-def _triple(settings: Mapping[str, str], stem: str, default: Tuple[float, float, float]):
-    return tuple(
-        _as_float(settings, f"{stem}.{d}", default[d]) for d in range(3)
-    )
+    A field holding a config class is built from the same ``settings``, after
+    the keys of ``cls`` are parsed and before ``cls`` checks its values.
+    """
+    args = dict(given)
+    for key, (name, i, default) in _keys(cls).items():
+        value = _parsed(key, settings[key], default) if key in settings else default
+        args[name] = value if i is None else args.get(name, ()) + (value,)
+    for f in fields(cls):
+        if is_dataclass(f.default_factory):
+            args[f.name] = _built(f.default_factory, settings)
+    return cls(**args)
 
 
 def action_params_from(settings: Mapping[str, str]) -> ActionParams:
-    base = ActionParams()
-    try:
-        return ActionParams(
-            G=_as_float(settings, "G", base.G),
-            Lambda=_triple(settings, "Lambda", base.Lambda),
-            c=_triple(settings, "c", base.c),
-            f=_triple(settings, "f", base.f),
-            g=_triple(settings, "g", base.g),
-            h=_triple(settings, "h", base.h),
-            singular_penalty=_as_penalty(settings, "singular_penalty", base.singular_penalty),
-        )
-    except Exception as exc:
-        raise ConfigError(str(exc))
+    return _built(ActionParams, settings)
 
 
 def growth_config_from(settings: Mapping[str, str]) -> GrowthConfig:
-    base = GrowthConfig()
-    try:
-        return GrowthConfig(
-            alpha=tuple(_as_fraction(settings, f"alpha.{d}", base.alpha[d]) for d in range(3)),
-            a=_as_fraction(settings, "a", base.a),
-            layer=settings.get("layer", base.layer),
-            topology_change=_as_bool(settings, "topology_change", base.topology_change),
-            p_circle=_as_float(settings, "p_circle", base.p_circle),
-        )
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(str(exc))
+    return _built(GrowthConfig, settings)
 
 
 def sampler_config_from(settings: Mapping[str, str], seed: int) -> SamplerConfig:
-    base = SamplerConfig()
-    try:
-        return SamplerConfig(
-            seed=seed,
-            chains=_as_int(settings, "chains", base.chains),
-            sweeps=_as_int(settings, "sweeps", base.sweeps),
-            max_dimension=_as_int(settings, "max_dimension", base.max_dimension),
-            mock_stage=_as_bool(settings, "mock_stage", base.mock_stage),
-            initial_points=_as_int(settings, "initial_points", base.initial_points),
-            x1_candidates=_as_int(settings, "x1_candidates", base.x1_candidates),
-            weight_extend=_as_float(settings, "weight.extend", base.weight_extend),
-            weight_fluctuate=_as_float(settings, "weight.fluctuate", base.weight_fluctuate),
-            weight_reweight=_as_float(settings, "weight.reweight", base.weight_reweight),
-            temperature=_as_float(settings, "temperature", base.temperature),
-            growth=growth_config_from(settings),
-        )
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(str(exc))
+    return _built(SamplerConfig, settings, seed=seed)
 
 
 def resolved_echo(settings: Mapping[str, str], seed: int) -> Dict[str, str]:

@@ -13,7 +13,7 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from .errors import StructureError, UnsupportedError
+from .errors import GeometryError, MoveError, StructureError, UnsupportedError
 from .topo import (
     Triangulation,
     apply_pachner,
@@ -22,7 +22,6 @@ from .topo import (
     moves_for,
     sphere_triangulation,
 )
-from .errors import GeometryError, MoveError
 
 
 @dataclass
@@ -90,6 +89,8 @@ def build_neighbor_graph(
     ``truncated`` beyond that).
     """
     if dim == 1:
+        if min_size < 1:
+            raise StructureError(f"min_size {min_size} is below 1, the fewest edges of a circle")
         sizes = list(range(min_size, size_cap + 1))
         g = NeighborGraph(vertices=[("circle", n) for n in sizes])
         for i in range(len(sizes) - 1):

@@ -65,6 +65,8 @@ def validate_chain(chain: FormalChain) -> None:
                 raise StructureError("fluctuate connects Euclidean sites of one dimension")
         else:
             raise StructureError(f"unknown link {link!r}")
+        if site.kind == "Y" and set(site.reps) != set(site.state.keys()):
+            raise StructureError("every term of a Euclidean site needs a representative")
         prev_dim, prev_kind = site.dim, site.kind
     n_fluct = sum(1 for l in chain.links if l == FLUCTUATE)
     if n_fluct != len(chain.steps):
@@ -180,6 +182,13 @@ def test_fluctuate_moves_one_term():
     validate_chain(out)
     assert out.links[-1] == "fluctuate"
     assert len(out.steps) == 1
+
+
+def test_fluctuate_errors_are_counted():
+    # apply_pachner's MoveError reaches ChainStats.errors, not a plain rejection
+    cfg = SamplerConfig(seed=1, chains=6, sweeps=80,
+                        weight_extend=0.5, weight_fluctuate=0.3, weight_reweight=0.2)
+    assert run(cfg, ActionParams(g=(0.1,) * 3)).errors == {"fluctuate": {"MoveError": 4}}
 
 
 def test_reweight_requires_fresh_double():

@@ -2,9 +2,11 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from formalchain import config as cfgmod
 from formalchain.cli import main
 from formalchain.topo import circle, to_text
 
@@ -138,6 +140,53 @@ def test_grow_bad_input_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "grow", "--input", str(f), "--seed", "1")
     assert code == 2
     assert "line 2" in err
+
+
+def test_grow_config_sets_growth_keys_only(tmp_path, capsys):
+    f = tmp_path / "slice.txt"
+    f.write_text("dim=0\nv 0\nv 1\n")
+    cfg = tmp_path / "run.cfg"
+    out_file = tmp_path / "double.txt"
+    cfg.write_text("alpha.1 = 2\n")
+    code, _, err = run_cli(capsys, "grow", "--input", str(f), "--seed", "1",
+                           "--config", str(cfg), "--out", str(out_file))
+    assert code == 0, err
+    edges = [l for l in out_file.read_text().splitlines() if l.startswith("s 1 ")]
+    assert edges and all(l.endswith(" len2=2") for l in edges)
+    cfg.write_text("chains = 3\n")
+    code, out, err = run_cli(capsys, "grow", "--input", str(f), "--seed", "1",
+                             "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 1: unknown key 'chains'\n"
+
+
+# every user-facing key, spelled out so that renaming a config field cannot
+# silently rename its key
+PUBLIC_KEYS = [
+    "G", "Lambda.0", "Lambda.1", "Lambda.2", "c.0", "c.1", "c.2", "f.0", "f.1", "f.2",
+    "g.0", "g.1", "g.2", "h.0", "h.1", "h.2", "singular_penalty",
+    "alpha.0", "alpha.1", "alpha.2", "a", "layer", "topology_change", "p_circle",
+    "chains", "sweeps", "max_dimension", "mock_stage", "initial_points", "x1_candidates",
+    "weight.extend", "weight.fluctuate", "weight.reweight", "temperature",
+]
+
+
+def test_config_keys_are_pinned():
+    assert list(cfgmod.ACTION_KEYS) == PUBLIC_KEYS[:17]
+    assert list(cfgmod.GROWTH_KEYS) == PUBLIC_KEYS[17:24]
+    assert list(cfgmod.SAMPLER_KEYS) == PUBLIC_KEYS[24:]
+    assert list(cfgmod.SAMPLE_COMMAND_KEYS) == PUBLIC_KEYS
+
+
+def test_readme_run_config_builds():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("### Run config format", 1)[1].split("```")[1]
+    settings = cfgmod.parse_config_text(example, cfgmod.SAMPLE_COMMAND_KEYS)
+    assert cfgmod.action_params_from(settings).Lambda[2] == 0.5
+    cfg = cfgmod.sampler_config_from(settings, 11)
+    assert (cfg.seed, cfg.sweeps, cfg.weight_fluctuate) == (11, 200, 0.65)
+    assert cfg.growth == cfgmod.growth_config_from(settings)
 
 
 def test_sample_deterministic(tmp_path, capsys):
@@ -296,6 +345,8 @@ def test_gap_circle_classes(capsys):
 def test_gap_unknown_spec(capsys):
     cases = [(spec, repr(spec)) for spec in ("dodecahedron", "pathx", "star", "circles:3",
                                              "sphere:abc")]
+    # circles have at least one edge
+    cases += [("circles:-2:1", "min_size -2 "), ("circles:0:3", "min_size 0 ")]
     # a vertex cap below the seed sphere's 4 vertices
     cases += [("sphere:-1", "size cap -1 "), ("sphere:3", "size cap 3 ")]
     for spec, message in cases:
