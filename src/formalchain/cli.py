@@ -269,7 +269,7 @@ def cmd_grow(args) -> int:
     settings = {}
     if args.config:
         with open(args.config) as fh:
-            settings = cfgmod.parse_config_text(fh.read(), cfgmod.GROWTH_KEYS | cfgmod.ACTION_KEYS)
+            settings = cfgmod.parse_config_text(fh.read(), cfgmod.GROWTH_KEYS)
     growth = cfgmod.growth_config_from(settings)
     rng = random.Random(f"{args.seed}:grow")
     cob = grow_layer(y, growth, rng, subdivisions=args.subdivisions)

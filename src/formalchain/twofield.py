@@ -128,13 +128,44 @@ class Trajectory:
         return max(abs(n - self.erased_norms[0]) for n in self.erased_norms)
 
 
+def _grid_measures(psi: np.ndarray, x: np.ndarray, dx: float) -> Tuple[float, np.ndarray, float]:
+    """Joint norm, unscaled erased wavefunction and centre-of-mass mean of a grid.
+
+    The mean of (x1 + x2)/2 comes from the coordinate marginals; the
+    anti-diagonal density is L-periodic on the torus and would fold it.
+    """
+    n = math.sqrt(float(np.sum(np.abs(psi) ** 2)) * dx * dx)
+    prob = np.abs(psi) ** 2 * dx * dx
+    total = float(prob.sum())
+    mean = float((x @ prob.sum(axis=1) + x @ prob.sum(axis=0)) / (2.0 * total))
+    return n, _erase_raw(psi, dx), mean
+
+
+def _factor_measures(f: np.ndarray, x: np.ndarray, dx: float) -> Tuple[float, np.ndarray, float]:
+    """The same from the rows a, b of psi = outer(a, b), without the grid.
+
+    The anti-diagonal sums are the circular convolution (a * b)[2m mod n],
+    from one FFT pair, and the marginals are |a|^2 sum|b|^2 and |b|^2 sum|a|^2.
+    """
+    dens = np.abs(f) ** 2 * dx
+    sa, sb = float(dens[0].sum()), float(dens[1].sum())
+    spectra = np.fft.fft(f)
+    conv = np.fft.ifft(spectra[0] * spectra[1])
+    n_grid = f.shape[1]
+    raw = conv[2 * np.arange(n_grid) % n_grid] * dx
+    mean = float((x @ dens[0] * sb + x @ dens[1] * sa) / (2.0 * sa * sb))
+    return math.sqrt(sa * sb), raw, mean
+
+
 def evolve(state: TwoFieldState, p: TwoFieldParams) -> Trajectory:
     """Strang split-step evolution with per-sample norm monitoring.
 
     A product state without the coupling V evolves as its two factors, each
-    under the 1D split step, with one batched 1D FFT per transform; the
-    joint wavefunction is their outer product and is formed only where it is
-    recorded.  Any other state evolves on the 2D grid.
+    under the 1D split step, with one batched 1D FFT per transform, and its
+    records come from the factors (norms, convolution, marginals); the joint
+    wavefunction, their outer product, is formed only for ``final``.  Any
+    other state evolves and is recorded on the 2D grid.  Either array is
+    stepped in place.
 
     Raises :class:`IntegratorError` when the joint norm drifts by more than
     ``MAX_NORM_DRIFT`` (the joint evolution is exactly unitary; drift beyond
@@ -142,33 +173,25 @@ def evolve(state: TwoFieldState, p: TwoFieldParams) -> Trajectory:
     """
     factored = state.factors is not None and p.v_depth == 0.0
     half_v, kin = _phases(p, factored)
-    psi = (state.factors if factored else state.psi).copy()
+    psi = (state.factors if factored else state.psi).astype(complex)
     # 1D transforms of each factor row, or the 2D transform of the grid
-    fft, ifft = (np.fft.fft, np.fft.ifft) if factored else (np.fft.fft2, np.fft.ifft2)
+    # (fftn, since ifft2 ignores its out argument)
+    fft, ifft = (np.fft.fft, np.fft.ifft) if factored else (np.fft.fftn, np.fft.ifftn)
+    measures = _factor_measures if factored else _grid_measures
+    x = grid_points(p)
     dx = grid_dx(p)
-    norm0 = math.sqrt(float(np.sum(np.abs(state.psi) ** 2)) * dx * dx)
-    erase_scale = None
+    norm0 = erase_scale = None
     traj = Trajectory()
 
-    def joint(f: np.ndarray) -> np.ndarray:
-        return np.outer(f[0], f[1]) if factored else f
-
-    def record(step_idx: int, psi_now: np.ndarray):
-        nonlocal erase_scale
+    def record(step_idx: int):
+        nonlocal norm0, erase_scale
         t = state.t + step_idx * p.dt
-        n = math.sqrt(float(np.sum(np.abs(psi_now) ** 2)) * dx * dx)
-        raw = _erase_raw(psi_now, dx)
+        n, raw, mean = measures(psi, x, dx)
         raw_norm = math.sqrt(float(np.sum(np.abs(raw) ** 2)) * dx)
         if erase_scale is None:
             if raw_norm == 0.0:
                 raise ZeroStateError("erased wavefunction vanishes at t = 0")
-            erase_scale = 1.0 / raw_norm
-        # mean of (x1 + x2)/2 from the coordinate marginals; the anti-diagonal
-        # density is L-periodic on the torus and would fold the mean
-        x = grid_points(p)
-        prob = np.abs(psi_now) ** 2 * dx * dx
-        total = float(prob.sum())
-        mean = float((x @ prob.sum(axis=1) + x @ prob.sum(axis=0)) / (2.0 * total))
+            norm0, erase_scale = n, 1.0 / raw_norm
         traj.times.append(t)
         traj.joint_norms.append(n)
         traj.erased_norms.append(raw_norm * erase_scale)
@@ -178,15 +201,17 @@ def evolve(state: TwoFieldState, p: TwoFieldParams) -> Trajectory:
                 f"joint norm drifted by {abs(n - norm0):.3e} at t = {t:.4f}"
             )
 
-    record(0, joint(psi))
+    record(0)
     for s in range(1, p.steps + 1):
         psi *= half_v
-        psi = ifft(fft(psi) * kin)
+        fft(psi, out=psi)
+        psi *= kin
+        ifft(psi, out=psi)
         psi *= half_v
         if s % p.sample_stride == 0 or s == p.steps:
-            record(s, joint(psi))
-    traj.final = TwoFieldState(joint(psi), p, state.t + p.steps * p.dt,
-                               factors=psi if factored else None)
+            record(s)
+    traj.final = TwoFieldState(np.outer(psi[0], psi[1]) if factored else psi, p,
+                               state.t + p.steps * p.dt, factors=psi if factored else None)
     return traj
 
 

@@ -29,7 +29,7 @@ from formalchain.chains import (
 from formalchain.errors import GeometryError, StructureError
 from formalchain.growth import Cobordism, GrowthConfig
 from formalchain.superpose import Superposition
-from formalchain.topo import arc, iso_key, point_set
+from formalchain.topo import Triangulation, arc, iso_key, point_set
 
 
 def default_params(**kw):
@@ -528,3 +528,55 @@ def test_chains_of_one_run_share_their_doubles(monkeypatch):
         alone += len(calls)
     assert 0 < shared < alone
     assert [row[2].hex() for row in stats.trace] == totals
+
+
+def test_memoised_spaces_never_change(monkeypatch):
+    # the doubles table, the site reps and the action memos are sound only if
+    # nothing changes a stored space: along the golden sample_mock_s1 run,
+    # which reaches the mock stage and fluctuates, the content of every
+    # memoised space and the reps of every site are at the end what they were
+    # when first stored
+    spaces, sites = {}, {}
+
+    def remember(t):
+        if id(t) not in spaces:
+            spaces[id(t)] = (t, chains._content(t))
+
+    def remember_site(site):
+        if id(site) not in sites:
+            sites[id(site)] = (site, dict(site.reps))
+        for t in site.reps.values():
+            remember(t)
+
+    layer, fluctuated = chains._layer, chains._fluctuated
+    fluctuations = []
+
+    def spy_layer(x_terms, dim, doubles):
+        x, y = layer(x_terms, dim, doubles)
+        for value in doubles.values():
+            if isinstance(value, tuple) and isinstance(value[0], Triangulation):
+                remember(value[0])
+        if x.kind == "X":  # the table's content keys stand for these spaces
+            for _, c in x.x_terms:
+                remember(c.space)
+        remember_site(y)
+        return x, y
+
+    def spy_fluctuated(chain, frontier, key, new_rep):
+        out = fluctuated(chain, frontier, key, new_rep)
+        fluctuations.append(out.sites[-1])
+        remember_site(out.sites[-1])
+        return out
+
+    monkeypatch.setattr(chains, "_layer", spy_layer)
+    monkeypatch.setattr(chains, "_fluctuated", spy_fluctuated)
+    cfg = SamplerConfig(seed=1, chains=6, sweeps=80, weight_extend=0.5,
+                        weight_fluctuate=0.3, weight_reweight=0.2)
+    stats = run(cfg, ActionParams(g=(0.1, 0.1, 0.1)))
+    for t, content in spaces.values():
+        assert chains._content(t) == content
+    for site, reps in sites.values():
+        assert site.reps.keys() == reps.keys()
+        assert all(site.reps[k] is reps[k] for k in reps)
+    assert stats.termination_histogram == {4: 4}  # as in the golden fixture
+    assert fluctuations and len(spaces) > 40

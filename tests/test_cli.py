@@ -153,12 +153,14 @@ def test_grow_config_sets_growth_keys_only(tmp_path, capsys):
     assert code == 0, err
     edges = [l for l in out_file.read_text().splitlines() if l.startswith("s 1 ")]
     assert edges and all(l.endswith(" len2=2") for l in edges)
-    cfg.write_text("chains = 3\n")
-    code, out, err = run_cli(capsys, "grow", "--input", str(f), "--seed", "1",
-                             "--config", str(cfg))
-    assert code == 2
-    assert out == ""
-    assert err == "error: line 1: unknown key 'chains'\n"
+    # sampler and action keys are not read by grow, so they are not accepted
+    for text, key in (("chains = 3\n", "chains"), ("G = 5\nh.1 = 100\n", "G")):
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "grow", "--input", str(f), "--seed", "1",
+                                 "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: line 1: unknown key '{key}'\n"
 
 
 # every user-facing key, spelled out so that renaming a config field cannot

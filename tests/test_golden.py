@@ -57,6 +57,9 @@ CASES = {
     # the coupling V keeps the state on the 2D grid
     "twofield_coupled": ["twofield", "--lambda", "0.5", "--v-depth", "0.8", "--grid", "32",
                          "--steps", "200", "--dt", "0.002", "--stride", "20"],
+    # without V the product state evolves and is recorded as its two factors
+    "twofield_uncoupled": ["twofield", "--lambda", "0.5", "--grid", "32",
+                           "--steps", "200", "--dt", "0.002", "--stride", "20"],
 }
 
 

@@ -12,6 +12,8 @@ from formalchain.twofield import (
     TwoFieldState,
     _com_density,
     _erase_raw,
+    _factor_measures,
+    _grid_measures,
     alpha_erase,
     com_density,
     erase_twice,
@@ -44,16 +46,22 @@ def test_zero_steps_identity():
     assert np.array_equal(traj.final.factors, st.factors)
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.5])
-def test_factored_evolution_matches_2d(lam):
+@pytest.mark.parametrize("lam, steps", [
+    pytest.param(0.0, 300, id="0.0"),
+    pytest.param(0.5, 300, id="0.5"),
+    # the last record falls between strides
+    pytest.param(0.5, 310, id="0.5-steps310"),
+])
+def test_factored_evolution_matches_2d(lam, steps):
     # unequal factors: the records are symmetric under x1 <-> x2, so only the
     # final wavefunction tells swapped factors apart
-    p = small_params(lam=lam, steps=300, sample_stride=50)
+    p = small_params(lam=lam, steps=steps, sample_stride=50)
     a, b = gaussian_packet(p, 1.0), gaussian_packet(p, -0.5)
     factored = evolve(product_state(p, a, b), p)
     grid = evolve(TwoFieldState(np.outer(a, b), p), p)
     assert factored.final.factors is not None and grid.final.factors is None
     assert factored.times == grid.times
+    assert len(grid.times) == steps // 50 + 1 + (steps % 50 > 0)
     for name in ("joint_norms", "erased_norms", "com_means"):
         assert np.allclose(getattr(factored, name), getattr(grid, name), rtol=0, atol=1e-12), name
     assert np.allclose(factored.final.psi, grid.final.psi, rtol=0, atol=1e-12)
@@ -89,6 +97,19 @@ def test_anti_diagonal_sums_match_loops(n):
     assert np.array_equal(_com_density(psi, dx), reference_com_density(psi, dx))
     zero = np.zeros((n, n), complex)
     assert np.array_equal(_com_density(zero, dx), reference_com_density(zero, dx))
+    # a product state's records from its factors: the convolution erase, the
+    # norm and the marginal mean; unequal, non-symmetric factors, so a wrong
+    # 2m mod n index or a swapped factor fails
+    a = rng.normal(size=n) + 1j * rng.normal(size=n)
+    b = rng.normal(size=n) * np.exp(0.3j * np.arange(n)) + 0.5
+    x = -8.0 + dx * np.arange(n)
+    norm_f, raw_f, mean_f = _factor_measures(np.array([a, b]), x, dx)
+    norm_g, raw_g, mean_g = _grid_measures(np.outer(a, b), x, dx)
+    ref = reference_erase_raw(np.outer(a, b), dx)
+    assert np.allclose(raw_f, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    assert np.array_equal(raw_g, ref)
+    assert norm_f == pytest.approx(norm_g, rel=1e-13)
+    assert mean_f == pytest.approx(mean_g, rel=1e-12, abs=1e-13)
 
 
 def test_joint_norm_conserved():
