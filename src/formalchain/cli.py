@@ -199,6 +199,8 @@ def _kets_from_json(data: dict):
     A missing or malformed entry raises :class:`ConfigError` naming the ket
     index and the key.
     """
+    if not isinstance(data, dict):
+        raise ConfigError(f"ket file must hold a JSON object, got {data!r}")
     if "mock" in data:
         gluer = MockEquivalence.from_json(json.dumps(data["mock"]))
 
@@ -208,6 +210,8 @@ def _kets_from_json(data: dict):
         bd = data.get("boundary")
         if bd is None:
             raise ConfigError("ket file needs a 'boundary' or 'mock' object")
+        if not isinstance(bd, dict):
+            raise ConfigError(f"'boundary' must be an object, got {bd!r}")
         if bd.get("dimension") == 0:
             gluer = MatchingGluer(BoundarySpec(0, points=tuple(bd.get("points", ()))))
 
@@ -248,6 +252,8 @@ def _kets_from_json(data: dict):
 def cmd_series(args) -> int:
     if args.gmax < 0:
         raise ConfigError("--gmax must be nonnegative")
+    if args.exact_upto < 0:
+        raise ConfigError("--exact-upto must be nonnegative")
     exact_up = min(args.exact_upto, args.gmax)
     exact = l2_handle_series(lambda n: Fraction(1, n + 1), exact_up)
     full = l2_handle_series(lambda n: 1.0 / (n + 1), args.gmax)
@@ -401,6 +407,8 @@ def cmd_twofield(args) -> int:
 def cmd_positivity(args) -> int:
     if args.points % 2 or args.points < 2:
         raise ConfigError("--points must be even and at least 2")
+    if args.families < 1:
+        raise ConfigError("--families must be at least 1")
     if args.kets_per_family < 1:
         raise ConfigError("--kets-per-family must be at least 1")
     if args.max_free_circles < 0:

@@ -35,7 +35,7 @@ from .topo import (
     iso_key,
     torus_triangulation,
 )
-from .topo.complexes import edge_faces
+from .topo.complexes import directed_walks, edge_faces
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ class Cobordism:
 
 
 def _oriented_curve(t: Triangulation, edge_ids: Sequence[int]) -> Triangulation:
-    """1-manifold on the given edges of t, reoriented into directed cycles."""
+    """Closed 1-manifold on the given edges of t, reoriented into directed cycles."""
     adj: Dict[int, List[Tuple[int, int]]] = {}
     for e in edge_ids:
         a, b = t.edges[e]
@@ -122,9 +122,8 @@ def _oriented_curve(t: Triangulation, edge_ids: Sequence[int]) -> Triangulation:
     len2 = {}
     remaining = set(edge_ids)
     while remaining:
-        e0 = min(remaining)
-        a0, b0 = t.edges[e0]
-        v, e = a0, e0
+        e = min(remaining)
+        v = t.edges[e][0]
         while True:
             x, y = t.edges[e]
             nxt = y if x == v else x
@@ -136,13 +135,8 @@ def _oriented_curve(t: Triangulation, edge_ids: Sequence[int]) -> Triangulation:
                 break
             v, e = nxt, cont[0][0]
     verts = {v: 1 for e in edge_ids for v in t.edges[e]}
-    # boundary marks only if the curve is open (it is closed for layer growth)
-    deg: Dict[int, int] = {}
-    for a, b in edges.values():
-        deg[a] = deg.get(a, 0) + 1
-        deg[b] = deg.get(b, 0) + 1
-    marks = {v: LOWER for v, d in deg.items() if d == 1}
-    return Triangulation(1, verts, edges, len2, {}, marks)
+    # unmarked, so the constructor rejects an open curve
+    return Triangulation(1, verts, edges, len2, {}, {})
 
 
 def grow_layer(
@@ -225,16 +219,16 @@ def _grow_circle_layer(y: Triangulation, cfg: GrowthConfig, rng, extra_tori: int
     faces: Dict[int, Tuple[Tuple[int, int, int], Tuple[int, int, int]]] = {}
 
     next_id = off_v + 2 * (y.max_id() + 1)
-    for cycle in _directed_cycles(y):
+    for _, cycle in directed_walks(y.edges):  # y is closed: every walk is a cycle
         n = len(cycle)
         if cfg.layer == "partial" and rng is not None:
             chosen = _partial_subset(n, rng)
         else:
             chosen = [True] * n
         ups: Dict[int, int] = {}
-        for k, (e, a, b) in enumerate(cycle):
+        for k, e in enumerate(cycle):
             if chosen[k]:
-                for v in (a, b):
+                for v in y.edges[e]:
                     if v not in ups:
                         ups[v] = off_v + v
                         vs[off_v + v] = 1
@@ -245,9 +239,10 @@ def _grow_circle_layer(y: Triangulation, cfg: GrowthConfig, rng, extra_tori: int
             edges[g] = (v, ups[v])
             len2[g] = tl2
             verticals[v] = g
-        for k, (e, a, b) in enumerate(cycle):
+        for k, e in enumerate(cycle):
             if not chosen[k]:
                 continue
+            a, b = y.edges[e]
             ua, ub = ups[a], ups[b]
             f_top, d_diag = next_id, next_id + 1
             t1, t2 = next_id + 2, next_id + 3
@@ -271,31 +266,6 @@ def _grow_circle_layer(y: Triangulation, cfg: GrowthConfig, rng, extra_tori: int
     for _ in range(extra_tori):
         out = out.disjoint_union(_extra_torus(cfg))
     return Cobordism(out, y.euler_characteristic(), lower_key)
-
-
-def _directed_cycles(y: Triangulation) -> List[List[Tuple[int, int, int]]]:
-    succ = {}
-    for e, (a, b) in y.edges.items():
-        succ[a] = (e, a, b)
-    cycles = []
-    seen = set()
-    for e0 in sorted(y.edges):
-        if e0 in seen:
-            continue
-        a0 = y.edges[e0][0]
-        cyc = []
-        v = a0
-        while True:
-            e, a, b = succ[v]
-            if e in seen:
-                break
-            seen.add(e)
-            cyc.append((e, a, b))
-            v = b
-            if v == a0:
-                break
-        cycles.append(cyc)
-    return cycles
 
 
 def _partial_subset(n: int, rng) -> List[bool]:

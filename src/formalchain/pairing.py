@@ -87,26 +87,13 @@ class MatchingGluer(Gluer):
 def glue_1d(a: Bounded1Ket, b: Bounded1Ket) -> Closed1Class:
     """Circles of the union of two matchings on the same labels, plus free ones.
 
-    Mirroring a matching of unoriented labeled arcs is the identity, so the
-    cycle structure of ``matching(a) union matching(b)`` is what counts.
+    Mirroring a matching of unoriented labeled arcs is the identity, and every
+    label lies on one arc of each matching, so each component of
+    ``matching(a) union matching(b)`` is one circle.
     """
     if a.labels != b.labels:
         raise BoundaryError("kets do not share boundary labels")
-    nxt_a = {x: y for x, y in a.matching} | {y: x for x, y in a.matching}
-    nxt_b = {x: y for x, y in b.matching} | {y: x for x, y in b.matching}
-    todo = set(a.labels)
-    cycles = 0
-    while todo:
-        start = min(todo)
-        cycles += 1
-        x = start
-        while True:
-            todo.discard(x)
-            y = nxt_a[x]
-            todo.discard(y)
-            x = nxt_b[y]
-            if x == start:
-                break
+    cycles = len(connected_groups(a.labels, a.matching + b.matching))
     return Closed1Class(cycles + a.free_circles + b.free_circles)
 
 

@@ -322,6 +322,31 @@ def connected_groups(nodes: Iterable, links: Iterable[Tuple[object, object]]) ->
     return list(groups.values())
 
 
+def directed_walks(edges: Mapping[int, Tuple[int, int]]) -> List[Tuple[bool, List[int]]]:
+    """Components of a consistently oriented 1-manifold as ``(is_cycle, edge ids)``.
+
+    ``edges`` maps edge id -> (tail, head), each vertex the tail of at most
+    one edge and the head of at most one.  A walk lists its edge ids in the
+    order it runs them, each head the next tail.  Paths come first, each from
+    its source, sources in vertex order; then cycles, each from the tail of
+    its least unvisited edge id.
+    """
+    succ = {a: (e, b) for e, (a, b) in edges.items()}  # unwalked edges by tail
+
+    def walk(v: int) -> List[int]:
+        out = []
+        while v in succ:
+            e, v = succ.pop(v)
+            out.append(e)
+        return out
+
+    walks = [(False, walk(v)) for v in sorted(succ.keys() - {b for _, b in edges.values()})]
+    for e in sorted(edges):
+        if edges[e][0] in succ:
+            walks.append((True, walk(edges[e][0])))
+    return walks
+
+
 def edge_faces(faces: Mapping[int, Face]) -> Dict[int, List[int]]:
     """Each edge used by a face -> the faces with that side, in ``faces`` order."""
     out: Dict[int, List[int]] = {}

@@ -44,6 +44,9 @@ class TwoFieldParams:
     sample_stride: int = 50
 
     def __post_init__(self):
+        for name in ("lam", "v_depth", "v_width", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise StructureError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.grid_n < 16 or self.grid_n & (self.grid_n - 1):
             raise StructureError("grid size must be a power of two, at least 16")
         if self.dt <= 0 or self.steps < 0:

@@ -78,6 +78,8 @@ def test_pair_bad_file_exit_2(tmp_path, capsys):
          "ket 1: 're' must be a number"),
         (json.dumps({"mock": {"kets": ["A"]}, "kets": [{"id": "A", "re": 1.0}]}), "'glue'"),
         (json.dumps({"mock": {"kets": "A", "glue": {}}, "kets": []}), "'kets' list of names"),
+        ("[1, 2]", "ket file must hold a JSON object"),
+        (json.dumps({"boundary": 5, "kets": []}), "'boundary' must be an object"),
     ]
     f = tmp_path / "kets.json"
     for text, message in cases:
@@ -104,6 +106,14 @@ def test_series_small(capsys):
     exact_lines = [l for l in out.splitlines() if l.startswith("# exact")]
     assert "# exact g=2: 11/12" in exact_lines
     assert "# exact g=3: 5/6" in exact_lines
+
+
+@pytest.mark.parametrize("flag", ["--gmax", "--exact-upto"])
+def test_series_negative_count_exit_2(capsys, flag):
+    code, out, err = run_cli(capsys, "series", "--gmax", "5", flag, "-1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be nonnegative\n"
 
 
 def test_series_gmax_zero(capsys):
@@ -424,6 +434,7 @@ def test_positivity_warns_when_families_hold_every_ket(capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--points", "3"),
+    ("--families", "-2"),
     ("--max-free-circles", "-1"),
     ("--kets-per-family", "0"),
     ("--kets-per-family", "-3"),

@@ -86,18 +86,33 @@ def test_golden_output(name, tmp_path, monkeypatch, capsys):
         assert trace is None
 
 
-def test_sample_stdout_independent_of_hash_seed(tmp_path):
+def _stdouts_under_hash_seeds(argv, cwd):
+    """Stdout of one CLI run in a fresh process per ``PYTHONHASHSEED``."""
     src = Path(__file__).resolve().parent.parent / "src"
     outs = []
     for hash_seed in ("0", "12345"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
         proc = subprocess.run(
-            [sys.executable, "-m", "formalchain"] + CASES["sample_mock_s0"],
-            cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+            [sys.executable, "-m", "formalchain"] + argv,
+            cwd=cwd, env=env, capture_output=True, text=True, check=True,
         )
         outs.append(proc.stdout)
+    return outs
+
+
+def test_sample_stdout_independent_of_hash_seed(tmp_path):
+    outs = _stdouts_under_hash_seeds(CASES["sample_mock_s0"], tmp_path)
     assert outs[0] == outs[1]
     assert outs[0] == (DATA / "sample_mock_s0.json").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["positivity", "--seed", "3", "--points", "6", "--families", "4"],
+    ["pair", "--example", "freedman-3.1"],
+], ids=["positivity", "pair"])
+def test_stdout_independent_of_hash_seed(argv, tmp_path):
+    outs = _stdouts_under_hash_seeds(argv, tmp_path)
+    assert outs[0] == outs[1]
 
 
 if __name__ == "__main__":

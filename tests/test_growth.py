@@ -33,6 +33,7 @@ from formalchain.topo import (
     point_set,
     remove_faces,
     sphere_triangulation,
+    surface_from_faces,
 )
 
 
@@ -233,6 +234,15 @@ def test_partial_layer_chi_and_upper_slice():
         if len(x.space.faces) < 16:
             found_partial = True
     assert found_partial, "random partial layers never skipped an edge"
+
+
+def test_open_upper_slice_is_rejected():
+    # one triangle over its lower side: the two upper sides form an open path
+    tri = surface_from_faces(
+        [(0, 1, 2)], boundary_by_pair={(0, 1): LOWER, (1, 2): UPPER, (2, 0): UPPER}
+    )
+    with pytest.raises(StructureError, match="boundary marks"):
+        Cobordism(tri, 1).upper_slice()
 
 
 def test_partial_layer_double_is_singular():

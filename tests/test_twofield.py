@@ -210,6 +210,10 @@ def test_params_validation():
         TwoFieldParams(grid_n=8)
     with pytest.raises(StructureError):
         TwoFieldParams(dt=-1.0)
+    for name in ("lam", "v_depth", "v_width", "dt"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(StructureError, match=f"{name} must be finite"):
+                TwoFieldParams(**{name: bad})
 
 
 def test_erase_zero_state_raises():
