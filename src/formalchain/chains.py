@@ -11,15 +11,21 @@ which cancellation becomes possible for purely topological reasons, and its
 sites are labeled dimension 4.
 
 Termination means the latest Euclidean site collects to the zero
-superposition; a terminated chain is frozen and contributes nothing further
-to the action.
+superposition; a terminated chain is frozen, draws no proposal and
+contributes nothing further to the action.
+
+Each sampler step that draws a proposal ends in one of four outcomes:
+``accepted``; ``not_applicable`` (the proposal returned ``None``);
+``metropolis_reject`` (including the infinite action of a singular site);
+``error:<Class>`` (the proposal raised that ``FormalChainError``).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -76,16 +82,15 @@ class FormalChain:
     sites: Tuple[ChainSite, ...] = ()
     links: Tuple[str, ...] = ()
     steps: Tuple[FluctuationStep, ...] = ()
-    terminated_dim: Optional[int] = None
     doubles: Dict[tuple, object] = field(default_factory=dict, compare=False, repr=False)
 
-    @staticmethod
-    def start() -> "FormalChain":
-        return FormalChain()
+    @property
+    def terminated_dim(self) -> Optional[int]:
+        return detect_termination(self)[1]
 
     @property
     def terminated(self) -> bool:
-        return self.terminated_dim is not None
+        return detect_termination(self)[0]
 
     def frontier(self) -> Optional[ChainSite]:
         return self.sites[-1] if self.sites else None
@@ -99,14 +104,11 @@ class FormalChain:
             self.sites + tuple(new_sites),
             self.links + tuple(new_links),
             self.steps + tuple(new_steps),
-            self.terminated_dim,
             self.doubles,
         )
 
     def with_last_pair_replaced(self, x: ChainSite, y: ChainSite) -> "FormalChain":
-        return FormalChain(
-            self.sites[:-2] + (x, y), self.links, self.steps, self.terminated_dim, self.doubles
-        )
+        return FormalChain(self.sites[:-2] + (x, y), self.links, self.steps, self.doubles)
 
 
 def detect_termination(chain: FormalChain) -> Tuple[bool, Optional[int]]:
@@ -351,13 +353,21 @@ PROPOSALS = {
 }
 
 
+ACCEPTED = "accepted"
+NOT_APPLICABLE = "not_applicable"
+METROPOLIS_REJECT = "metropolis_reject"
+
+
 @dataclass
 class StepInfo:
-    kind: str
-    accepted: bool
+    kind: Optional[str]  # None: the chain was terminated and drew no proposal
+    outcome: str  # ACCEPTED, NOT_APPLICABLE, METROPOLIS_REJECT or "error:<Class>"
     breakdown: ActionBreakdown  # action of the chain that step returned
     delta_s: float = 0.0
-    error: Optional[str] = None  # class name of the FormalChainError the proposal raised
+
+    @property
+    def accepted(self) -> bool:
+        return self.outcome == ACCEPTED
 
 
 def step(
@@ -376,29 +386,25 @@ def step(
     if current is None:
         current = total_action(chain, p)
     if chain.terminated:
-        return chain, StepInfo("terminated", False, current)
+        return chain, StepInfo(None, NOT_APPLICABLE, current)
     kinds = ["extend", "fluctuate", "reweight"]
     weights = [cfg.weight_extend, cfg.weight_fluctuate, cfg.weight_reweight]
     kind = rng.choices(kinds, weights=weights, k=1)[0]
     try:
         proposal = PROPOSALS[kind](chain, cfg, rng)
     except FormalChainError as exc:
-        return chain, StepInfo(kind, False, current, error=type(exc).__name__)
+        return chain, StepInfo(kind, f"error:{type(exc).__name__}", current)
     if proposal is None:
-        return chain, StepInfo(kind, False, current)
+        return chain, StepInfo(kind, NOT_APPLICABLE, current)
     try:
         new = total_action(proposal, p)
     except SingularError:
         # an infinite singular_penalty: the proposal's action is +inf
-        return chain, StepInfo(kind, False, current, math.inf)
+        return chain, StepInfo(kind, METROPOLIS_REJECT, current, math.inf)
     delta = (new.total - current.total)
     if not metropolis_accept(delta, rng, cfg.temperature):
-        return chain, StepInfo(kind, False, current, delta)
-    terminated, at_dim = detect_termination(proposal)
-    if terminated:
-        # total_action does not read terminated_dim, so ``new`` still holds
-        proposal = replace(proposal, terminated_dim=at_dim)
-    return proposal, StepInfo(kind, True, new, delta)
+        return chain, StepInfo(kind, METROPOLIS_REJECT, current, delta)
+    return proposal, StepInfo(kind, ACCEPTED, new, delta)
 
 
 @dataclass
@@ -406,19 +412,19 @@ class ChainStats:
     termination_histogram: Dict[int, int]
     unterminated: int
     mean_y_norm2: Dict[int, float]
-    acceptance: Dict[str, Tuple[int, int]]  # kind -> (accepted, proposed)
+    outcomes: Dict[str, Dict[str, int]]  # kind -> step outcome -> count, per drawn proposal
     trace: List[Tuple[int, int, float, float, float, float, int]]
     seed: int
     chains: int
     sweeps: int
-    errors: Dict[str, Dict[str, int]] = field(default_factory=dict)  # kind -> error class -> count
 
     def as_dict(self) -> dict:
         return {
             "termination_histogram": {str(k): v for k, v in sorted(self.termination_histogram.items())},
             "unterminated": self.unterminated,
             "mean_y_norm2": {str(k): v for k, v in sorted(self.mean_y_norm2.items())},
-            "acceptance": {k: {"accepted": a, "proposed": n} for k, (a, n) in sorted(self.acceptance.items())},
+            "acceptance": {k: {"accepted": by.get(ACCEPTED, 0), "proposed": sum(by.values())}
+                           for k, by in sorted(self.outcomes.items())},
             "seed": self.seed,
             "chains": self.chains,
             "sweeps": self.sweeps,
@@ -429,36 +435,30 @@ def run(cfg: SamplerConfig, p: ActionParams) -> ChainStats:
     """Sample independent chains; reproducible bit-for-bit from the seed.
 
     The chains share one ``FormalChain.doubles`` table, dropped on return.
+    A terminated chain is not stepped again.
     """
     histogram: Dict[int, int] = {}
     unterminated = 0
-    acceptance: Dict[str, List[int]] = {}
-    errors: Dict[str, Dict[str, int]] = {}
+    outcomes: Dict[str, Dict[str, int]] = defaultdict(Counter)
     trace: List[Tuple[int, int, float, float, float, float, int]] = []
     norm_acc: Dict[int, List[float]] = {}
     doubles: Dict[tuple, object] = {}
     for ci in range(cfg.chains):
         rng = random.Random(f"{cfg.seed}:{ci}")
         chain = FormalChain(doubles=doubles)
-        br = None
+        br, term_d = None, None
         for sweep in range(cfg.sweeps):
-            chain, info = step(chain, p, cfg, rng, br)
-            br = info.breakdown
-            if info.kind != "terminated":
-                acc = acceptance.setdefault(info.kind, [0, 0])
-                acc[1] += 1
-                acc[0] += int(info.accepted)
-            if info.error is not None:
-                by_class = errors.setdefault(info.kind, {})
-                by_class[info.error] = by_class.get(info.error, 0) + 1
-            term_d = chain.terminated_dim if chain.terminated else -1
-            trace.append(
-                (sweep, ci, br.total, br.curvature + br.cosmological, br.volume, br.kinetic, term_d)
-            )
-        if chain.terminated:
-            histogram[chain.terminated_dim] = histogram.get(chain.terminated_dim, 0) + 1
-        else:
+            if term_d is None:
+                chain, info = step(chain, p, cfg, rng, br)
+                br = info.breakdown
+                outcomes[info.kind][info.outcome] += 1
+                term_d = chain.terminated_dim
+            trace.append((sweep, ci, br.total, br.curvature + br.cosmological, br.volume,
+                          br.kinetic, -1 if term_d is None else term_d))
+        if term_d is None:
             unterminated += 1
+        else:
+            histogram[term_d] = histogram.get(term_d, 0) + 1
         for site in chain.euclidean_sites():
             norm_acc.setdefault(site.dim, []).append(float(site.state.norm2()))
     mean = {d: math.fsum(v) / len(v) for d, v in norm_acc.items()}
@@ -466,12 +466,11 @@ def run(cfg: SamplerConfig, p: ActionParams) -> ChainStats:
         termination_histogram=histogram,
         unterminated=unterminated,
         mean_y_norm2=mean,
-        acceptance={k: (a, n) for k, (a, n) in acceptance.items()},
+        outcomes=dict(outcomes),
         trace=trace,
         seed=cfg.seed,
         chains=cfg.chains,
         sweeps=cfg.sweeps,
-        errors=errors,
     )
 
 
@@ -526,9 +525,6 @@ def example_cancellation_chain(fluctuations: int = 2) -> FormalChain:
         if nxt is None:
             break
         chain = nxt
-    terminated, at_dim = detect_termination(chain)
-    if terminated:
-        chain = replace(chain, terminated_dim=at_dim)
     return chain
 
 

@@ -19,7 +19,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import config as cfgmod
-from .chains import detect_termination, example_cancellation_chain, run as run_chains
+from .chains import ACCEPTED, detect_termination, example_cancellation_chain, run as run_chains
 from .errors import (
     BoundaryError,
     ConfigError,
@@ -212,6 +212,9 @@ def _kets_from_json(data: dict):
             raise ConfigError("ket file needs a 'boundary' or 'mock' object")
         if not isinstance(bd, dict):
             raise ConfigError(f"'boundary' must be an object, got {bd!r}")
+        for key in ("points", "circles"):
+            if not isinstance(bd.get(key, []), list):
+                raise ConfigError(f"'boundary.{key}' must be a list, got {bd[key]!r}")
         if bd.get("dimension") == 0:
             gluer = MatchingGluer(BoundarySpec(0, points=tuple(bd.get("points", ()))))
 
@@ -323,13 +326,15 @@ def cmd_sample(args) -> int:
     params = cfgmod.action_params_from(settings)
     cfg = cfgmod.sampler_config_from(settings, args.seed)
     stats = run_chains(cfg, params)
-    proposed = sum(n for _, n in stats.acceptance.values())
-    if proposed and not any(a for a, _ in stats.acceptance.values()):
+    proposed = sum(sum(by.values()) for by in stats.outcomes.values())
+    if proposed and not any(ACCEPTED in by for by in stats.outcomes.values()):
         print(f"warning: accepted 0 of {proposed} proposals", file=sys.stderr)
-    for kind, by_class in sorted(stats.errors.items()):
-        raised, n = sum(by_class.values()), stats.acceptance[kind][1]
+    for kind, by in sorted(stats.outcomes.items()):
+        errors = [(o.partition(":")[2], count) for o, count in sorted(by.items())
+                  if o.startswith("error:")]
+        raised, n = sum(count for _, count in errors), sum(by.values())
         if raised * 10 > n:
-            classes = ", ".join(f"{name} {count}" for name, count in sorted(by_class.items()))
+            classes = ", ".join(f"{name} {count}" for name, count in errors)
             print(f"warning: {raised} of {n} {kind} proposals raised an error ({classes})",
                   file=sys.stderr)
     payload = stats.as_dict()

@@ -15,6 +15,7 @@ the torsion is always empty.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -122,34 +123,17 @@ def classify_surface(t: Triangulation) -> ClosedSurfaceClass:
 def _require_manifold_links(t: Triangulation, side_faces: Dict[int, List[int]]) -> None:
     """Every vertex link must be a single cycle (closed surface assumed).
 
-    ``side_faces`` is ``edge_faces(t.faces)``.
+    ``side_faces`` is ``edge_faces(t.faces)``.  The corners (face, vertex) at
+    a vertex are joined across each edge at it; a vertex whose corners fall
+    into more than one group has a disconnected link.
     """
-    corners: Dict[int, List[Tuple[int, int]]] = {}
-    for f, (fv, _) in t.faces.items():
-        for i, v in enumerate(fv):
-            corners.setdefault(v, []).append((f, i))
-    for v, cs in corners.items():
-        if not cs:
-            continue
-        start = cs[0]
-        seen = {start}
-        cur = start
-        for _ in range(len(cs) * 2):
-            f, i = cur
-            fv, fe = t.faces[f]
-            out_edge = fe[i]  # side v -> next corner vertex
-            # neighbor across the outgoing side of the corner
-            nbrs = [g for g in side_faces[out_edge] if g != f]
-            if not nbrs:
-                break
-            g = nbrs[0]
-            gv, _ = t.faces[g]
-            cur = (g, gv.index(v))
-            if cur == start:
-                break
-            seen.add(cur)
-        if len(seen) != len(cs):
-            raise StructureError(f"vertex {v} has a disconnected link; pinched point")
+    corners = ((f, v) for f, (fv, _) in t.faces.items() for v in fv)
+    links = (((fs[0], v), (g, v))
+             for e, fs in side_faces.items() for g in fs[1:] for v in t.edges[e])
+    groups = Counter(group[0][1] for group in connected_groups(corners, links))
+    pinched = next((v for v, n in groups.items() if n > 1), None)
+    if pinched is not None:
+        raise StructureError(f"vertex {pinched} has a disconnected link; pinched point")
 
 
 # -- homology -------------------------------------------------------------------

@@ -44,7 +44,7 @@ class TwoFieldParams:
     sample_stride: int = 50
 
     def __post_init__(self):
-        for name in ("lam", "v_depth", "v_width", "dt"):
+        for name in ("lam", "v_depth", "v_width", "dt", "grid_l"):
             if not math.isfinite(getattr(self, name)):
                 raise StructureError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.grid_n < 16 or self.grid_n & (self.grid_n - 1):
@@ -53,6 +53,8 @@ class TwoFieldParams:
             raise StructureError("need positive dt and nonnegative steps")
         if self.v_width <= 0:
             raise StructureError("potential width must be positive")
+        if self.grid_l <= 0:
+            raise StructureError(f"grid_l must be positive, got {self.grid_l!r}")
         if self.sample_stride < 1:
             raise StructureError("sample stride must be at least 1")
 

@@ -245,7 +245,7 @@ def test_acceptance_07_euler_constraint(capsys):
     grow_count = 0
     for ci in range(6):
         rng = random.Random(f"acc7:{ci}")
-        chain = FormalChain.start()
+        chain = FormalChain()
         for _ in range(120):
             chain, _ = step(chain, p, cfg, rng)
         for site, link in zip(chain.sites, chain.links):

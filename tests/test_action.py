@@ -31,6 +31,7 @@ from formalchain.superpose import Superposition, abs2
 from formalchain.topo import (
     Triangulation,
     circle,
+    classify_surface,
     flip_edge,
     genus2_triangulation,
     iso_key,
@@ -128,6 +129,16 @@ def test_singular_penalty_finite():
     assert (curv, cosm) == (123.0, 0.0)
 
 
+def test_pinched_vertex_is_singular():
+    # two tetrahedron boundaries sharing vertex 0: closed and pure, but the
+    # link of vertex 0 is two circles
+    pinched = surface_from_faces([(0, 1, 2), (0, 3, 1), (1, 3, 2), (0, 2, 3),
+                                  (0, 4, 5), (0, 6, 4), (4, 6, 5), (0, 5, 6)])
+    with pytest.raises(StructureError, match="vertex 0 has a disconnected link; pinched"):
+        classify_surface(pinched)
+    assert s_d_parts(pinched, ActionParams(singular_penalty=123.0)) == (123.0, 0.0)
+
+
 def test_singular_penalty_infinite_raises():
     p = ActionParams(singular_penalty=math.inf)
     with pytest.raises(SingularError):
@@ -170,7 +181,7 @@ def test_kinetic_examples():
 
 def test_total_action_empty_chain():
     p = ActionParams()
-    assert total_action(FormalChain.start(), p).total == 0.0
+    assert total_action(FormalChain(), p).total == 0.0
 
 
 def test_total_action_single_site_example():
@@ -319,7 +330,7 @@ def test_memoised_action_matches_reference_along_trajectories(seed, steps):
     # each chain is priced under two params in alternation, so a memo that
     # ignored the params would hand one params' shares to the other
     rng = random.Random(seed)
-    chain = FormalChain.start()
+    chain = FormalChain()
     br = None
     for _ in range(steps):
         chain, info = step(chain, SAMPLED, TRAJECTORY_CFG, rng, br)
@@ -332,7 +343,7 @@ def test_memoised_action_matches_reference_along_trajectories(seed, steps):
 def test_trajectories_replace_the_last_pair():
     # the trajectories above reach with_last_pair_replaced through reweight
     rng = random.Random(3)
-    chain = FormalChain.start()
+    chain = FormalChain()
     br = None
     replaced = 0
     for _ in range(80):

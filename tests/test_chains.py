@@ -113,7 +113,7 @@ def test_detect_termination_nonzero():
 
 
 def test_detect_termination_empty_chain():
-    assert detect_termination(FormalChain.start()) == (False, None)
+    assert detect_termination(FormalChain()) == (False, None)
 
 
 def test_detect_termination_matches_norm_threshold():
@@ -127,7 +127,7 @@ def test_detect_termination_matches_norm_threshold():
 
 def test_extend_from_empty_builds_x0_y0():
     rng = random.Random(0)
-    chain = propose_extend(FormalChain.start(), default_cfg(), rng)
+    chain = propose_extend(FormalChain(), default_cfg(), rng)
     assert chain is not None
     validate_chain(chain)
     assert [s.kind for s in chain.sites] == ["X", "Y"]
@@ -139,7 +139,7 @@ def test_extend_from_empty_builds_x0_y0():
 def test_extend_chain_through_dimensions():
     rng = random.Random(1)
     cfg = default_cfg()
-    chain = FormalChain.start()
+    chain = FormalChain()
     for _ in range(4):
         nxt = propose_extend(chain, cfg, rng)
         if nxt is None:
@@ -160,7 +160,7 @@ def test_grow_steps_respect_euler_constraint():
     rng = random.Random(2)
     cfg = default_cfg()
     p = default_params()
-    chain = FormalChain.start()
+    chain = FormalChain()
     checked = 0
     for _ in range(120):
         chain, info = step(chain, p, cfg, rng)
@@ -185,10 +185,13 @@ def test_fluctuate_moves_one_term():
 
 
 def test_fluctuate_errors_are_counted():
-    # apply_pachner's MoveError reaches ChainStats.errors, not a plain rejection
+    # apply_pachner's MoveError reaches ChainStats.outcomes, not a plain rejection
     cfg = SamplerConfig(seed=1, chains=6, sweeps=80,
                         weight_extend=0.5, weight_fluctuate=0.3, weight_reweight=0.2)
-    assert run(cfg, ActionParams(g=(0.1,) * 3)).errors == {"fluctuate": {"MoveError": 4}}
+    outcomes = run(cfg, ActionParams(g=(0.1,) * 3)).outcomes
+    errors = {(kind, o): n for kind, by in outcomes.items() for o, n in by.items()
+              if o.startswith("error:")}
+    assert errors == {("fluctuate", "error:MoveError"): 4}
 
 
 def test_reweight_requires_fresh_double():
@@ -233,7 +236,7 @@ def test_sampler_chains_validate():
     rng = random.Random(6)
     cfg = default_cfg()
     p = default_params()
-    chain = FormalChain.start()
+    chain = FormalChain()
     for _ in range(80):
         chain, _ = step(chain, p, cfg, rng)
         validate_chain(chain)
@@ -243,7 +246,7 @@ def test_mock_chain_cancellation():
     # drive a chain to the mock stage and flip the sign: Y collects to zero
     rng = random.Random(7)
     cfg = default_cfg()
-    chain = FormalChain.start()
+    chain = FormalChain()
     for _ in range(6):
         nxt = propose_extend(chain, cfg, rng)
         if nxt is None:
@@ -337,8 +340,26 @@ def test_stats_histogram_consistency():
     stats = run(cfg, default_params())
     total = sum(stats.termination_histogram.values()) + stats.unterminated
     assert total == cfg.chains
-    for kind, (acc, prop) in stats.acceptance.items():
-        assert 0 <= acc <= prop
+    plain = {"accepted", "not_applicable", "metropolis_reject"}
+    for by in stats.outcomes.values():
+        assert all(o in plain or o.startswith("error:") for o in by)
+        assert all(n > 0 for n in by.values())
+    # a chain draws one proposal per sweep until the sweep after it terminates
+    rows = stats.trace
+    live = sum(1 for prev, row in zip([None] + rows, rows) if row[0] == 0 or prev[6] < 0)
+    assert sum(n for by in stats.outcomes.values() for n in by.values()) == live
+
+
+def test_terminated_chain_draws_no_proposal():
+    chain = example_cancellation_chain()
+    assert chain.terminated and chain.terminated_dim == 1
+    rng = random.Random(0)
+    state = rng.getstate()
+    br = total_action(chain, default_params())
+    out, info = step(chain, default_params(), default_cfg(), rng, br)
+    assert out is chain and rng.getstate() == state
+    assert (info.kind, info.outcome, info.accepted, info.breakdown) == \
+        (None, "not_applicable", False, br)
 
 
 def test_infinite_singular_penalty_rejects_singular_proposals():
@@ -356,7 +377,7 @@ def test_infinite_singular_penalty_rejects_singular_proposals():
     singular = 0
     for ci in range(cfg.chains):
         rng = random.Random(f"{cfg.seed}:{ci}")
-        chain, br = FormalChain.start(), None
+        chain, br = FormalChain(), None
         for _ in range(cfg.sweeps):
             chain, info = step(chain, p, cfg, rng, br)
             br = info.breakdown
@@ -372,7 +393,7 @@ def test_infinite_singular_penalty_rejects_singular_proposals():
 
 def _point_chain():
     """X and Y sites of dimension 0 over one point: the frontier of every test below."""
-    return propose_extend(FormalChain.start(), default_cfg(), random.Random(0))
+    return propose_extend(FormalChain(), default_cfg(), random.Random(0))
 
 
 def _grow_exactly(monkeypatch, terms):
@@ -466,7 +487,7 @@ def test_double_table_hit_equals_a_table_free_layer(monkeypatch):
     cfg = default_cfg(seed=7)
     p = default_params()
     rng = random.Random(7)
-    chain, br = FormalChain.start(), None
+    chain, br = FormalChain(), None
     hits = {propose_extend: 0, propose_reweight: 0}
     for _ in range(200):
         state = rng.getstate()
@@ -520,7 +541,7 @@ def test_chains_of_one_run_share_their_doubles(monkeypatch):
     for ci in range(cfg.chains):
         calls.clear()
         rng = random.Random(f"{cfg.seed}:{ci}")
-        chain, br = FormalChain.start(), None
+        chain, br = FormalChain(), None
         for _ in range(cfg.sweeps):
             chain, info = step(chain, p, cfg, rng, br)
             br = info.breakdown

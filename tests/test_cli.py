@@ -80,6 +80,10 @@ def test_pair_bad_file_exit_2(tmp_path, capsys):
         (json.dumps({"mock": {"kets": "A", "glue": {}}, "kets": []}), "'kets' list of names"),
         ("[1, 2]", "ket file must hold a JSON object"),
         (json.dumps({"boundary": 5, "kets": []}), "'boundary' must be an object"),
+        (json.dumps({"boundary": {"dimension": 0, "points": 5}, "kets": []}),
+         "'boundary.points' must be a list"),
+        (json.dumps({"boundary": {"dimension": 1, "circles": 5}, "kets": []}),
+         "'boundary.circles' must be a list"),
     ]
     f = tmp_path / "kets.json"
     for text, message in cases:

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from formalchain.cli import main
+from formalchain.topo import circle, point_set, to_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -106,11 +107,24 @@ def test_sample_stdout_independent_of_hash_seed(tmp_path):
     assert outs[0] == (DATA / "sample_mock_s0.json").read_text()
 
 
+# slices for ``grow``, written into the run directory under these names
+GROW_INPUTS = {"circle3.txt": circle(3), "points22.txt": point_set(2, 2)}
+
+
 @pytest.mark.parametrize("argv", [
     ["positivity", "--seed", "3", "--points", "6", "--families", "4"],
     ["pair", "--example", "freedman-3.1"],
-], ids=["positivity", "pair"])
+    ["series", "--gmax", "6"],
+    ["grow", "--seed", "3", "--input", "circle3.txt"],
+    ["grow", "--seed", "3", "--input", "points22.txt"],
+    ["gap", "--graph", "sphere:40"],
+    ["gap", "--graph", "circles:1:6"],
+    ["twofield", "--steps", "50", "--grid", "32", "--stride", "10"],
+], ids=["positivity", "pair", "series", "grow_circle", "grow_points", "gap_sphere",
+        "gap_circles", "twofield"])
 def test_stdout_independent_of_hash_seed(argv, tmp_path):
+    for name, space in GROW_INPUTS.items():
+        (tmp_path / name).write_text(to_text(space))
     outs = _stdouts_under_hash_seeds(argv, tmp_path)
     assert outs[0] == outs[1]
 

@@ -6,6 +6,7 @@ would silently zero the benchmark's per-layer counts; this test fails instead.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 from formalchain import cli
@@ -35,10 +36,16 @@ def test_trace_hooks_see_every_sampler_layer(capsys):
     t = tracing.Tracer()
     with tracing.traced(t):
         assert cli.main(argv) == 0
-    capsys.readouterr()
+    acceptance = json.loads(capsys.readouterr().out)["acceptance"]
     totals = t.layer_totals()
     for name in ("topo.iso_key", "growth.double_cross", "growth.grow_superposed",
                  "action.total_action", "topo.moves_for", "topo.apply_pachner",
                  "chains.propose_extend"):
         assert totals.get(name, (0, 0.0))[0] >= 1, name
     assert t.counts["action.s_d_parts.calls"] >= 1
+    # the tracer counts steps by ``StepInfo.kind`` and ``StepInfo.accepted``;
+    # its counts must be the run's own
+    traced = {kind: {stat: t.counts[f"chains.accept.{kind}.{stat}"]
+                     for stat in ("accepted", "proposed")}
+              for kind in tracing.KINDS if t.counts[f"chains.accept.{kind}.proposed"]}
+    assert traced == acceptance

@@ -210,10 +210,13 @@ def test_params_validation():
         TwoFieldParams(grid_n=8)
     with pytest.raises(StructureError):
         TwoFieldParams(dt=-1.0)
-    for name in ("lam", "v_depth", "v_width", "dt"):
+    for name in ("lam", "v_depth", "v_width", "dt", "grid_l"):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(StructureError, match=f"{name} must be finite"):
                 TwoFieldParams(**{name: bad})
+    for bad in (0.0, -0.0, -8.0):
+        with pytest.raises(StructureError, match="grid_l must be positive"):
+            TwoFieldParams(grid_l=bad)
 
 
 def test_erase_zero_state_raises():
