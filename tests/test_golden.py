@@ -1,15 +1,18 @@
 """Golden outputs: CLI stdout and trace CSVs compared byte for byte.
 
 The fixtures in ``tests/data`` pin the exact output of a few small runs, so a
-refactor that claims unchanged behaviour can prove it.  ``sample`` and
-``pair`` print JSON (``<case>.json``), and a ``sample`` trace goes to
-``<case>.csv``; ``twofield`` prints CSV (``<case>.csv``).  Regenerate them
-only together with a stated behaviour change:
+refactor that claims unchanged behaviour can prove it.  ``sample``, ``pair``,
+``grow``, ``gap`` and ``positivity`` print JSON (``<case>.json``), and a
+``sample`` trace goes to ``<case>.csv``; ``twofield`` and ``series`` print
+CSV (``<case>.csv``).  Regenerate them only together with a stated behaviour
+change:
 
     PYTHONPATH=src python tests/test_golden.py
 
 Runs use a relative ``--trace`` name in a scratch directory, because the trace
-path is echoed in the JSON.
+path is echoed in the JSON.  The ``grow`` inputs are written into the run
+directory first, so regeneration leaves them in ``tests/data`` next to the
+outputs they produce.
 """
 
 import os
@@ -23,6 +26,11 @@ from formalchain.cli import main
 from formalchain.topo import circle, point_set, to_text
 
 DATA = Path(__file__).parent / "data"
+
+# slices for ``grow``, written into the run directory under these names
+GROW_INPUTS = {"circle3.txt": circle(3), "points22.txt": point_set(2, 2)}
+# commands whose stdout is CSV rather than JSON
+CSV_COMMANDS = ("twofield", "series")
 
 # Acceptance-9 couplings; the free and the stiff run differ only in h.1.
 MIXED = [
@@ -61,11 +69,27 @@ CASES = {
     # without V the product state evolves and is recorded as its two factors
     "twofield_uncoupled": ["twofield", "--lambda", "0.5", "--grid", "32",
                            "--steps", "200", "--dt", "0.002", "--stride", "20"],
+    "positivity_p6": ["positivity", "--seed", "3", "--points", "6", "--families", "4"],
+    # three distinct kets exist, so every family is short of --kets-per-family
+    "positivity_p4_short": ["positivity", "--seed", "5", "--points", "4", "--families", "5",
+                            "--kets-per-family", "5"],
+    "positivity_free": ["positivity", "--seed", "7", "--points", "6", "--families", "3",
+                        "--max-free-circles", "2"],
+    "series": ["series", "--gmax", "6"],
+    "grow_circle": ["grow", "--seed", "3", "--input", "circle3.txt"],
+    "grow_points": ["grow", "--seed", "3", "--input", "points22.txt"],
+    "gap_sphere": ["gap", "--graph", "sphere:40"],
+    "gap_circles": ["gap", "--graph", "circles:1:6"],
 }
 
 
+def _write_grow_inputs(directory):
+    for name, space in GROW_INPUTS.items():
+        (Path(directory) / name).write_text(to_text(space))
+
+
 def _stdout_file(name):
-    return DATA / (f"{name}.csv" if CASES[name][0] == "twofield" else f"{name}.json")
+    return DATA / (f"{name}.csv" if CASES[name][0] in CSV_COMMANDS else f"{name}.json")
 
 
 def _run(name, capsys):
@@ -79,6 +103,7 @@ def _run(name, capsys):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    _write_grow_inputs(tmp_path)
     out, trace = _run(name, capsys)
     assert out == _stdout_file(name).read_text()
     if "--trace" in CASES[name]:
@@ -107,10 +132,6 @@ def test_sample_stdout_independent_of_hash_seed(tmp_path):
     assert outs[0] == (DATA / "sample_mock_s0.json").read_text()
 
 
-# slices for ``grow``, written into the run directory under these names
-GROW_INPUTS = {"circle3.txt": circle(3), "points22.txt": point_set(2, 2)}
-
-
 @pytest.mark.parametrize("argv", [
     ["positivity", "--seed", "3", "--points", "6", "--families", "4"],
     ["pair", "--example", "freedman-3.1"],
@@ -123,8 +144,7 @@ GROW_INPUTS = {"circle3.txt": circle(3), "points22.txt": point_set(2, 2)}
 ], ids=["positivity", "pair", "series", "grow_circle", "grow_points", "gap_sphere",
         "gap_circles", "twofield"])
 def test_stdout_independent_of_hash_seed(argv, tmp_path):
-    for name, space in GROW_INPUTS.items():
-        (tmp_path / name).write_text(to_text(space))
+    _write_grow_inputs(tmp_path)
     outs = _stdouts_under_hash_seeds(argv, tmp_path)
     assert outs[0] == outs[1]
 
@@ -135,6 +155,7 @@ if __name__ == "__main__":
 
     DATA.mkdir(exist_ok=True)
     os.chdir(DATA)
+    _write_grow_inputs(DATA)
     for case, argv in CASES.items():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
