@@ -213,8 +213,12 @@ def _kets_from_json(data: dict):
         if not isinstance(bd, dict):
             raise ConfigError(f"'boundary' must be an object, got {bd!r}")
         for key in ("points", "circles"):
-            if not isinstance(bd.get(key, []), list):
-                raise ConfigError(f"'boundary.{key}' must be a list, got {bd[key]!r}")
+            labels = bd.get(key, [])
+            if not isinstance(labels, list):
+                raise ConfigError(f"'boundary.{key}' must be a list, got {labels!r}")
+            for i, label in enumerate(labels):
+                if isinstance(label, (list, dict)):
+                    raise ConfigError(f"'boundary.{key}' entry {i} must be a label, got {label!r}")
         if bd.get("dimension") == 0:
             gluer = MatchingGluer(BoundarySpec(0, points=tuple(bd.get("points", ()))))
 
@@ -428,16 +432,14 @@ def cmd_positivity(args) -> int:
     all_matchings = _perfect_matchings(labels)
     violations = cauchy_schwarz_check(all_matchings, gluer, order_circle_count)
     rng = random.Random(f"{args.seed}:positivity")
-    residuals = []
-    short_sizes = set()
-    for fam_i in range(args.families):
-        fam = _random_family(all_matchings, args.kets_per_family, rng, args.max_free_circles)
-        if len(fam) < args.kets_per_family:
-            short_sizes.add(len(fam))
-        res = lightlike_search(
-            fam, gluer, trials=args.trials, steps=args.steps, seed=args.seed + fam_i
-        )
-        residuals.append(res.min_residual)
+    families = [
+        _random_family(all_matchings, args.kets_per_family, rng, args.max_free_circles)
+        for _ in range(args.families)
+    ]
+    # family i searches from seed + i
+    results = lightlike_search(families, gluer, trials=args.trials, steps=args.steps, seed=args.seed)
+    residuals = [res.min_residual for res in results]
+    short_sizes = {len(fam) for fam in families if len(fam) < args.kets_per_family}
     if short_sizes:
         distinct = (args.max_free_circles + 1) * len(all_matchings)
         print(
@@ -446,8 +448,8 @@ def cmd_positivity(args) -> int:
             file=sys.stderr,
         )
     mock = MockEquivalence.all_equal(["A", "B"], "all-glued")
-    mock_res = lightlike_search(
-        ["A", "B"], mock, trials=max(4, args.trials // 4), steps=args.steps, seed=args.seed
+    [mock_res] = lightlike_search(
+        [["A", "B"]], mock, trials=max(4, args.trials // 4), steps=args.steps, seed=args.seed
     )
     amps = {k: complex(a) for k, a in mock_res.argmin.items()}
     ratio = amps.get("B", 0j) / amps.get("A", 1j) if amps.get("A") else 0j
@@ -459,7 +461,7 @@ def cmd_positivity(args) -> int:
         },
         "order_violations": len(violations),
         "min_residuals": residuals,
-        "min_residual_floor": min(residuals) if residuals else None,
+        "min_residual_floor": min(residuals),
         "mock_null_residual": mock_res.min_residual,
         "mock_argmin_ratio_re": ratio.real,
         "mock_argmin_ratio_im": ratio.imag,

@@ -247,107 +247,167 @@ class SearchResult:
     argmin: Superposition
 
 
-def _residual_and_grad(flat_mats: np.ndarray, V: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Residuals ``sum_k q_k^2`` and their gradients for every row of ``V``.
+def _key_matrices(kets: Sequence, gluer: Gluer) -> np.ndarray:
+    """``(K, n, n)`` 0/1 matrices, one per closed class of ``glue(kets[i], kets[j])``.
 
-    ``flat_mats`` is the ``(K, n*n)`` stack of real key matrices ``M_k`` and
-    ``V`` a ``(T, n)`` complex batch; ``q[t, k] = Re(v_t^H M_k v_t)`` and the
-    gradient of row t is ``2 sum_k q[t, k] M_k v_t``.
+    Classes are numbered in the order they first appear over ``(i, j)`` in
+    row-major order, which fixes the summation order over keys.
     """
-    T, n = V.shape
-    outer = (V.conj()[:, :, None] * V[:, None, :]).reshape(T, n * n)
-    q = outer.real @ flat_mats.T
-    grad = 2.0 * np.einsum("tij,tj->ti", (q @ flat_mats).reshape(T, n, n), V)
-    return np.sum(q * q, axis=1), grad
+    n = len(kets)
+    key_index: Dict[object, int] = {}
+    cells = []
+    for i, j in itertools.product(range(n), repeat=2):
+        k = gluer.glue(kets[i], kets[j])
+        cells.append((key_index.setdefault(k, len(key_index)), i, j))
+    mats = np.zeros((len(key_index), n, n))
+    for k, i, j in cells:
+        mats[k, i, j] = 1.0
+    return mats
+
+
+def _quadratic_forms(flat_mats: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``q[..., t, k] = Re(v_t^H M_k v_t)`` for every row of ``V``.
+
+    ``flat_mats`` is a ``(..., K, n*n)`` stack of real key matrices ``M_k``
+    and ``V`` a ``(..., T, n)`` complex batch with the same leading shape.
+    """
+    n = V.shape[-1]
+    outer = (V.conj()[..., :, None] * V[..., None, :]).reshape(V.shape[:-1] + (n * n,))
+    return outer.real @ np.swapaxes(flat_mats, -1, -2)
+
+
+def _residual(flat_mats: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Residuals ``sum_k q_k^2`` of every row of ``V``."""
+    q = _quadratic_forms(flat_mats, V)
+    return np.sum(q * q, axis=-1)
+
+
+def _gradient(flat_mats: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Gradient ``2 sum_k q_k M_k v_t`` of the residual of every row of ``V``."""
+    n = V.shape[-1]
+    weighted = (_quadratic_forms(flat_mats, V) @ flat_mats).reshape(V.shape + (n,))
+    return 2.0 * np.einsum("...tij,...tj->...ti", weighted, V)
+
+
+def _descend(mats: np.ndarray, rngs: Sequence[Sequence[np.random.Generator]],
+             steps: int, step_size: float) -> np.ndarray:
+    """Projected gradient descent of every restart of every family in lockstep.
+
+    ``mats`` is the ``(F, K, n, n)`` stack of the families' key matrices and
+    ``rngs[f][t]`` the generator of restart t of family f; the result is the
+    ``(F, T, n)`` array of unit vectors after ``steps`` steps.
+    """
+    n = mats.shape[-1]
+    flat_mats = mats.reshape(mats.shape[:2] + (n * n,))
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+    V = np.array([[draw(rng) for rng in fam] for fam in rngs])
+    V /= np.linalg.norm(V, axis=-1, keepdims=True)
+    for _ in range(steps):
+        V = V - step_size * _gradient(flat_mats, V)
+        nv = np.linalg.norm(V, axis=-1)
+        if not nv.all():
+            for f, t in zip(*np.nonzero(nv == 0.0)):
+                V[f, t] = draw(rngs[f][t])
+                nv[f, t] = np.linalg.norm(V[f, t])
+        V /= nv[..., None]
+    return V
 
 
 def _polish(mats: np.ndarray, V: np.ndarray) -> np.ndarray:
     """40 Gauss-Newton steps on the residual system ``q_k(v) = 0, |v|^2 = 1``, every row at once.
 
-    The quartic objective is flat near a null vector, where plain descent
-    crawls; solving the quadratic system converges quadratically.  Each step
-    is the minimum-norm least-squares solution with ``lstsq``'s default
-    cutoff.  A row that reaches norm 0 has a zero Jacobian from then on, so it
-    stays the zero vector.
+    ``mats`` is an ``(F, K, n, n)`` stack of key matrices and ``V`` the
+    ``(F, T, n)`` rows to polish.  The quartic objective is flat near a null
+    vector, where plain descent crawls; solving the quadratic system converges
+    quadratically.  Each step is the minimum-norm least-squares solution with
+    ``lstsq``'s default cutoff.  A row that reaches norm 0 has a zero Jacobian
+    from then on, so it stays the zero vector.
     """
-    n = V.shape[1]
+    n = V.shape[-1]
     for _ in range(40):
         # one row M_k v per key, then v itself for the norm constraint
-        rows = np.concatenate([np.einsum("kij,tj->tki", mats, V), V[:, None, :]], axis=1)
-        res = np.einsum("ti,tki->tk", V.conj(), rows).real
-        res[:, -1] -= 1.0
-        jac = 2.0 * np.concatenate([rows.real, rows.imag], axis=2)
+        rows = np.concatenate([np.einsum("fkij,ftj->ftki", mats, V), V[..., None, :]], axis=-2)
+        res = np.einsum("fti,ftki->ftk", V.conj(), rows).real
+        res[..., -1] -= 1.0
+        jac = 2.0 * np.concatenate([rows.real, rows.imag], axis=-1)
         u, s, wh = np.linalg.svd(jac, full_matrices=False)
-        keep = s > np.finfo(float).eps * max(jac.shape[1:]) * s[:, :1]
+        keep = s > np.finfo(float).eps * max(jac.shape[-2:]) * s[..., :1]
         inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-        delta = np.einsum("tri,tr->ti", wh, inv * np.einsum("tkr,tk->tr", u, -res))
-        V = V + delta[:, :n] + 1j * delta[:, n:]
-        nv = np.linalg.norm(V, axis=1)
-        V = np.divide(V, nv[:, None], out=V, where=nv[:, None] != 0.0)
+        delta = np.einsum("ftri,ftr->fti", wh, inv * np.einsum("ftkr,ftk->ftr", u, -res))
+        V = V + delta[..., :n] + 1j * delta[..., n:]
+        nv = np.linalg.norm(V, axis=-1)
+        V = np.divide(V, nv[..., None], out=V, where=nv[..., None] != 0.0)
     return V
 
 
 def lightlike_search(
-    kets: Sequence,
+    families: Sequence[Sequence],
     gluer: Gluer,
     trials: int = 200,
     steps: int = 500,
     seed: int = 0,
     step_size: float = 0.1,
-) -> SearchResult:
-    """Minimize ``norm2(pair(v, v))`` over unit vectors by projected descent.
+) -> List[SearchResult]:
+    """Minimize ``norm2(pair(v, v))`` over unit vectors of each family by projected descent.
 
-    The residual is a smooth quartic in the amplitudes.  All restarts advance
-    in lockstep as the rows of one array: each follows the analytic gradient
+    Returns one result per family, in input order.  The residual is a smooth
+    quartic in the amplitudes.  Every restart follows the analytic gradient
     from a random complex start, then a Gauss-Newton polish, and keeps the
-    polished vector unless the unpolished one is strictly better.  Restart t
-    draws its start (and any redraw after its vector collapses to 0) from its
-    own generator, the t-th child of ``SeedSequence(seed)``, so a restart's
-    path does not depend on the others.  The best restart is returned; ties
-    go to the lowest restart index.  Deterministic given the seed.
+    polished vector unless the unpolished one is strictly better.  The best
+    restart is returned; ties go to the lowest restart index.
+
+    Restart t of family i draws its start (and any redraw after its vector
+    collapses to 0) from its own generator, the t-th child of
+    ``SeedSequence(seed + i)``, so a family's result does not depend on the
+    other families, and a restart's path does not depend on the others.
+
+    The families that have the same ket count descend in lockstep, as one
+    ``(families, trials, kets)`` array; their key matrices are zero-padded to
+    the largest key count, which adds exact zeros to ``q`` and the gradient.
+    The polish is batched only over families with the same key count, whose
+    Jacobians have the same shape.  The Jacobian is never padded: its zero
+    rows would change the rounding of the SVD, and with it the last bits of
+    the polished vectors and residuals.  So each family's result is
+    bit-identical to a search of that family alone.
     """
-    if not kets:
-        raise StructureError("need at least one ket")
-    gluer.check(list(kets))
-    n = len(kets)
-    key_of: Dict[Tuple[int, int], object] = {}
-    keys: List[object] = []
-    key_index: Dict[object, int] = {}
-    for i, j in itertools.product(range(n), repeat=2):
-        k = gluer.glue(kets[i], kets[j])
-        key_of[(i, j)] = k
-        if k not in key_index:
-            key_index[k] = len(keys)
-            keys.append(k)
-    mats = np.zeros((len(keys), n, n))
-    for (i, j), k in key_of.items():
-        mats[key_index[k], i, j] = 1.0
-    flat_mats = mats.reshape(len(keys), n * n)
-
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(size=n) + 1j * rng.normal(size=n)
-
-    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(max(trials, 1))]
-    V = np.stack([draw(rng) for rng in rngs])
-    V /= np.linalg.norm(V, axis=1, keepdims=True)
-    for _ in range(steps):
-        _, grad = _residual_and_grad(flat_mats, V)
-        V = V - step_size * grad
-        nv = np.linalg.norm(V, axis=1)
-        if not nv.all():
-            for t in np.flatnonzero(nv == 0.0):
-                V[t] = draw(rngs[t])
-                nv[t] = np.linalg.norm(V[t])
-        V /= nv[:, None]
-    polished = _polish(mats, V)
-    r_pol, _ = _residual_and_grad(flat_mats, polished)
-    r_raw, _ = _residual_and_grad(flat_mats, V)
-    raw_wins = r_raw < r_pol
-    residuals = np.where(raw_wins, r_raw, r_pol)
-    best = int(np.argmin(residuals))
-    best_v = V[best] if raw_wins[best] else polished[best]
-    argmin = Superposition([(complex(best_v[i]), kets[i]) for i in range(n)])
-    return SearchResult(float(residuals[best]), argmin)
+    if not families:
+        raise StructureError("need at least one family")
+    mats = []
+    for kets in families:
+        if not kets:
+            raise StructureError("need at least one ket in every family")
+        gluer.check(list(kets))
+        mats.append(_key_matrices(kets, gluer))
+    by_size: Dict[int, List[int]] = {}
+    for i, kets in enumerate(families):
+        by_size.setdefault(len(kets), []).append(i)
+    results: List[SearchResult] = [None] * len(families)
+    for members in by_size.values():
+        k_max = max(len(mats[i]) for i in members)
+        padded = np.stack([np.pad(mats[i], ((0, k_max - len(mats[i])), (0, 0), (0, 0)))
+                           for i in members])
+        rngs = [[np.random.default_rng(c) for c in np.random.SeedSequence(seed + i).spawn(max(trials, 1))]
+                for i in members]
+        V = _descend(padded, rngs, steps, step_size)
+        polished = np.empty_like(V)
+        by_keys: Dict[int, List[int]] = {}
+        for f, i in enumerate(members):
+            by_keys.setdefault(len(mats[i]), []).append(f)
+        for fs in by_keys.values():
+            polished[fs] = _polish(np.stack([mats[members[f]] for f in fs]), V[fs])
+        for f, i in enumerate(members):
+            flat_mats = mats[i].reshape(len(mats[i]), -1)
+            r_pol, r_raw = _residual(flat_mats, polished[f]), _residual(flat_mats, V[f])
+            raw_wins = r_raw < r_pol
+            residuals = np.where(raw_wins, r_raw, r_pol)
+            best = int(np.argmin(residuals))
+            best_v = V[f, best] if raw_wins[best] else polished[f, best]
+            argmin = Superposition([(complex(a), k) for a, k in zip(best_v, families[i])])
+            results[i] = SearchResult(float(residuals[best]), argmin)
+    return results
 
 
 # -- topological Cauchy-Schwarz order check ---------------------------------------------

@@ -192,15 +192,15 @@ def test_acceptance_05_positivity(capsys):
         ms = all_matchings(list(pts))
         size = min(len(ms), 2 + fam_i % 5)
         fam = [Bounded1Ket(m) for m in rng.sample(ms, size)]
-        res = lightlike_search(
-            fam, MatchingGluer(BoundarySpec(0, points=pts)),
+        [res] = lightlike_search(
+            [fam], MatchingGluer(BoundarySpec(0, points=pts)),
             trials=20, steps=200, seed=1000 + fam_i,
         )
         floors.append(res.min_residual)
     assert min(floors) > 0.05
     # the constructed null family must be found
     kets, mock = example_mock_null_family()
-    res = lightlike_search(kets, mock, trials=10, steps=200, seed=7)
+    [res] = lightlike_search([kets], mock, trials=10, steps=200, seed=7)
     assert res.min_residual < 1e-8
     amps = {k: complex(a) for k, a in res.argmin.items()}
     assert abs(amps["B"] / amps["A"] + 1.0) < 1e-3

@@ -84,6 +84,13 @@ def test_pair_bad_file_exit_2(tmp_path, capsys):
          "'boundary.points' must be a list"),
         (json.dumps({"boundary": {"dimension": 1, "circles": 5}, "kets": []}),
          "'boundary.circles' must be a list"),
+        (json.dumps({"boundary": {"dimension": 0, "points": [[0], [1]]},
+                     "kets": [{"matching": [[[0], [1]]], "re": 1.0}]}),
+         "'boundary.points' entry 0 must be a label"),
+        (json.dumps({"boundary": {"dimension": 1, "circles": [["a"], "b"]}, "kets": []}),
+         "'boundary.circles' entry 0 must be a label"),
+        (json.dumps({"boundary": {"dimension": 1, "circles": ["a", {"b": 1}]}, "kets": []}),
+         "'boundary.circles' entry 1 must be a label"),
     ]
     f = tmp_path / "kets.json"
     for text, message in cases:

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from formalchain import cli
 from formalchain.errors import BoundaryError, StructureError
 from formalchain.pairing import (
+    Gluer,
     Bounded1Ket,
     BoundedSurfaceKet,
     BoundarySpec,
@@ -20,7 +22,10 @@ from formalchain.pairing import (
     OrderViolation,
     SurfaceGluer,
     TriangulationGluer,
-    _residual_and_grad,
+    SearchResult,
+    _gradient,
+    _key_matrices,
+    _residual,
     cauchy_schwarz_check,
     disk_with_handles,
     example_mock_null_family,
@@ -232,10 +237,12 @@ def test_hermitian_norm_symmetry_real_amplitudes():
 
 def test_lightlike_single_ket_residual_one():
     gluer = MatchingGluer(BoundarySpec(0, points=(0, 1)))
-    res = lightlike_search([Bounded1Ket(((0, 1),))], gluer, trials=3, steps=50, seed=0)
+    [res] = lightlike_search([[Bounded1Ket(((0, 1),))]], gluer, trials=3, steps=50, seed=0)
     assert math.isclose(res.min_residual, 1.0, abs_tol=1e-9)
     # step 0.5 maps a unit vector to (1 - |v|^2) v, often exactly 0: rows are redrawn
-    res = lightlike_search([Bounded1Ket(((0, 1),))], gluer, trials=8, steps=20, seed=0, step_size=0.5)
+    [res] = lightlike_search(
+        [[Bounded1Ket(((0, 1),))]], gluer, trials=8, steps=20, seed=0, step_size=0.5
+    )
     assert math.isclose(res.min_residual, 1.0, abs_tol=1e-9)
     assert math.isclose(res.argmin.norm2(), 1.0, abs_tol=1e-12)
 
@@ -248,28 +255,17 @@ def test_lightlike_matching_families_bounded_below():
         for fam_i in range(3):
             size = min(len(ms), 2 + fam_i)
             fam = [Bounded1Ket(m) for m in rng.sample(ms, size)]
-            res = lightlike_search(fam, gluer, trials=10, steps=150, seed=fam_i)
+            [res] = lightlike_search([fam], gluer, trials=10, steps=150, seed=fam_i)
             assert res.min_residual > 0.05
 
 
 def test_lightlike_mock_finds_null_vector():
     kets, mock = example_mock_null_family()
-    res = lightlike_search(kets, mock, trials=8, steps=150, seed=3)
+    [res] = lightlike_search([kets], mock, trials=8, steps=150, seed=3)
     assert res.min_residual < 1e-8
     amps = {k: complex(a) for k, a in res.argmin.items()}
     ratio = amps["B"] / amps["A"]
     assert abs(ratio + 1.0) < 1e-4
-
-
-def _key_matrices(kets, gluer):
-    keys = {}
-    for i, j in itertools.product(range(len(kets)), repeat=2):
-        keys.setdefault(gluer.glue(kets[i], kets[j]), []).append((i, j))
-    mats = np.zeros((len(keys), len(kets), len(kets)))
-    for k, cells in enumerate(keys.values()):
-        for i, j in cells:
-            mats[k, i, j] = 1.0
-    return mats
 
 
 def test_lightlike_gradient_matches_finite_differences():
@@ -283,7 +279,7 @@ def test_lightlike_gradient_matches_finite_differences():
     n = len(kets)
     rng = np.random.default_rng(0)
     V = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
-    r, grad = _residual_and_grad(flat, V)
+    r, grad = _residual(flat, V), _gradient(flat, V)
     for t in range(len(V)):
         q = np.einsum("i,kij,j->k", V[t].conj(), mats, V[t]).real
         assert math.isclose(r[t], float(np.sum(q * q)), rel_tol=1e-12)
@@ -292,7 +288,7 @@ def test_lightlike_gradient_matches_finite_differences():
         for direction in (1.0, 1j):
             dV = np.zeros_like(V)
             dV[:, i] = direction * eps
-            num = (_residual_and_grad(flat, V + dV)[0] - _residual_and_grad(flat, V - dV)[0]) / (2 * eps)
+            num = (_residual(flat, V + dV) - _residual(flat, V - dV)) / (2 * eps)
             # d/dt r(v + t u) = 2 Re <grad, u>
             ana = 2 * np.real(np.conj(grad[:, i]) * direction)
             assert np.all(np.abs(num - ana) < 1e-5)
@@ -314,18 +310,26 @@ def test_lightlike_surface_families_positive():
     rng = random.Random(13)
     for _ in range(4):
         fam = rng.sample(kets, 5)
-        res = lightlike_search(fam, gluer, trials=8, steps=150, seed=99)
+        [res] = lightlike_search([fam], gluer, trials=8, steps=150, seed=99)
         assert res.min_residual > 1e-6
 
 
 def test_lightlike_deterministic_given_seed():
     kets, mock = example_mock_null_family()
-    a = lightlike_search(kets, mock, trials=5, steps=100, seed=42)
-    b = lightlike_search(kets, mock, trials=5, steps=100, seed=42)
+    [a] = lightlike_search([kets], mock, trials=5, steps=100, seed=42)
+    [b] = lightlike_search([kets], mock, trials=5, steps=100, seed=42)
     assert a.min_residual == b.min_residual
     assert {k: complex(x) for k, x in a.argmin.items()} == {
         k: complex(x) for k, x in b.argmin.items()
     }
+
+
+def test_lightlike_rejects_empty_families():
+    gluer = MatchingGluer(BoundarySpec(0, points=(0, 1)))
+    with pytest.raises(StructureError):
+        lightlike_search([], gluer)
+    with pytest.raises(StructureError):
+        lightlike_search([[Bounded1Ket(((0, 1),))], []], gluer)
 
 
 def reference_lightlike_search(kets, gluer, trials=200, steps=500, seed=0, step_size=0.1):
@@ -402,11 +406,130 @@ def reference_lightlike_search(kets, gluer, trials=200, steps=500, seed=0, step_
     return float(best_r), argmin
 
 
+# The single-family search that the multi-family one replaced, kept verbatim
+# with its helpers: every family of a multi-family search must give its result
+# bit for bit.
+
+
+def _residual_and_grad(flat_mats: np.ndarray, V: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Residuals ``sum_k q_k^2`` and their gradients for every row of ``V``.
+
+    ``flat_mats`` is the ``(K, n*n)`` stack of real key matrices ``M_k`` and
+    ``V`` a ``(T, n)`` complex batch; ``q[t, k] = Re(v_t^H M_k v_t)`` and the
+    gradient of row t is ``2 sum_k q[t, k] M_k v_t``.
+    """
+    T, n = V.shape
+    outer = (V.conj()[:, :, None] * V[:, None, :]).reshape(T, n * n)
+    q = outer.real @ flat_mats.T
+    grad = 2.0 * np.einsum("tij,tj->ti", (q @ flat_mats).reshape(T, n, n), V)
+    return np.sum(q * q, axis=1), grad
+
+
+def _polish(mats: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """40 Gauss-Newton steps on the residual system ``q_k(v) = 0, |v|^2 = 1``, every row at once.
+
+    The quartic objective is flat near a null vector, where plain descent
+    crawls; solving the quadratic system converges quadratically.  Each step
+    is the minimum-norm least-squares solution with ``lstsq``'s default
+    cutoff.  A row that reaches norm 0 has a zero Jacobian from then on, so it
+    stays the zero vector.
+    """
+    n = V.shape[1]
+    for _ in range(40):
+        # one row M_k v per key, then v itself for the norm constraint
+        rows = np.concatenate([np.einsum("kij,tj->tki", mats, V), V[:, None, :]], axis=1)
+        res = np.einsum("ti,tki->tk", V.conj(), rows).real
+        res[:, -1] -= 1.0
+        jac = 2.0 * np.concatenate([rows.real, rows.imag], axis=2)
+        u, s, wh = np.linalg.svd(jac, full_matrices=False)
+        keep = s > np.finfo(float).eps * max(jac.shape[1:]) * s[:, :1]
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+        delta = np.einsum("tri,tr->ti", wh, inv * np.einsum("tkr,tk->tr", u, -res))
+        V = V + delta[:, :n] + 1j * delta[:, n:]
+        nv = np.linalg.norm(V, axis=1)
+        V = np.divide(V, nv[:, None], out=V, where=nv[:, None] != 0.0)
+    return V
+
+
+def single_family_search(
+    kets: Sequence,
+    gluer: Gluer,
+    trials: int = 200,
+    steps: int = 500,
+    seed: int = 0,
+    step_size: float = 0.1,
+) -> SearchResult:
+    """Minimize ``norm2(pair(v, v))`` over unit vectors by projected descent.
+
+    The residual is a smooth quartic in the amplitudes.  All restarts advance
+    in lockstep as the rows of one array: each follows the analytic gradient
+    from a random complex start, then a Gauss-Newton polish, and keeps the
+    polished vector unless the unpolished one is strictly better.  Restart t
+    draws its start (and any redraw after its vector collapses to 0) from its
+    own generator, the t-th child of ``SeedSequence(seed)``, so a restart's
+    path does not depend on the others.  The best restart is returned; ties
+    go to the lowest restart index.  Deterministic given the seed.
+    """
+    if not kets:
+        raise StructureError("need at least one ket")
+    gluer.check(list(kets))
+    n = len(kets)
+    key_of: Dict[Tuple[int, int], object] = {}
+    keys: List[object] = []
+    key_index: Dict[object, int] = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        k = gluer.glue(kets[i], kets[j])
+        key_of[(i, j)] = k
+        if k not in key_index:
+            key_index[k] = len(keys)
+            keys.append(k)
+    mats = np.zeros((len(keys), n, n))
+    for (i, j), k in key_of.items():
+        mats[key_index[k], i, j] = 1.0
+    flat_mats = mats.reshape(len(keys), n * n)
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(max(trials, 1))]
+    V = np.stack([draw(rng) for rng in rngs])
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    for _ in range(steps):
+        _, grad = _residual_and_grad(flat_mats, V)
+        V = V - step_size * grad
+        nv = np.linalg.norm(V, axis=1)
+        if not nv.all():
+            for t in np.flatnonzero(nv == 0.0):
+                V[t] = draw(rngs[t])
+                nv[t] = np.linalg.norm(V[t])
+        V /= nv[:, None]
+    polished = _polish(mats, V)
+    r_pol, _ = _residual_and_grad(flat_mats, polished)
+    r_raw, _ = _residual_and_grad(flat_mats, V)
+    raw_wins = r_raw < r_pol
+    residuals = np.where(raw_wins, r_raw, r_pol)
+    best = int(np.argmin(residuals))
+    best_v = V[best] if raw_wins[best] else polished[best]
+    argmin = Superposition([(complex(best_v[i]), kets[i]) for i in range(n)])
+    return SearchResult(float(residuals[best]), argmin)
+
+
 def assert_matches_reference(kets, gluer, **kw):
-    res = lightlike_search(kets, gluer, **kw)
+    [res] = lightlike_search([kets], gluer, **kw)
     ref_r, _ = reference_lightlike_search(kets, gluer, **kw)
     assert abs(res.min_residual - ref_r) <= 1e-12
     return res
+
+
+def assert_bit_equal_to_single_family(families, gluer, seed, **kw):
+    """Search ``families`` at once; family i must equal a search of it alone from ``seed + i``."""
+    results = lightlike_search(families, gluer, seed=seed, **kw)
+    assert len(results) == len(families)
+    for i, (fam, res) in enumerate(zip(families, results)):
+        ref = single_family_search(fam, gluer, seed=seed + i, **kw)
+        assert res.min_residual == ref.min_residual
+        assert list(res.argmin.items()) == list(ref.argmin.items())
+    return results
 
 
 def test_lightlike_matches_reference_on_positivity_families():
@@ -420,7 +543,7 @@ def test_lightlike_matches_reference_on_positivity_families():
             fam = cli._random_family(matchings, 4, rng)
             assert_matches_reference(fam, gluer, trials=40, steps=300, seed=seed + fam_i)
         kets, mock = example_mock_null_family()
-        res = lightlike_search(kets, mock, trials=10, steps=300, seed=seed)
+        [res] = lightlike_search([kets], mock, trials=10, steps=300, seed=seed)
         _, ref_argmin = reference_lightlike_search(kets, mock, trials=10, steps=300, seed=seed)
         assert res.min_residual < 1e-8
         amps = {k: complex(a) for k, a in res.argmin.items()}
@@ -452,6 +575,72 @@ def test_lightlike_matches_reference_single_ket_and_mock():
         amps = {k: complex(a) for k, a in res.argmin.items()}
         ref_amps = {k: complex(a) for k, a in ref_argmin.items()}
         assert abs(amps["B"] / amps["A"] - ref_amps["B"] / ref_amps["A"]) <= 1e-9
+
+
+def test_multi_family_search_bit_equal_on_positivity_families():
+    # ``positivity --points 6`` searches its four families in one call and the
+    # mock family in another
+    labels = tuple(range(6))
+    gluer = MatchingGluer(BoundarySpec(0, points=labels))
+    matchings = cli._perfect_matchings(labels)
+    kets, mock = example_mock_null_family()
+    for seed in (3000, 3001, 3002):
+        rng = random.Random(f"{seed}:positivity")
+        families = [cli._random_family(matchings, 4, rng) for _ in range(4)]
+        assert_bit_equal_to_single_family(families, gluer, seed, trials=40, steps=300)
+        [res] = assert_bit_equal_to_single_family([kets], mock, seed, trials=10, steps=300)
+        assert res.min_residual < 1e-8
+
+
+def test_multi_family_search_bit_equal_with_free_circles():
+    labels = tuple(range(6))
+    gluer = MatchingGluer(BoundarySpec(0, points=labels))
+    matchings = cli._perfect_matchings(labels)
+    rng = random.Random("7:positivity")
+    families = [cli._random_family(matchings, 4, rng, max_free_circles=2) for _ in range(4)]
+    # the families differ in key count, so the descent pads and the polish splits
+    assert len({len(_key_matrices(fam, gluer)) for fam in families}) > 1
+    assert_bit_equal_to_single_family(families, gluer, 7, trials=20, steps=200)
+
+
+def test_multi_family_search_bit_equal_on_surface_families():
+    kets = [BoundedSurfaceKet(((g, frozenset(["c0", "c1"])),)) for g in range(4)]
+    kets += [
+        BoundedSurfaceKet(((g1, frozenset(["c0"])), (g2, frozenset(["c1"]))))
+        for g1 in range(4)
+        for g2 in range(4)
+    ]
+    gluer = SurfaceGluer(BoundarySpec(1, circles=("c0", "c1")))
+    rng = random.Random(13)
+    families = [rng.sample(kets, 5) for _ in range(4)]
+    assert_bit_equal_to_single_family(families, gluer, 99, trials=8, steps=150)
+
+
+def test_multi_family_search_bit_equal_through_restart_redraws():
+    # step 0.5 sends a unit vector of a one-ket family to (1 - |v|^2) v,
+    # often exactly 0, so those restarts redraw from their own generators
+    gluer = MatchingGluer(BoundarySpec(0, points=(0, 1)))
+    k = [Bounded1Ket(((0, 1),), c) for c in range(4)]
+    families = [[k[0]], [k[1]], [k[0], k[1]], [k[2]], [k[2], k[3]]]
+    results = assert_bit_equal_to_single_family(
+        families, gluer, 0, trials=8, steps=20, step_size=0.5
+    )
+    for res in (results[0], results[1], results[3]):
+        assert math.isclose(res.min_residual, 1.0, abs_tol=1e-9)
+
+
+def test_multi_family_search_groups_ket_counts_in_input_order():
+    # ``_random_family`` returns short families when the pool is small or its
+    # 10,000-draw guard runs out; each ket count descends as its own group
+    labels = tuple(range(6))
+    gluer = MatchingGluer(BoundarySpec(0, points=labels))
+    matchings = cli._perfect_matchings(labels)
+    rng = random.Random(5)
+    families = [cli._random_family(matchings, size, rng) for size in (4, 2, 5, 4, 1, 2, 3)]
+    assert [len(fam) for fam in families] == [4, 2, 5, 4, 1, 2, 3]
+    results = assert_bit_equal_to_single_family(families, gluer, 11, trials=10, steps=100)
+    for fam, res in zip(families, results):
+        assert [ket for ket, _ in res.argmin.items()] == list(fam)
 
 
 # -- topological Cauchy-Schwarz order ----------------------------------------------

@@ -49,3 +49,16 @@ def test_trace_hooks_see_every_sampler_layer(capsys):
                      for stat in ("accepted", "proposed")}
               for kind in tracing.KINDS if t.counts[f"chains.accept.{kind}.proposed"]}
     assert traced == acceptance
+
+
+def test_trace_hooks_see_every_positivity_search(capsys):
+    # the four families go through one search and the mock family through a
+    # second, both looked up as ``cli.lightlike_search``
+    tracing = _tracing_module()
+    t = tracing.Tracer()
+    with tracing.traced(t):
+        assert cli.main(["positivity", "--seed", "3", "--points", "6", "--families", "4"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["min_residuals"]) == 4
+    totals = t.layer_totals()
+    assert totals["pairing.lightlike_search"][0] == 2
+    assert totals["pairing.cauchy_schwarz_check"][0] == 1
