@@ -437,7 +437,9 @@ def cmd_positivity(args) -> int:
         for _ in range(args.families)
     ]
     # family i searches from seed + i
-    results = lightlike_search(families, gluer, trials=args.trials, steps=args.steps, seed=args.seed)
+    results = lightlike_search(
+        families, gluer, trials=args.trials, steps=args.steps, seed=args.seed
+    )
     residuals = [res.min_residual for res in results]
     short_sizes = {len(fam) for fam in families if len(fam) < args.kets_per_family}
     if short_sizes:

@@ -289,6 +289,14 @@ def _gradient(flat_mats: np.ndarray, V: np.ndarray) -> np.ndarray:
     return 2.0 * np.einsum("...tij,...tj->...ti", weighted, V)
 
 
+def _index_groups(values: Iterable) -> List[List[int]]:
+    """Indices of equal values, one list per value in order of first appearance."""
+    groups: Dict[object, List[int]] = {}
+    for i, v in enumerate(values):
+        groups.setdefault(v, []).append(i)
+    return list(groups.values())
+
+
 def _descend(mats: np.ndarray, rngs: Sequence[Sequence[np.random.Generator]],
              steps: int, step_size: float) -> np.ndarray:
     """Projected gradient descent of every restart of every family in lockstep.
@@ -381,22 +389,17 @@ def lightlike_search(
             raise StructureError("need at least one ket in every family")
         gluer.check(list(kets))
         mats.append(_key_matrices(kets, gluer))
-    by_size: Dict[int, List[int]] = {}
-    for i, kets in enumerate(families):
-        by_size.setdefault(len(kets), []).append(i)
     results: List[SearchResult] = [None] * len(families)
-    for members in by_size.values():
+    for members in _index_groups(len(kets) for kets in families):
         k_max = max(len(mats[i]) for i in members)
         padded = np.stack([np.pad(mats[i], ((0, k_max - len(mats[i])), (0, 0), (0, 0)))
                            for i in members])
-        rngs = [[np.random.default_rng(c) for c in np.random.SeedSequence(seed + i).spawn(max(trials, 1))]
+        rngs = [[np.random.default_rng(c)
+                 for c in np.random.SeedSequence(seed + i).spawn(max(trials, 1))]
                 for i in members]
         V = _descend(padded, rngs, steps, step_size)
         polished = np.empty_like(V)
-        by_keys: Dict[int, List[int]] = {}
-        for f, i in enumerate(members):
-            by_keys.setdefault(len(mats[i]), []).append(f)
-        for fs in by_keys.values():
+        for fs in _index_groups(len(mats[i]) for i in members):
             polished[fs] = _polish(np.stack([mats[members[f]] for f in fs]), V[fs])
         for f, i in enumerate(members):
             flat_mats = mats[i].reshape(len(mats[i]), -1)
