@@ -10,11 +10,12 @@ change:
     PYTHONPATH=src python tests/test_golden.py
 
 Runs use a relative ``--trace`` name in a scratch directory, because the trace
-path is echoed in the JSON.  The ``grow`` inputs are written into the run
-directory first, so regeneration leaves them in ``tests/data`` next to the
-outputs they produce.
+path is echoed in the JSON.  The ``grow`` slices and the ``pair`` ket files are
+written into the run directory first, so regeneration leaves them in
+``tests/data`` next to the outputs they produce.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -29,6 +30,34 @@ DATA = Path(__file__).parent / "data"
 
 # slices for ``grow``, written into the run directory under these names
 GROW_INPUTS = {"circle3.txt": circle(3), "points22.txt": point_set(2, 2)}
+# ket files for ``pair --kets``, written into the run directory under these names
+KET_INPUTS = {
+    # matchings of four points, two of them with free circles
+    "kets_dim0.json": {
+        "boundary": {"dimension": 0, "points": [0, 1, 2, 3]},
+        "kets": [
+            {"matching": [[0, 1], [2, 3]], "free_circles": 1, "re": 0.5},
+            {"matching": [[0, 2], [1, 3]], "re": -0.5, "im": 0.25},
+            {"matching": [[0, 3], [1, 2]], "free_circles": 2, "re": 0.75},
+        ],
+    },
+    # surfaces over two circles, one with a closed genus-2 component riding along
+    "kets_dim1.json": {
+        "boundary": {"dimension": 1, "circles": ["a", "b"]},
+        "kets": [
+            {"components": [[0, ["a", "b"]]], "re": 1.0},
+            {"components": [[1, ["a"]], [0, ["b"]]], "closed": [2], "re": -0.5},
+            {"components": [[0, ["a"]], [2, ["b"]]], "re": 0.25, "im": -0.5},
+        ],
+    },
+    # opaque kets; the missing half of the symmetric table is filled in
+    "kets_mock.json": {
+        "mock": {"kets": ["A", "B", "C"],
+                 "glue": {"A|A": "s", "A|B": "t", "A|C": "s", "B|B": "s", "B|C": "u",
+                          "C|C": "t"}},
+        "kets": [{"id": "A", "re": 1.0}, {"id": "B", "re": -1.0}, {"id": "C", "im": 0.5}],
+    },
+}
 # commands whose stdout is CSV rather than JSON
 CSV_COMMANDS = ("twofield", "series")
 
@@ -63,6 +92,9 @@ CASES = {
     "sample_partial": _sample("sample_partial", 21, 4, 80, PARTIAL),
     "pair_cancellation": ["pair", "--example", "cancellation-3.2"],
     "pair_freedman": ["pair", "--example", "freedman-3.1"],
+    "pair_kets_dim0": ["pair", "--kets", "kets_dim0.json"],
+    "pair_kets_dim1": ["pair", "--kets", "kets_dim1.json"],
+    "pair_kets_mock": ["pair", "--kets", "kets_mock.json"],
     # the coupling V keeps the state on the 2D grid
     "twofield_coupled": ["twofield", "--lambda", "0.5", "--v-depth", "0.8", "--grid", "32",
                          "--steps", "200", "--dt", "0.002", "--stride", "20"],
@@ -83,9 +115,11 @@ CASES = {
 }
 
 
-def _write_grow_inputs(directory):
+def _write_inputs(directory):
     for name, space in GROW_INPUTS.items():
         (Path(directory) / name).write_text(to_text(space))
+    for name, data in KET_INPUTS.items():
+        (Path(directory) / name).write_text(json.dumps(data, indent=2) + "\n")
 
 
 def _stdout_file(name):
@@ -103,7 +137,7 @@ def _run(name, capsys):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    _write_grow_inputs(tmp_path)
+    _write_inputs(tmp_path)
     out, trace = _run(name, capsys)
     assert out == _stdout_file(name).read_text()
     if "--trace" in CASES[name]:
@@ -135,16 +169,17 @@ def test_sample_stdout_independent_of_hash_seed(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["positivity", "--seed", "3", "--points", "6", "--families", "4"],
     ["pair", "--example", "freedman-3.1"],
+    ["pair", "--kets", "kets_mock.json"],
     ["series", "--gmax", "6"],
     ["grow", "--seed", "3", "--input", "circle3.txt"],
     ["grow", "--seed", "3", "--input", "points22.txt"],
     ["gap", "--graph", "sphere:40"],
     ["gap", "--graph", "circles:1:6"],
     ["twofield", "--steps", "50", "--grid", "32", "--stride", "10"],
-], ids=["positivity", "pair", "series", "grow_circle", "grow_points", "gap_sphere",
-        "gap_circles", "twofield"])
+], ids=["positivity", "pair", "pair_kets_mock", "series", "grow_circle", "grow_points",
+        "gap_sphere", "gap_circles", "twofield"])
 def test_stdout_independent_of_hash_seed(argv, tmp_path):
-    _write_grow_inputs(tmp_path)
+    _write_inputs(tmp_path)
     outs = _stdouts_under_hash_seeds(argv, tmp_path)
     assert outs[0] == outs[1]
 
@@ -155,7 +190,7 @@ if __name__ == "__main__":
 
     DATA.mkdir(exist_ok=True)
     os.chdir(DATA)
-    _write_grow_inputs(DATA)
+    _write_inputs(DATA)
     for case, argv in CASES.items():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
