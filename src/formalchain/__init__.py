@@ -11,7 +11,6 @@ from .growth import Cobordism, GrowthConfig, grow_layer, mirror_double
 from .pairing import (
     Bounded1Ket,
     BoundedSurfaceKet,
-    BoundarySpec,
     MockEquivalence,
     cauchy_schwarz_check,
     l2_handle_series,
@@ -37,7 +36,6 @@ __all__ = [
     "mirror_double",
     "Bounded1Ket",
     "BoundedSurfaceKet",
-    "BoundarySpec",
     "MockEquivalence",
     "cauchy_schwarz_check",
     "l2_handle_series",

@@ -26,6 +26,7 @@ from .errors import (
     FormalChainError,
     IntegratorError,
     ParseError,
+    StructureError,
 )
 from .graphs import (
     NeighborGraph,
@@ -39,12 +40,12 @@ from .growth import grow_layer, mirror_double
 from .pairing import (
     Bounded1Ket,
     BoundedSurfaceKet,
-    BoundarySpec,
-    MatchingGluer,
     MockEquivalence,
-    SurfaceGluer,
     cauchy_schwarz_check,
+    example_mock_null_family,
     example_superposed_arcs,
+    glue_1d,
+    glue_2d,
     l2_handle_series,
     lightlike_search,
     order_circle_count,
@@ -164,8 +165,8 @@ def cmd_pair(args) -> int:
     if bool(args.example) == bool(args.kets):
         raise ConfigError("pass exactly one of --example / --kets")
     if args.example == "freedman-3.1":
-        v, gluer = example_superposed_arcs()
-        result = pair(v, v, gluer)
+        v, glue = example_superposed_arcs()
+        result = pair(v, v, glue)
         payload = {"example": args.example, "result": superposition_to_json(result)}
         payload.update(_norm2_entry(result))
         _emit_json(payload)
@@ -185,8 +186,8 @@ def cmd_pair(args) -> int:
         return EXIT_OK
     with open(args.kets) as fh:
         data = json.load(fh)
-    v, gluer = _kets_from_json(data)
-    result = pair(v, v, gluer)
+    v, glue = _kets_from_json(data)
+    result = pair(v, v, glue)
     payload = {"kets": args.kets, "result": superposition_to_json(result)}
     payload.update(_norm2_entry(result))
     _emit_json(payload)
@@ -196,15 +197,20 @@ def cmd_pair(args) -> int:
 def _kets_from_json(data: dict):
     """Ket file: {"boundary": {...}, "kets": [...]} or {"mock": {...}, "kets": [...]}.
 
-    A missing or malformed entry raises :class:`ConfigError` naming the ket
-    index and the key.
+    Returns the superposition and its glue function.  A missing or malformed
+    entry raises :class:`ConfigError` naming the ket index and the key; once
+    every ket is parsed, a ket whose boundary is not the declared one raises
+    :class:`BoundaryError`.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"ket file must hold a JSON object, got {data!r}")
+    declared = None
     if "mock" in data:
-        gluer = MockEquivalence.from_json(json.dumps(data["mock"]))
+        glue = MockEquivalence.from_json(json.dumps(data["mock"])).glue
 
         def make(k):
+            if not isinstance(k["id"], str):
+                raise TypeError(f"'id' must be a name, got {k['id']!r}")
             return k["id"]
     else:
         bd = data.get("boundary")
@@ -219,19 +225,21 @@ def _kets_from_json(data: dict):
             for i, label in enumerate(labels):
                 if isinstance(label, (list, dict)):
                     raise ConfigError(f"'boundary.{key}' entry {i} must be a label, got {label!r}")
+            if len(set(labels)) != len(labels):
+                raise ConfigError(f"boundary {key[:-1]} labels must be unique")
         if bd.get("dimension") == 0:
-            gluer = MatchingGluer(BoundarySpec(0, points=tuple(bd.get("points", ()))))
+            glue, declared, mismatch = glue_1d, frozenset(bd.get("points", ())), "match boundary"
 
             def make(k):
                 return Bounded1Ket(
                     tuple(tuple(p) for p in k["matching"]), k.get("free_circles", 0)
                 )
         elif bd.get("dimension") == 1:
-            gluer = SurfaceGluer(BoundarySpec(1, circles=tuple(bd.get("circles", ()))))
+            glue, declared, mismatch = glue_2d, frozenset(bd.get("circles", ())), "cover circles"
 
             def make(k):
                 return BoundedSurfaceKet(
-                    tuple((int(g), frozenset(ls)) for g, ls in k["components"]),
+                    tuple((g, frozenset(ls)) for g, ls in k["components"]),
                     tuple(k.get("closed", ())),
                 )
         else:
@@ -250,10 +258,14 @@ def _kets_from_json(data: dict):
             ket = make(k)
         except KeyError as exc:
             raise ConfigError(f"ket {i} has no {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, StructureError) as exc:
             raise ConfigError(f"ket {i}: {exc}") from None
         terms.append((complex(k.get("re", 0.0), k.get("im", 0.0)), ket))
-    return Superposition(terms), gluer
+    if declared is not None:
+        for _, ket in terms:
+            if ket.labels != declared:
+                raise BoundaryError(f"ket {ket} does not {mismatch} {sorted(declared)}")
+    return Superposition(terms), glue
 
 
 def cmd_series(args) -> int:
@@ -427,10 +439,8 @@ def cmd_positivity(args) -> int:
     if args.steps < 0:
         raise ConfigError("--steps must be nonnegative")
     labels = tuple(range(args.points))
-    spec = BoundarySpec(0, points=labels)
-    gluer = MatchingGluer(spec)
     all_matchings = _perfect_matchings(labels)
-    violations = cauchy_schwarz_check(all_matchings, gluer, order_circle_count)
+    violations = cauchy_schwarz_check(all_matchings, glue_1d, order_circle_count)
     rng = random.Random(f"{args.seed}:positivity")
     families = [
         _random_family(all_matchings, args.kets_per_family, rng, args.max_free_circles)
@@ -438,7 +448,7 @@ def cmd_positivity(args) -> int:
     ]
     # family i searches from seed + i
     results = lightlike_search(
-        families, gluer, trials=args.trials, steps=args.steps, seed=args.seed
+        families, glue_1d, trials=args.trials, steps=args.steps, seed=args.seed
     )
     residuals = [res.min_residual for res in results]
     short_sizes = {len(fam) for fam in families if len(fam) < args.kets_per_family}
@@ -449,9 +459,9 @@ def cmd_positivity(args) -> int:
             f"not --kets-per-family {args.kets_per_family} ({distinct} distinct kets exist)",
             file=sys.stderr,
         )
-    mock = MockEquivalence.all_equal(["A", "B"], "all-glued")
+    mock_kets, mock = example_mock_null_family()
     [mock_res] = lightlike_search(
-        [["A", "B"]], mock, trials=max(4, args.trials // 4), steps=args.steps, seed=args.seed
+        [mock_kets], mock.glue, trials=max(4, args.trials // 4), steps=args.steps, seed=args.seed
     )
     amps = {k: complex(a) for k, a in mock_res.argmin.items()}
     ratio = amps.get("B", 0j) / amps.get("A", 1j) if amps.get("A") else 0j

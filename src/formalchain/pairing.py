@@ -3,12 +3,14 @@
 The pairing is sesquilinear: ``<sum a_i M_i, sum b_j N_j>`` equals the
 collected superposition of ``a_i * conj(b_j)`` on the closed space obtained by
 gluing ``M_i`` to the mirror image of ``N_j`` along their common boundary.
-Kets come in several flavours behind one ``Gluer`` interface:
+Every pairing routine takes that gluing as a glue function ``glue(a, b)``,
+which returns the closed class of ``a`` glued to ``mirror(b)`` and raises
+``BoundaryError`` when the two boundaries do not match:
 
-* labeled-point matchings (dimension-1 kets: arcs plus free circles),
-* labeled-circle surfaces (dimension-2 kets: genus pieces bounding circles),
-* fixed triangulations glued along shared boundary ids,
-* opaque ids under a user-supplied equivalence with a gluing table (the
+* ``glue_1d``: labeled-point matchings (dimension-1 kets: arcs plus free circles),
+* ``glue_2d``: labeled-circle surfaces (dimension-2 kets: genus pieces bounding circles),
+* ``glue_closed``: closed triangulations over the empty boundary,
+* ``MockEquivalence.glue``: opaque ids under a user-supplied gluing table (the
   stand-in for dimensions where real gluing is out of reach).
 """
 
@@ -32,56 +34,11 @@ from .topo import (
     Triangulation,
     connected_groups,
     disk_with_handles,
-    glue_along_boundary,
     iso_key,
 )
 
 
-@dataclass(frozen=True)
-class BoundarySpec:
-    """Common boundary of a ket family: labeled points (d=1) or circles (d=2)."""
-
-    dimension: int
-    points: Tuple[int, ...] = ()
-    circles: Tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if len(set(self.points)) != len(self.points):
-            raise StructureError("boundary point labels must be unique")
-        if len(set(self.circles)) != len(self.circles):
-            raise StructureError("boundary circle labels must be unique")
-
-
-# -- gluers ------------------------------------------------------------------------
-
-
-class Gluer:
-    """Strategy gluing one ket to the mirror of another into a closed class key."""
-
-    def check(self, kets: Sequence) -> None:
-        raise NotImplementedError
-
-    def glue(self, a, b):
-        """Closed class of ``a`` glued to ``mirror(b)``."""
-        raise NotImplementedError
-
-
-class MatchingGluer(Gluer):
-    """Dimension-1 gluer: arcs over labeled points, counted into circles."""
-
-    def __init__(self, spec: BoundarySpec):
-        if spec.dimension != 0:
-            raise BoundaryError("matching kets need a 0-dimensional boundary")
-        self.spec = spec
-        self._labels = frozenset(spec.points)
-
-    def check(self, kets: Sequence[Bounded1Ket]) -> None:
-        for k in kets:
-            if k.labels != self._labels:
-                raise BoundaryError(f"ket {k} does not match boundary {sorted(self._labels)}")
-
-    def glue(self, a: Bounded1Ket, b: Bounded1Ket) -> Closed1Class:
-        return glue_1d(a, b)
+# -- glue functions ------------------------------------------------------------------
 
 
 def glue_1d(a: Bounded1Ket, b: Bounded1Ket) -> Closed1Class:
@@ -95,24 +52,6 @@ def glue_1d(a: Bounded1Ket, b: Bounded1Ket) -> Closed1Class:
         raise BoundaryError("kets do not share boundary labels")
     cycles = len(connected_groups(a.labels, a.matching + b.matching))
     return Closed1Class(cycles + a.free_circles + b.free_circles)
-
-
-class SurfaceGluer(Gluer):
-    """Dimension-2 gluer: surfaces over labeled circles, collected by genus."""
-
-    def __init__(self, spec: BoundarySpec):
-        if spec.dimension != 1:
-            raise BoundaryError("surface kets need a 1-dimensional boundary")
-        self.spec = spec
-        self._labels = frozenset(spec.circles)
-
-    def check(self, kets: Sequence[BoundedSurfaceKet]) -> None:
-        for k in kets:
-            if k.labels != self._labels:
-                raise BoundaryError(f"ket {k} does not cover circles {sorted(self._labels)}")
-
-    def glue(self, a: BoundedSurfaceKet, b: BoundedSurfaceKet) -> ClosedSurfaceClass:
-        return glue_2d(a, b)
 
 
 def glue_2d(a: BoundedSurfaceKet, b: BoundedSurfaceKet) -> ClosedSurfaceClass:
@@ -141,35 +80,14 @@ def glue_2d(a: BoundedSurfaceKet, b: BoundedSurfaceKet) -> ClosedSurfaceClass:
     return ClosedSurfaceClass(tuple(sorted(genera)))
 
 
-class TriangulationGluer(Gluer):
-    """Glue cobordism triangulations along shared boundary ids; keys are isometry classes."""
-
-    def check(self, kets: Sequence[Triangulation]) -> None:
-        if not kets:
-            return
-        marks = kets[0].boundary_mark
-        for k in kets[1:]:
-            if k.boundary_mark != marks:
-                raise BoundaryError("triangulation kets carry different boundary marks")
-
-    def glue(self, a: Triangulation, b: Triangulation):
-        glued = glue_along_boundary(a, b.mirrored())
-        return iso_key(glued)
+def glue_closed(a: Triangulation, b: Triangulation):
+    """Pairing over the empty boundary: the disjoint union of ``a`` with ``mirror(b)``."""
+    if not (a.is_closed() and b.is_closed()):
+        raise BoundaryError("empty-boundary pairing needs closed kets")
+    return iso_key(a.disjoint_union(b.mirrored()))
 
 
-class DisjointUnionGluer(Gluer):
-    """Pairing over the empty boundary: gluing is disjoint union with the mirror."""
-
-    def check(self, kets: Sequence[Triangulation]) -> None:
-        for k in kets:
-            if not k.is_closed():
-                raise BoundaryError("empty-boundary pairing needs closed kets")
-
-    def glue(self, a: Triangulation, b: Triangulation):
-        return iso_key(a.disjoint_union(b.mirrored()))
-
-
-class MockEquivalence(Gluer):
+class MockEquivalence:
     """Opaque kets with a user-supplied symmetric gluing table.
 
     Models gluing in dimensions where recognizing the closed result is out of
@@ -185,12 +103,11 @@ class MockEquivalence(Gluer):
             if self.table[(a, b)] != self.table[(b, a)]:
                 raise StructureError(f"gluing table not symmetric at ({a}, {b})")
 
-    def check(self, kets: Sequence[str]) -> None:
-        for k in kets:
+    def glue(self, a: str, b: str) -> str:
+        """Glue function of this table; a ket not in the table raises ``BoundaryError``."""
+        for k in (a, b):
             if k not in self.kets:
                 raise BoundaryError(f"unknown mock ket {k!r}")
-
-    def glue(self, a: str, b: str) -> str:
         return self.table[(a, b)]
 
     @staticmethod
@@ -211,12 +128,6 @@ class MockEquivalence(Gluer):
                 table[(a, b)] = table[(b, a)]
         return MockEquivalence(kets, table)
 
-    @staticmethod
-    def all_equal(kets: Sequence[str], closed_class: str = "all-glued") -> "MockEquivalence":
-        """Table where every gluing lands in one class (the cancellation scenario)."""
-        table = {(a, b): closed_class for a in kets for b in kets}
-        return MockEquivalence(kets, table)
-
 
 # -- the pairing --------------------------------------------------------------------
 
@@ -229,13 +140,11 @@ def pair_terms(v: Sequence, w: Sequence, glue: Callable) -> Iterator[Tuple[objec
             yield a * conj(b), glue(m, n)
 
 
-def pair(v: Superposition, w: Superposition, gluer: Gluer) -> Superposition:
+def pair(v: Superposition, w: Superposition, glue: Callable) -> Superposition:
     """Sesquilinear pairing ``sum_ij a_i conj(b_j) [glue(M_i, mirror N_j)]``."""
-    kets = list(v.keys()) + list(w.keys())
-    gluer.check(kets)
     v_terms = [(a, m) for m, a in v.items()]
     w_terms = [(b, n) for n, b in w.items()]
-    return Superposition.collect(pair_terms(v_terms, w_terms, gluer.glue))
+    return Superposition.collect(pair_terms(v_terms, w_terms, glue))
 
 
 # -- light-like search ----------------------------------------------------------------
@@ -247,7 +156,7 @@ class SearchResult:
     argmin: Superposition
 
 
-def _key_matrices(kets: Sequence, gluer: Gluer) -> np.ndarray:
+def _key_matrices(kets: Sequence, glue: Callable) -> np.ndarray:
     """``(K, n, n)`` 0/1 matrices, one per closed class of ``glue(kets[i], kets[j])``.
 
     Classes are numbered in the order they first appear over ``(i, j)`` in
@@ -257,7 +166,7 @@ def _key_matrices(kets: Sequence, gluer: Gluer) -> np.ndarray:
     key_index: Dict[object, int] = {}
     cells = []
     for i, j in itertools.product(range(n), repeat=2):
-        k = gluer.glue(kets[i], kets[j])
+        k = glue(kets[i], kets[j])
         cells.append((key_index.setdefault(k, len(key_index)), i, j))
     mats = np.zeros((len(key_index), n, n))
     for k, i, j in cells:
@@ -353,7 +262,7 @@ def _polish(mats: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 def lightlike_search(
     families: Sequence[Sequence],
-    gluer: Gluer,
+    glue: Callable,
     trials: int = 200,
     steps: int = 500,
     seed: int = 0,
@@ -387,8 +296,7 @@ def lightlike_search(
     for kets in families:
         if not kets:
             raise StructureError("need at least one ket in every family")
-        gluer.check(list(kets))
-        mats.append(_key_matrices(kets, gluer))
+        mats.append(_key_matrices(kets, glue))
     results: List[SearchResult] = [None] * len(families)
     for members in _index_groups(len(kets) for kets in families):
         k_max = max(len(mats[i]) for i in members)
@@ -426,18 +334,17 @@ class OrderViolation:
 
 
 def cauchy_schwarz_check(
-    kets: Sequence, gluer: Gluer, order: Callable[[object], object]
+    kets: Sequence, glue: Callable, order: Callable[[object], object]
 ) -> List[OrderViolation]:
     """All pairs violating ``o(A glued mirror B) < max(o(A A~), o(B B~))``.
 
     An empty list certifies that the order is maximized only on the diagonal
     for this family, which forces diagonal dominance of the pairing.
     """
-    gluer.check(list(kets))
-    diag = [order(gluer.glue(k, k)) for k in kets]
+    diag = [order(glue(k, k)) for k in kets]
     out = []
     for i, j in itertools.combinations(range(len(kets)), 2):
-        o_off = order(gluer.glue(kets[i], kets[j]))
+        o_off = order(glue(kets[i], kets[j]))
         if not (o_off < max(diag[i], diag[j])):
             out.append(OrderViolation(kets[i], kets[j], o_off, diag[i], diag[j]))
     return out
@@ -491,7 +398,7 @@ def square_partial_sums(series: Iterable[Tuple[int, object]]) -> List[Tuple[int,
 # -- built-in example families -------------------------------------------------------------
 
 
-def example_superposed_arcs() -> Tuple[Superposition, MatchingGluer]:
+def example_superposed_arcs() -> Tuple[Superposition, Callable]:
     """The four-ket superposition over two boundary points whose self-pairing
     collects to coefficients (1/4, -1/2, -1/4, 1, -1/4, -1/2, 1/4) on 1..7
     circles, of squared norm 7/4.
@@ -499,11 +406,10 @@ def example_superposed_arcs() -> Tuple[Superposition, MatchingGluer]:
     One arc matches the two points; the four kets differ by 0..3 free circles
     and carry amplitudes (+1/2, -1/2, -1/2, +1/2).
     """
-    spec = BoundarySpec(dimension=0, points=(0, 1))
     signs = (1, -1, -1, 1)
     kets = [(rc(s, 0) * rc(Fraction(1, 2)), Bounded1Ket(((0, 1),), c)) for c, s in enumerate(signs)]
     v = Superposition([(a, k) for a, k in kets])
-    return v, MatchingGluer(spec)
+    return v, glue_1d
 
 
 def example_mock_null_family() -> Tuple[List[str], MockEquivalence]:
@@ -513,4 +419,4 @@ def example_mock_null_family() -> Tuple[List[str], MockEquivalence]:
     terminates growth in the dimension the mock stage stands in for.
     """
     kets = ["A", "B"]
-    return kets, MockEquivalence.all_equal(kets, closed_class="S4-like")
+    return kets, MockEquivalence(kets, {(a, b): "S4-like" for a in kets for b in kets})

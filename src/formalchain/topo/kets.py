@@ -15,6 +15,14 @@ from typing import Tuple
 from ..errors import StructureError
 
 
+def _check_count(x, what: str) -> None:
+    """Reject anything but a nonnegative ``int`` (``bool`` included)."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise StructureError(f"{what} must be an integer, got {x!r}")
+    if x < 0:
+        raise StructureError(f"{what} must be nonnegative")
+
+
 @dataclass(frozen=True)
 class Bounded1Ket:
     """Perfect matching of labeled boundary points plus free circles."""
@@ -28,8 +36,7 @@ class Bounded1Ket:
         labels = [x for p in self.matching for x in p]
         if len(set(labels)) != len(labels):
             raise StructureError("matching covers a label twice")
-        if self.free_circles < 0:
-            raise StructureError("free circle count must be nonnegative")
+        _check_count(self.free_circles, "free circle count")
 
     @property
     def labels(self) -> frozenset:
@@ -58,15 +65,14 @@ class BoundedSurfaceKet:
         object.__setattr__(self, "closed_genera", tuple(sorted(self.closed_genera)))
         seen = set()
         for g, ls in self.components:
-            if g < 0:
-                raise StructureError("genus must be nonnegative")
+            _check_count(g, "genus")
             if not ls:
                 raise StructureError("bounded component without boundary labels")
             if seen & ls:
                 raise StructureError("a boundary circle label appears twice")
             seen |= ls
-        if any(g < 0 for g in self.closed_genera):
-            raise StructureError("genus must be nonnegative")
+        for g in self.closed_genera:
+            _check_count(g, "genus")
 
     @property
     def labels(self) -> frozenset:

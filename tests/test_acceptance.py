@@ -37,12 +37,11 @@ from formalchain.graphs import (
 from formalchain.growth import Cobordism
 from formalchain.pairing import (
     Bounded1Ket,
-    BoundarySpec,
-    DisjointUnionGluer,
-    MatchingGluer,
     cauchy_schwarz_check,
     example_mock_null_family,
     example_superposed_arcs,
+    glue_1d,
+    glue_closed,
     l2_handle_series,
     lightlike_search,
     order_circle_count,
@@ -98,8 +97,8 @@ def test_acceptance_01_example_31(capsys):
     assert code == 0
     assert payload["norm2_exact"] == "7/4"
     # and through the library, in exact rationals with zero tolerance
-    v, gluer = example_superposed_arcs()
-    assert pair(v, v, gluer).norm2() == Fraction(7, 4)
+    v, glue = example_superposed_arcs()
+    assert pair(v, v, glue).norm2() == Fraction(7, 4)
     assert elapsed < 1.0
     with capsys.disabled():
         report(1, f"|Y|^2 = 7/4 exactly in {elapsed:.3f}s")
@@ -173,16 +172,13 @@ def test_acceptance_05_positivity(capsys):
     for n in (4, 6):
         labels = tuple(range(n))
         kets = [Bounded1Ket(m) for m in all_matchings(list(labels))]
-        gluer = MatchingGluer(BoundarySpec(0, points=labels))
-        assert cauchy_schwarz_check(kets, gluer, order_circle_count) == []
+        assert cauchy_schwarz_check(kets, glue_1d, order_circle_count) == []
     # documented: free-circle kets also show no violations for this order
     labels4 = (0, 1, 2, 3)
     kets_free = [
         Bounded1Ket(m, f) for m in all_matchings(list(labels4)) for f in (0, 1, 2)
     ]
-    free_violations = cauchy_schwarz_check(
-        kets_free, MatchingGluer(BoundarySpec(0, points=labels4)), order_circle_count
-    )
+    free_violations = cauchy_schwarz_check(kets_free, glue_1d, order_circle_count)
     assert free_violations == []
     # light-like search floor over 20 random matching families
     rng = random.Random(31)
@@ -192,15 +188,12 @@ def test_acceptance_05_positivity(capsys):
         ms = all_matchings(list(pts))
         size = min(len(ms), 2 + fam_i % 5)
         fam = [Bounded1Ket(m) for m in rng.sample(ms, size)]
-        [res] = lightlike_search(
-            [fam], MatchingGluer(BoundarySpec(0, points=pts)),
-            trials=20, steps=200, seed=1000 + fam_i,
-        )
+        [res] = lightlike_search([fam], glue_1d, trials=20, steps=200, seed=1000 + fam_i)
         floors.append(res.min_residual)
     assert min(floors) > 0.05
     # the constructed null family must be found
     kets, mock = example_mock_null_family()
-    [res] = lightlike_search([kets], mock, trials=10, steps=200, seed=7)
+    [res] = lightlike_search([kets], mock.glue, trials=10, steps=200, seed=7)
     assert res.min_residual < 1e-8
     amps = {k: complex(a) for k, a in res.argmin.items()}
     assert abs(amps["B"] / amps["A"] + 1.0) < 1e-3
@@ -214,7 +207,6 @@ def test_acceptance_05_positivity(capsys):
 def test_acceptance_06_fixed_triangulation_no_cancellation(capsys):
     t0 = time.time()
     kets = [circle(n) for n in range(3, 9)]
-    gluer = DisjointUnionGluer()
     rng = random.Random(41)
     checked = 0
     for _ in range(1000):
@@ -226,7 +218,7 @@ def test_acceptance_06_fixed_triangulation_no_cancellation(capsys):
         if all(abs2(a) == 0 for a in amps):
             continue
         v = Superposition(list(zip(amps, kets)))
-        assert not pair(v, v, gluer).is_zero()
+        assert not pair(v, v, glue_closed).is_zero()
         checked += 1
     elapsed = time.time() - t0
     assert checked >= 990

@@ -67,9 +67,37 @@ def test_pair_boundary_mismatch_exit_3(tmp_path, capsys):
     assert "boundary" in err.lower()
 
 
+def test_pair_declared_boundary_mismatch_exit_3(tmp_path, capsys):
+    # kets that agree with each other but not with the declared boundary
+    mock = {"kets": ["A"], "glue": {"A|A": "s"}}
+    cases = [
+        ({"boundary": {"dimension": 0, "points": [0, 1, 2, 3]},
+          "kets": [{"matching": [[0, 1]], "re": 1.0}]},
+         "ket match[0-1]+0o does not match boundary [0, 1, 2, 3]"),
+        ({"boundary": {"dimension": 1, "circles": ["a", "b"]},
+          "kets": [{"components": [[0, ["a"]]], "re": 1.0}]},
+         "ket surf[g0(a)] does not cover circles ['a', 'b']"),
+        ({"mock": mock, "kets": [{"id": "A", "re": 1.0}, {"id": "B", "re": 1.0}]},
+         "unknown mock ket 'B'"),
+    ]
+    f = tmp_path / "kets.json"
+    for data, message in cases:
+        f.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "pair", "--kets", str(f))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("boundary mismatch: ") and message in err
+    # every ket is parsed before the boundary is checked
+    f.write_text(json.dumps({"boundary": {"dimension": 0, "points": [0, 1, 2, 3]},
+                             "kets": [{"matching": [[0, 1]], "re": 1.0}, {"re": 1.0}]}))
+    code, _, err = run_cli(capsys, "pair", "--kets", str(f))
+    assert code == 2 and "ket 1 has no 'matching'" in err
+
+
 def test_pair_bad_file_exit_2(tmp_path, capsys):
     mock = {"kets": ["A", "B"], "glue": {"A|A": "s", "A|B": "s", "B|A": "s", "B|B": "s"}}
     points = {"dimension": 0, "points": [0, 1]}
+    circles = {"dimension": 1, "circles": ["a"]}
     cases = [
         ("{not json", ""),
         (json.dumps({"boundary": points}), "'kets'"),
@@ -91,6 +119,20 @@ def test_pair_bad_file_exit_2(tmp_path, capsys):
          "'boundary.circles' entry 0 must be a label"),
         (json.dumps({"boundary": {"dimension": 1, "circles": ["a", {"b": 1}]}, "kets": []}),
          "'boundary.circles' entry 1 must be a label"),
+        (json.dumps({"mock": mock, "kets": [{"id": ["A"], "re": 1.0}]}),
+         "ket 0: 'id' must be a name"),
+        (json.dumps({"boundary": points, "kets": [{"matching": [[0, 1]], "free_circles": 1.5}]}),
+         "ket 0: free circle count must be an integer"),
+        (json.dumps({"boundary": points, "kets": [{"matching": [[0, 1]], "free_circles": True}]}),
+         "ket 0: free circle count must be an integer"),
+        (json.dumps({"boundary": circles, "kets": [{"components": [[0, ["a"]]], "closed": [0.5]}]}),
+         "ket 0: genus must be an integer"),
+        (json.dumps({"boundary": circles, "kets": [{"components": [[1.5, ["a"]]]}]}),
+         "ket 0: genus must be an integer"),
+        (json.dumps({"boundary": {"dimension": 0, "points": [0, 1, 0]}, "kets": []}),
+         "boundary point labels must be unique"),
+        (json.dumps({"boundary": {"dimension": 1, "circles": ["a", "a"]}, "kets": []}),
+         "boundary circle labels must be unique"),
     ]
     f = tmp_path / "kets.json"
     for text, message in cases:

@@ -4,7 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -12,16 +12,10 @@ import pytest
 from formalchain import cli
 from formalchain.errors import BoundaryError, StructureError
 from formalchain.pairing import (
-    Gluer,
     Bounded1Ket,
     BoundedSurfaceKet,
-    BoundarySpec,
-    DisjointUnionGluer,
-    MatchingGluer,
     MockEquivalence,
     OrderViolation,
-    SurfaceGluer,
-    TriangulationGluer,
     SearchResult,
     _gradient,
     _key_matrices,
@@ -32,6 +26,7 @@ from formalchain.pairing import (
     example_superposed_arcs,
     glue_1d,
     glue_2d,
+    glue_closed,
     l2_handle_series,
     lightlike_search,
     order_circle_count,
@@ -39,7 +34,15 @@ from formalchain.pairing import (
     square_partial_sums,
 )
 from formalchain.superpose import RC, Superposition, abs2, conj, rc
-from formalchain.topo import Closed0Class, Closed1Class, ClosedSurfaceClass, circle, point_set
+from formalchain.topo import (
+    Closed0Class,
+    Closed1Class,
+    ClosedSurfaceClass,
+    circle,
+    point_set,
+    remove_faces,
+    sphere_triangulation,
+)
 
 
 def all_matchings(labels):
@@ -120,9 +123,8 @@ def test_glue_2d_boundary_mismatch():
 
 
 def test_pair_single_ket_diagonal():
-    spec = BoundarySpec(0, points=(1, 2))
     v = Superposition([(1, Bounded1Ket(((1, 2),)))])
-    res = pair(v, v, MatchingGluer(spec))
+    res = pair(v, v, glue_1d)
     assert list(res.items()) == [(Closed1Class(1), 1)]
 
 
@@ -136,8 +138,8 @@ def example_superposed_arcs_profile():
 
 
 def test_example_superposed_arcs_profile_and_norm():
-    v, gluer = example_superposed_arcs()
-    res = pair(v, v, gluer)
+    v, glue = example_superposed_arcs()
+    res = pair(v, v, glue)
     want = example_superposed_arcs_profile()
     assert {k: a for k, a in res.items()} == {k: rc(x) for k, x in want.items()}
     assert res.norm2() == Fraction(7, 4)
@@ -156,7 +158,6 @@ def test_example_arcs_reconstructed_by_brute_force():
             for m in all_matchings(list(labels))
             for free in range(4)
         ]
-        gluer = MatchingGluer(BoundarySpec(0, points=labels))
         for combo in itertools.combinations(kets, 4):
             for signs in itertools.product((1, -1), repeat=4):
                 if signs[0] != 1:
@@ -164,7 +165,7 @@ def test_example_arcs_reconstructed_by_brute_force():
                 v = Superposition(
                     [(rc(Fraction(s, 2)), k) for s, k in zip(signs, combo)]
                 )
-                res = pair(v, v, gluer)
+                res = pair(v, v, glue_1d)
                 profile = {k.circles: a for k, a in res.items()}
                 if {c: rc(x) for c, x in want.items()} == profile:
                     hits.append((n_pts, combo, signs))
@@ -178,43 +179,85 @@ def test_example_arcs_reconstructed_by_brute_force():
 def test_pair_mock_family_cancels():
     kets, mock = example_mock_null_family()
     v = Superposition([(1, "A"), (-1, "B")])
-    assert pair(v, v, mock).is_zero()
+    assert pair(v, v, mock.glue).is_zero()
 
 
 def test_pair_boundary_error_propagates():
-    spec = BoundarySpec(0, points=(1, 2))
     v = Superposition([(1, Bounded1Ket(((1, 2),)))])
     w = Superposition([(1, Bounded1Ket(((3, 4),)))])
     with pytest.raises(BoundaryError):
-        pair(v, w, MatchingGluer(spec))
+        pair(v, w, glue_1d)
+
+
+def test_glue_closed_rejects_bounded_kets():
+    sphere = sphere_triangulation()
+    disk = remove_faces(sphere, [min(sphere.faces)])
+    assert glue_closed(sphere, sphere) == glue_closed(sphere, sphere_triangulation())
+    for a, b in ((sphere, disk), (disk, sphere), (disk, disk)):
+        with pytest.raises(BoundaryError, match="needs closed kets"):
+            glue_closed(a, b)
+
+
+def test_mock_glue_rejects_unknown_kets():
+    _, mock = example_mock_null_family()
+    for a, b in (("A", "C"), ("C", "A")):
+        with pytest.raises(BoundaryError, match="unknown mock ket 'C'"):
+            mock.glue(a, b)
+    # a table entry does not make a ket known
+    mock = MockEquivalence.from_json('{"kets": ["A"], "glue": {"A|A": "s", "A|C": "t"}}')
+    assert mock.glue("A", "A") == "s"
+    with pytest.raises(BoundaryError):
+        mock.glue("A", "C")
+
+
+def mismatched_families():
+    """(glue, family) pairs whose kets do not all share one boundary."""
+    sphere = sphere_triangulation()
+    _, mock = example_mock_null_family()
+    return [
+        (glue_1d, [Bounded1Ket(((0, 1),)), Bounded1Ket(((2, 3),))]),
+        (glue_2d, [disk_with_handles(0, "c0"), disk_with_handles(1, "c1")]),
+        (glue_closed, [sphere, remove_faces(sphere, [min(sphere.faces)])]),
+        (mock.glue, ["A", "B", "C"]),
+    ]
+
+
+def test_pairing_functions_raise_on_mismatched_families():
+    for glue, kets in mismatched_families():
+        v = Superposition([(1.0, k) for k in kets])
+        with pytest.raises(BoundaryError):
+            pair(v, v, glue)
+        # every family is glued before any descent starts
+        with pytest.raises(BoundaryError):
+            lightlike_search([kets[:1], kets], glue, trials=2, steps=5)
+        with pytest.raises(BoundaryError):
+            cauchy_schwarz_check(kets, glue, lambda key: 0)
 
 
 def test_sesquilinearity_random():
     rng = random.Random(5)
     labels = (0, 1, 2, 3)
-    spec = BoundarySpec(0, points=labels)
-    gluer = MatchingGluer(spec)
     kets = [Bounded1Ket(m) for m in all_matchings(list(labels))]
     for _ in range(20):
         a = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         v = Superposition([(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), k) for k in kets])
         w = Superposition([(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), k) for k in kets])
-        left = pair(v.scale(a), w, gluer)
-        right = pair(v, w, gluer).scale(a)
+        left = pair(v.scale(a), w, glue_1d)
+        right = pair(v, w, glue_1d).scale(a)
         for key in set(left.keys()) | set(right.keys()):
             assert abs(complex(left.amplitude(key)) - complex(right.amplitude(key))) < 1e-12
-        left2 = pair(v, w.scale(a), gluer)
-        right2 = pair(v, w, gluer).scale(conj(a))
+        left2 = pair(v, w.scale(a), glue_1d)
+        right2 = pair(v, w, glue_1d).scale(conj(a))
         for key in set(left2.keys()) | set(right2.keys()):
             assert abs(complex(left2.amplitude(key)) - complex(right2.amplitude(key))) < 1e-12
         # additivity in both slots
         u = Superposition([(complex(rng.uniform(-1, 1)), k) for k in kets])
-        lhs = pair(u.add(v), w, gluer)
-        rhs = pair(u, w, gluer).add(pair(v, w, gluer))
+        lhs = pair(u.add(v), w, glue_1d)
+        rhs = pair(u, w, glue_1d).add(pair(v, w, glue_1d))
         for key in set(lhs.keys()) | set(rhs.keys()):
             assert abs(complex(lhs.amplitude(key)) - complex(rhs.amplitude(key))) < 1e-12
-        lhs2 = pair(v, u.add(w), gluer)
-        rhs2 = pair(v, u, gluer).add(pair(v, w, gluer))
+        lhs2 = pair(v, u.add(w), glue_1d)
+        rhs2 = pair(v, u, glue_1d).add(pair(v, w, glue_1d))
         for key in set(lhs2.keys()) | set(rhs2.keys()):
             assert abs(complex(lhs2.amplitude(key)) - complex(rhs2.amplitude(key))) < 1e-12
 
@@ -222,13 +265,12 @@ def test_sesquilinearity_random():
 def test_hermitian_norm_symmetry_real_amplitudes():
     rng = random.Random(6)
     labels = (0, 1, 2, 3)
-    gluer = MatchingGluer(BoundarySpec(0, points=labels))
     kets = [Bounded1Ket(m, f) for m in all_matchings(list(labels)) for f in (0, 1)]
     for _ in range(20):
         v = Superposition([(rng.uniform(-1, 1), k) for k in kets])
         w = Superposition([(rng.uniform(-1, 1), k) for k in kets])
-        n_vw = float(pair(v, w, gluer).norm2())
-        n_wv = float(pair(w, v, gluer).norm2())
+        n_vw = float(pair(v, w, glue_1d).norm2())
+        n_wv = float(pair(w, v, glue_1d).norm2())
         assert math.isclose(n_vw, n_wv, rel_tol=1e-10, abs_tol=1e-12)
 
 
@@ -236,12 +278,11 @@ def test_hermitian_norm_symmetry_real_amplitudes():
 
 
 def test_lightlike_single_ket_residual_one():
-    gluer = MatchingGluer(BoundarySpec(0, points=(0, 1)))
-    [res] = lightlike_search([[Bounded1Ket(((0, 1),))]], gluer, trials=3, steps=50, seed=0)
+    [res] = lightlike_search([[Bounded1Ket(((0, 1),))]], glue_1d, trials=3, steps=50, seed=0)
     assert math.isclose(res.min_residual, 1.0, abs_tol=1e-9)
     # step 0.5 maps a unit vector to (1 - |v|^2) v, often exactly 0: rows are redrawn
     [res] = lightlike_search(
-        [[Bounded1Ket(((0, 1),))]], gluer, trials=8, steps=20, seed=0, step_size=0.5
+        [[Bounded1Ket(((0, 1),))]], glue_1d, trials=8, steps=20, seed=0, step_size=0.5
     )
     assert math.isclose(res.min_residual, 1.0, abs_tol=1e-9)
     assert math.isclose(res.argmin.norm2(), 1.0, abs_tol=1e-12)
@@ -251,17 +292,16 @@ def test_lightlike_matching_families_bounded_below():
     rng = random.Random(7)
     for points in ((0, 1, 2, 3), (0, 1, 2, 3, 4, 5)):
         ms = all_matchings(list(points))
-        gluer = MatchingGluer(BoundarySpec(0, points=points))
         for fam_i in range(3):
             size = min(len(ms), 2 + fam_i)
             fam = [Bounded1Ket(m) for m in rng.sample(ms, size)]
-            [res] = lightlike_search([fam], gluer, trials=10, steps=150, seed=fam_i)
+            [res] = lightlike_search([fam], glue_1d, trials=10, steps=150, seed=fam_i)
             assert res.min_residual > 0.05
 
 
 def test_lightlike_mock_finds_null_vector():
     kets, mock = example_mock_null_family()
-    [res] = lightlike_search([kets], mock, trials=8, steps=150, seed=3)
+    [res] = lightlike_search([kets], mock.glue, trials=8, steps=150, seed=3)
     assert res.min_residual < 1e-8
     amps = {k: complex(a) for k, a in res.argmin.items()}
     ratio = amps["B"] / amps["A"]
@@ -273,7 +313,7 @@ def test_lightlike_gradient_matches_finite_differences():
     # numerically, every row at once, on a family with several keys
     labels = (0, 1, 2, 3)
     kets = [Bounded1Ket(m, f) for m in all_matchings(list(labels)) for f in (0, 1)]
-    mats = _key_matrices(kets, MatchingGluer(BoundarySpec(0, points=labels)))
+    mats = _key_matrices(kets, glue_1d)
     assert mats.shape[0] > 1
     flat = mats.reshape(mats.shape[0], -1)
     n = len(kets)
@@ -297,7 +337,6 @@ def test_lightlike_gradient_matches_finite_differences():
 def test_lightlike_surface_families_positive():
     # enumerate bounded surfaces with <= 2 labeled boundary circles and
     # component genus <= 3; every unit vector keeps a positive residual
-    specs = BoundarySpec(1, circles=("c0", "c1"))
     kets = []
     for g in range(4):
         kets.append(BoundedSurfaceKet(((g, frozenset(["c0", "c1"])),)))
@@ -306,18 +345,17 @@ def test_lightlike_surface_families_positive():
             kets.append(
                 BoundedSurfaceKet(((g1, frozenset(["c0"])), (g2, frozenset(["c1"]))))
             )
-    gluer = SurfaceGluer(specs)
     rng = random.Random(13)
     for _ in range(4):
         fam = rng.sample(kets, 5)
-        [res] = lightlike_search([fam], gluer, trials=8, steps=150, seed=99)
+        [res] = lightlike_search([fam], glue_2d, trials=8, steps=150, seed=99)
         assert res.min_residual > 1e-6
 
 
 def test_lightlike_deterministic_given_seed():
     kets, mock = example_mock_null_family()
-    [a] = lightlike_search([kets], mock, trials=5, steps=100, seed=42)
-    [b] = lightlike_search([kets], mock, trials=5, steps=100, seed=42)
+    [a] = lightlike_search([kets], mock.glue, trials=5, steps=100, seed=42)
+    [b] = lightlike_search([kets], mock.glue, trials=5, steps=100, seed=42)
     assert a.min_residual == b.min_residual
     assert {k: complex(x) for k, x in a.argmin.items()} == {
         k: complex(x) for k, x in b.argmin.items()
@@ -325,25 +363,23 @@ def test_lightlike_deterministic_given_seed():
 
 
 def test_lightlike_rejects_empty_families():
-    gluer = MatchingGluer(BoundarySpec(0, points=(0, 1)))
     with pytest.raises(StructureError):
-        lightlike_search([], gluer)
+        lightlike_search([], glue_1d)
     with pytest.raises(StructureError):
-        lightlike_search([[Bounded1Ket(((0, 1),))], []], gluer)
+        lightlike_search([[Bounded1Ket(((0, 1),))], []], glue_1d)
 
 
-def reference_lightlike_search(kets, gluer, trials=200, steps=500, seed=0, step_size=0.1):
+def reference_lightlike_search(kets, glue, trials=200, steps=500, seed=0, step_size=0.1):
     """The restart-by-restart search the batched one replaced, kept verbatim
-    except that it returns ``(min_residual, argmin)``."""
+    except that it takes a glue function and returns ``(min_residual, argmin)``."""
     if not kets:
         raise StructureError("need at least one ket")
-    gluer.check(list(kets))
     n = len(kets)
     key_of = {}
     keys = []
     key_index = {}
     for i, j in itertools.product(range(n), repeat=2):
-        k = gluer.glue(kets[i], kets[j])
+        k = glue(kets[i], kets[j])
         key_of[(i, j)] = k
         if k not in key_index:
             key_index[k] = len(keys)
@@ -407,7 +443,7 @@ def reference_lightlike_search(kets, gluer, trials=200, steps=500, seed=0, step_
 
 
 # The single-family search that the multi-family one replaced, kept verbatim
-# with its helpers: every family of a multi-family search must give its result
+# with its helpers except that it takes a glue function: every family of a multi-family search must give its result
 # bit for bit.
 
 
@@ -453,7 +489,7 @@ def _polish(mats: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 def single_family_search(
     kets: Sequence,
-    gluer: Gluer,
+    glue: Callable,
     trials: int = 200,
     steps: int = 500,
     seed: int = 0,
@@ -472,13 +508,12 @@ def single_family_search(
     """
     if not kets:
         raise StructureError("need at least one ket")
-    gluer.check(list(kets))
     n = len(kets)
     key_of: Dict[Tuple[int, int], object] = {}
     keys: List[object] = []
     key_index: Dict[object, int] = {}
     for i, j in itertools.product(range(n), repeat=2):
-        k = gluer.glue(kets[i], kets[j])
+        k = glue(kets[i], kets[j])
         key_of[(i, j)] = k
         if k not in key_index:
             key_index[k] = len(keys)
@@ -514,19 +549,19 @@ def single_family_search(
     return SearchResult(float(residuals[best]), argmin)
 
 
-def assert_matches_reference(kets, gluer, **kw):
-    [res] = lightlike_search([kets], gluer, **kw)
-    ref_r, _ = reference_lightlike_search(kets, gluer, **kw)
+def assert_matches_reference(kets, glue, **kw):
+    [res] = lightlike_search([kets], glue, **kw)
+    ref_r, _ = reference_lightlike_search(kets, glue, **kw)
     assert abs(res.min_residual - ref_r) <= 1e-12
     return res
 
 
-def assert_bit_equal_to_single_family(families, gluer, seed, **kw):
+def assert_bit_equal_to_single_family(families, glue, seed, **kw):
     """Search ``families`` at once; family i must equal a search of it alone from ``seed + i``."""
-    results = lightlike_search(families, gluer, seed=seed, **kw)
+    results = lightlike_search(families, glue, seed=seed, **kw)
     assert len(results) == len(families)
     for i, (fam, res) in enumerate(zip(families, results)):
-        ref = single_family_search(fam, gluer, seed=seed + i, **kw)
+        ref = single_family_search(fam, glue, seed=seed + i, **kw)
         assert res.min_residual == ref.min_residual
         assert list(res.argmin.items()) == list(ref.argmin.items())
     return results
@@ -535,16 +570,15 @@ def assert_bit_equal_to_single_family(families, gluer, seed, **kw):
 def test_lightlike_matches_reference_on_positivity_families():
     # the families and the mock search of ``positivity --points 6``
     labels = tuple(range(6))
-    gluer = MatchingGluer(BoundarySpec(0, points=labels))
     matchings = cli._perfect_matchings(labels)
     for seed in (3000, 3001, 3002):
         rng = random.Random(f"{seed}:positivity")
         for fam_i in range(4):
             fam = cli._random_family(matchings, 4, rng)
-            assert_matches_reference(fam, gluer, trials=40, steps=300, seed=seed + fam_i)
+            assert_matches_reference(fam, glue_1d, trials=40, steps=300, seed=seed + fam_i)
         kets, mock = example_mock_null_family()
-        [res] = lightlike_search([kets], mock, trials=10, steps=300, seed=seed)
-        _, ref_argmin = reference_lightlike_search(kets, mock, trials=10, steps=300, seed=seed)
+        [res] = lightlike_search([kets], mock.glue, trials=10, steps=300, seed=seed)
+        _, ref_argmin = reference_lightlike_search(kets, mock.glue, trials=10, steps=300, seed=seed)
         assert res.min_residual < 1e-8
         amps = {k: complex(a) for k, a in res.argmin.items()}
         ref_amps = {k: complex(a) for k, a in ref_argmin.items()}
@@ -558,19 +592,17 @@ def test_lightlike_matches_reference_on_surface_families():
         for g1 in range(4)
         for g2 in range(4)
     ]
-    gluer = SurfaceGluer(BoundarySpec(1, circles=("c0", "c1")))
     rng = random.Random(13)
     for _ in range(4):
-        assert_matches_reference(rng.sample(kets, 5), gluer, trials=8, steps=150, seed=99)
+        assert_matches_reference(rng.sample(kets, 5), glue_2d, trials=8, steps=150, seed=99)
 
 
 def test_lightlike_matches_reference_single_ket_and_mock():
-    gluer = MatchingGluer(BoundarySpec(0, points=(0, 1)))
-    assert_matches_reference([Bounded1Ket(((0, 1),))], gluer, trials=3, steps=50, seed=0)
+    assert_matches_reference([Bounded1Ket(((0, 1),))], glue_1d, trials=3, steps=50, seed=0)
     kets, mock = example_mock_null_family()
     for seed in (3, 7, 42):
-        res = assert_matches_reference(kets, mock, trials=8, steps=150, seed=seed)
-        _, ref_argmin = reference_lightlike_search(kets, mock, trials=8, steps=150, seed=seed)
+        res = assert_matches_reference(kets, mock.glue, trials=8, steps=150, seed=seed)
+        _, ref_argmin = reference_lightlike_search(kets, mock.glue, trials=8, steps=150, seed=seed)
         assert res.min_residual < 1e-8
         amps = {k: complex(a) for k, a in res.argmin.items()}
         ref_amps = {k: complex(a) for k, a in ref_argmin.items()}
@@ -581,26 +613,24 @@ def test_multi_family_search_bit_equal_on_positivity_families():
     # ``positivity --points 6`` searches its four families in one call and the
     # mock family in another
     labels = tuple(range(6))
-    gluer = MatchingGluer(BoundarySpec(0, points=labels))
     matchings = cli._perfect_matchings(labels)
     kets, mock = example_mock_null_family()
     for seed in (3000, 3001, 3002):
         rng = random.Random(f"{seed}:positivity")
         families = [cli._random_family(matchings, 4, rng) for _ in range(4)]
-        assert_bit_equal_to_single_family(families, gluer, seed, trials=40, steps=300)
-        [res] = assert_bit_equal_to_single_family([kets], mock, seed, trials=10, steps=300)
+        assert_bit_equal_to_single_family(families, glue_1d, seed, trials=40, steps=300)
+        [res] = assert_bit_equal_to_single_family([kets], mock.glue, seed, trials=10, steps=300)
         assert res.min_residual < 1e-8
 
 
 def test_multi_family_search_bit_equal_with_free_circles():
     labels = tuple(range(6))
-    gluer = MatchingGluer(BoundarySpec(0, points=labels))
     matchings = cli._perfect_matchings(labels)
     rng = random.Random("7:positivity")
     families = [cli._random_family(matchings, 4, rng, max_free_circles=2) for _ in range(4)]
     # the families differ in key count, so the descent pads and the polish splits
-    assert len({len(_key_matrices(fam, gluer)) for fam in families}) > 1
-    assert_bit_equal_to_single_family(families, gluer, 7, trials=20, steps=200)
+    assert len({len(_key_matrices(fam, glue_1d)) for fam in families}) > 1
+    assert_bit_equal_to_single_family(families, glue_1d, 7, trials=20, steps=200)
 
 
 def test_multi_family_search_bit_equal_on_surface_families():
@@ -610,20 +640,18 @@ def test_multi_family_search_bit_equal_on_surface_families():
         for g1 in range(4)
         for g2 in range(4)
     ]
-    gluer = SurfaceGluer(BoundarySpec(1, circles=("c0", "c1")))
     rng = random.Random(13)
     families = [rng.sample(kets, 5) for _ in range(4)]
-    assert_bit_equal_to_single_family(families, gluer, 99, trials=8, steps=150)
+    assert_bit_equal_to_single_family(families, glue_2d, 99, trials=8, steps=150)
 
 
 def test_multi_family_search_bit_equal_through_restart_redraws():
     # step 0.5 sends a unit vector of a one-ket family to (1 - |v|^2) v,
     # often exactly 0, so those restarts redraw from their own generators
-    gluer = MatchingGluer(BoundarySpec(0, points=(0, 1)))
     k = [Bounded1Ket(((0, 1),), c) for c in range(4)]
     families = [[k[0]], [k[1]], [k[0], k[1]], [k[2]], [k[2], k[3]]]
     results = assert_bit_equal_to_single_family(
-        families, gluer, 0, trials=8, steps=20, step_size=0.5
+        families, glue_1d, 0, trials=8, steps=20, step_size=0.5
     )
     for res in (results[0], results[1], results[3]):
         assert math.isclose(res.min_residual, 1.0, abs_tol=1e-9)
@@ -633,12 +661,11 @@ def test_multi_family_search_groups_ket_counts_in_input_order():
     # ``_random_family`` returns short families when the pool is small or its
     # 10,000-draw guard runs out; each ket count descends as its own group
     labels = tuple(range(6))
-    gluer = MatchingGluer(BoundarySpec(0, points=labels))
     matchings = cli._perfect_matchings(labels)
     rng = random.Random(5)
     families = [cli._random_family(matchings, size, rng) for size in (4, 2, 5, 4, 1, 2, 3)]
     assert [len(fam) for fam in families] == [4, 2, 5, 4, 1, 2, 3]
-    results = assert_bit_equal_to_single_family(families, gluer, 11, trials=10, steps=100)
+    results = assert_bit_equal_to_single_family(families, glue_1d, 11, trials=10, steps=100)
     for fam, res in zip(families, results):
         assert [ket for ket, _ in res.argmin.items()] == list(fam)
 
@@ -650,8 +677,7 @@ def test_cs_check_matchings_circle_count_no_violations():
     for n in (4, 6):
         labels = tuple(range(n))
         kets = [Bounded1Ket(m) for m in all_matchings(list(labels))]
-        gluer = MatchingGluer(BoundarySpec(0, points=labels))
-        assert cauchy_schwarz_check(kets, gluer, order_circle_count) == []
+        assert cauchy_schwarz_check(kets, glue_1d, order_circle_count) == []
 
 
 def test_cs_check_free_circles_documented():
@@ -663,20 +689,17 @@ def test_cs_check_free_circles_documented():
         for m in all_matchings(list(labels))
         for f in (0, 1, 2)
     ]
-    gluer = MatchingGluer(BoundarySpec(0, points=labels))
-    assert cauchy_schwarz_check(kets, gluer, order_circle_count) == []
+    assert cauchy_schwarz_check(kets, glue_1d, order_circle_count) == []
 
 
 def test_cs_check_single_ket_empty():
-    gluer = MatchingGluer(BoundarySpec(0, points=(0, 1)))
-    assert cauchy_schwarz_check([Bounded1Ket(((0, 1),))], gluer, order_circle_count) == []
+    assert cauchy_schwarz_check([Bounded1Ket(((0, 1),))], glue_1d, order_circle_count) == []
 
 
 def test_cs_check_point_sets_naive_orders_fail():
     """Dimension-0 kets under disjoint-union gluing: orders by total point
     count (either sign) admit violations, documented by exhaustive search."""
     kets = [point_set(p, m) for p in range(3) for m in range(3) if p + m > 0]
-    gluer = DisjointUnionGluer()
 
     def order_total(key):
         return key.plus_points + key.minus_points
@@ -684,8 +707,8 @@ def test_cs_check_point_sets_naive_orders_fail():
     def order_neg_total(key):
         return -(key.plus_points + key.minus_points)
 
-    v1 = cauchy_schwarz_check(kets, gluer, order_total)
-    v2 = cauchy_schwarz_check(kets, gluer, order_neg_total)
+    v1 = cauchy_schwarz_check(kets, glue_closed, order_total)
+    v2 = cauchy_schwarz_check(kets, glue_closed, order_neg_total)
     assert v1 and v2
     # yet the pairing itself is positive: the diagonal key coefficient of
     # <v, v> is a sum of |amplitude|^2 over kets sharing a diagonal class
@@ -694,7 +717,7 @@ def test_cs_check_point_sets_naive_orders_fail():
         v = Superposition([(rng.uniform(-1, 1), k) for k in kets])
         if v.is_zero():
             continue
-        assert not pair(v, v, gluer).is_zero()
+        assert not pair(v, v, glue_closed).is_zero()
 
 
 # -- fixed-triangulation pairing -----------------------------------------------------
@@ -702,7 +725,6 @@ def test_cs_check_point_sets_naive_orders_fail():
 
 def test_fixed_triangulation_pairing_never_cancels():
     kets = [circle(n) for n in range(3, 9)]
-    gluer = TriangulationGluer()
     rng = random.Random(9)
     for _ in range(100):
         amps = [
@@ -713,7 +735,7 @@ def test_fixed_triangulation_pairing_never_cancels():
         if all(abs2(a) == 0 for a in amps):
             continue
         v = Superposition(list(zip(amps, kets)))
-        res = pair(v, v, DisjointUnionGluer())
+        res = pair(v, v, glue_closed)
         assert not res.is_zero()
 
 
@@ -732,14 +754,13 @@ def test_handle_series_exact_values():
 
 
 def test_handle_series_matches_geometric_pairing_oracle():
-    """Dual route: pair actual disk-with-handle kets through the surface
-    gluer and collect by genus; the arithmetic convolution must agree."""
+    """Dual route: pair actual disk-with-handle kets through
+    ``glue_2d`` and collect by genus; the arithmetic convolution must agree."""
     g_max = 6
     kets = [disk_with_handles(n) for n in range(g_max + 1)]
     amps = [Fraction(1, n + 1) for n in range(g_max + 1)]
     v = Superposition(list(zip(amps, kets)))
-    gluer = SurfaceGluer(BoundarySpec(1, circles=("c0",)))
-    paired = pair(v, v, gluer)
+    paired = pair(v, v, glue_2d)
     series = dict(l2_handle_series(lambda n: Fraction(1, n + 1), g_max))
     for g in range(g_max + 1):
         # truncation: the geometric pairing only sees i, j <= g_max
