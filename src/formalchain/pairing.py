@@ -121,7 +121,11 @@ class MockEquivalence:
             raise StructureError(f"mock table needs a 'glue' object of class names, got {glue!r}")
         table = {}
         for pair, cls in glue.items():
-            a, _, b = pair.partition("|")
+            if pair.count("|") != 1:
+                raise StructureError(f"mock glue key {pair!r} must be 'A|B'")
+            a, b = pair.split("|")
+            if a not in kets or b not in kets:
+                raise StructureError(f"mock glue key {pair!r} names a ket not in 'kets'")
             table[(a, b)] = cls
         for a, b in itertools.product(kets, repeat=2):
             if (a, b) not in table and (b, a) in table:

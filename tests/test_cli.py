@@ -9,6 +9,7 @@ import pytest
 from formalchain import config as cfgmod
 from formalchain.cli import main
 from formalchain.topo import circle, to_text
+from formalchain.twofield import TwoFieldParams, _propagator_steps
 
 
 def run_cli(capsys, *argv):
@@ -133,6 +134,14 @@ def test_pair_bad_file_exit_2(tmp_path, capsys):
          "boundary point labels must be unique"),
         (json.dumps({"boundary": {"dimension": 1, "circles": ["a", "a"]}, "kets": []}),
          "boundary circle labels must be unique"),
+        (json.dumps({"mock": {"kets": ["A"], "glue": {"A|A": "s", "AA": "t"}},
+                     "kets": [{"id": "A", "re": 1.0}]}), "mock glue key 'AA'"),
+        (json.dumps({"mock": {"kets": ["A"], "glue": {"A|A": "s", "A|A|A": "t"}},
+                     "kets": [{"id": "A", "re": 1.0}]}), "mock glue key 'A|A|A'"),
+        (json.dumps({"mock": {"kets": ["A"], "glue": {"A|A": "s", "A|Z": "u"}},
+                     "kets": [{"id": "A", "re": 1.0}]}), "mock glue key 'A|Z'"),
+        (json.dumps({"mock": {"kets": ["A"], "glue": {"A|A": "s", "Z|A": "u"}},
+                     "kets": [{"id": "A", "re": 1.0}]}), "mock glue key 'Z|A'"),
     ]
     f = tmp_path / "kets.json"
     for text, message in cases:
@@ -435,15 +444,17 @@ def test_twofield_csv(capsys):
 def test_twofield_nan_norm_exit_4(capsys):
     # an overflowing potential turns every norm into NaN, which must fail the
     # drift check instead of printing nan rows; with the coupling V the state
-    # evolves on the 2D grid, without it as two factors
-    for potential in ("--v-depth", "--lambda"):
-        code, out, err = run_cli(
-            capsys, "twofield", potential, "1e308", "--dt", "1e10", "--steps", "2",
-            "--grid", "16", "--stride", "1",
-        )
-        assert code == 4, potential
-        assert "nan" not in out, potential
-        assert "numeric failure" in err, potential
+    # evolves on the 2D grid, without it as two factors, stepped one step at
+    # a time at stride 1 and two at a time by the propagator at stride 4
+    for potential, steps, stride in (("--v-depth", 2, 1), ("--lambda", 2, 1), ("--lambda", 8, 4)):
+        argv = (potential, "1e308", "--dt", "1e10", "--steps", str(steps),
+                "--grid", "16", "--stride", str(stride))
+        p = TwoFieldParams(steps=steps, grid_n=16, sample_stride=stride)
+        assert _propagator_steps(p) == (2 if stride == 4 else 1)
+        code, out, err = run_cli(capsys, "twofield", *argv)
+        assert code == 4, argv
+        assert "nan" not in out, argv
+        assert "numeric failure" in err, argv
 
 
 @pytest.mark.parametrize("stride", ["0", "-3"])

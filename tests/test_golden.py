@@ -5,9 +5,9 @@ refactor that claims unchanged behaviour can prove it.  ``sample``, ``pair``,
 ``grow``, ``gap`` and ``positivity`` print JSON (``<case>.json``), and a
 ``sample`` trace goes to ``<case>.csv``; ``twofield`` and ``series`` print
 CSV (``<case>.csv``).  Regenerate them only together with a stated behaviour
-change:
+change, naming the cases that change (all of them when none is named):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
 
 Runs use a relative ``--trace`` name in a scratch directory, because the trace
 path is echoed in the JSON.  The ``grow`` slices and the ``pair`` ket files are
@@ -188,11 +188,15 @@ if __name__ == "__main__":
     import contextlib
     import io
 
+    names = sys.argv[1:] or list(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(unknown)}; known: {', '.join(sorted(CASES))}")
     DATA.mkdir(exist_ok=True)
     os.chdir(DATA)
     _write_inputs(DATA)
-    for case, argv in CASES.items():
+    for case in names:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            assert main(argv) == 0
+            assert main(CASES[case]) == 0
         _stdout_file(case).write_text(buf.getvalue())

@@ -203,11 +203,13 @@ def test_mock_glue_rejects_unknown_kets():
     for a, b in (("A", "C"), ("C", "A")):
         with pytest.raises(BoundaryError, match="unknown mock ket 'C'"):
             mock.glue(a, b)
-    # a table entry does not make a ket known
-    mock = MockEquivalence.from_json('{"kets": ["A"], "glue": {"A|A": "s", "A|C": "t"}}')
+    # a table entry does not make a ket known; a ket file may not name one
+    mock = MockEquivalence(["A"], {("A", "A"): "s", ("A", "C"): "t"})
     assert mock.glue("A", "A") == "s"
     with pytest.raises(BoundaryError):
         mock.glue("A", "C")
+    with pytest.raises(StructureError, match=r"mock glue key 'A\|C' names a ket not in 'kets'"):
+        MockEquivalence.from_json('{"kets": ["A"], "glue": {"A|A": "s", "A|C": "t"}}')
 
 
 def mismatched_families():

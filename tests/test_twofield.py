@@ -5,15 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from formalchain.errors import StructureError, ZeroStateError
+from formalchain.errors import IntegratorError, StructureError, ZeroStateError
 from formalchain.twofield import (
+    MAX_NORM_DRIFT,
     NestedVector,
+    Trajectory,
     TwoFieldParams,
     TwoFieldState,
     _com_density,
     _erase_raw,
     _factor_measures,
     _grid_measures,
+    _phases,
+    _propagator_steps,
     alpha_erase,
     com_density,
     erase_twice,
@@ -51,6 +55,8 @@ def test_zero_steps_identity():
     pytest.param(0.5, 300, id="0.5"),
     # the last record falls between strides
     pytest.param(0.5, 310, id="0.5-steps310"),
+    # neither a multiple of the stride nor of the propagator's 5 steps
+    pytest.param(0.5, 1003, id="0.5-steps1003"),
 ])
 def test_factored_evolution_matches_2d(lam, steps):
     # unequal factors: the records are symmetric under x1 <-> x2, so only the
@@ -66,6 +72,114 @@ def test_factored_evolution_matches_2d(lam, steps):
         assert np.allclose(getattr(factored, name), getattr(grid, name), rtol=0, atol=1e-12), name
     assert np.allclose(factored.final.psi, grid.final.psi, rtol=0, atol=1e-12)
     assert np.array_equal(factored.final.psi, np.outer(*factored.final.factors))
+
+
+def reference_evolve(state, p):
+    """The split-step loop without the propagator: every step through the FFTs."""
+    factored = state.factors is not None and p.v_depth == 0.0
+    half_v, kin = _phases(p, factored)
+    psi = (state.factors if factored else state.psi).astype(complex)
+    # 1D transforms of each factor row, or the 2D transform of the grid
+    # (fftn, since ifft2 ignores its out argument)
+    fft, ifft = (np.fft.fft, np.fft.ifft) if factored else (np.fft.fftn, np.fft.ifftn)
+    measures = _factor_measures if factored else _grid_measures
+    x = grid_points(p)
+    dx = grid_dx(p)
+    norm0 = erase_scale = None
+    traj = Trajectory()
+
+    def record(step_idx: int):
+        nonlocal norm0, erase_scale
+        t = state.t + step_idx * p.dt
+        n, raw, mean = measures(psi, x, dx)
+        raw_norm = math.sqrt(float(np.sum(np.abs(raw) ** 2)) * dx)
+        if erase_scale is None:
+            if raw_norm == 0.0:
+                raise ZeroStateError("erased wavefunction vanishes at t = 0")
+            norm0, erase_scale = n, 1.0 / raw_norm
+        traj.times.append(t)
+        traj.joint_norms.append(n)
+        traj.erased_norms.append(raw_norm * erase_scale)
+        traj.com_means.append(mean)
+        if not abs(n - norm0) <= MAX_NORM_DRIFT:  # a NaN norm fails too
+            raise IntegratorError(
+                f"joint norm drifted by {abs(n - norm0):.3e} at t = {t:.4f}"
+            )
+
+    record(0)
+    for s in range(1, p.steps + 1):
+        psi *= half_v
+        fft(psi, out=psi)
+        psi *= kin
+        ifft(psi, out=psi)
+        psi *= half_v
+        if s % p.sample_stride == 0 or s == p.steps:
+            record(s)
+    traj.final = TwoFieldState(np.outer(psi[0], psi[1]) if factored else psi, p,
+                               state.t + p.steps * p.dt, factors=psi if factored else None)
+    return traj
+
+
+@pytest.mark.parametrize("grid, steps, stride, m", [
+    # the rule keeps the loop: products dearer than the steps they skip on
+    # grid 512 and for m = 2 on grid 256, a prime stride, and a propagator
+    # that costs more to build than the steps it replaces
+    (512, 1000, 50, 1),
+    (256, 1000, 4, 1),
+    (64, 1000, 7, 1),
+    (256, 100, 50, 1),
+    (256, 310, 20, 1),
+    # m steps per product; 310 and 1003 leave steps over after the last
+    # product and a last record between strides
+    (16, 310, 20, 4),
+    (16, 1003, 20, 4),
+    (32, 310, 20, 4),
+    (64, 1003, 20, 4),
+    (128, 310, 20, 4),
+    (128, 1003, 50, 5),
+    (256, 1003, 20, 4),
+])
+def test_evolve_matches_reference_loop(grid, steps, stride, m):
+    p = TwoFieldParams(lam=0.5, grid_n=grid, dt=1e-3, steps=steps, sample_stride=stride)
+    assert _propagator_steps(p) == m
+    st = product_state(p, gaussian_packet(p, 1.0), gaussian_packet(p, -0.5))
+    got, ref = evolve(st, p), reference_evolve(st, p)
+    assert got.times == ref.times
+    names = ("joint_norms", "erased_norms", "com_means")
+    if m == 1:
+        for name in names:
+            assert getattr(got, name) == getattr(ref, name), name
+        assert np.array_equal(got.final.factors, ref.final.factors)
+        assert np.array_equal(got.final.psi, ref.final.psi)
+    else:
+        for name in names:
+            assert np.allclose(getattr(got, name), getattr(ref, name), rtol=0, atol=1e-12), name
+        assert np.allclose(got.final.factors, ref.final.factors, rtol=0, atol=1e-12)
+    # the 2D path takes every split step, so it stays bit-equal
+    if grid <= 64:
+        grid_st = TwoFieldState(st.psi, p)
+        got, ref = evolve(grid_st, p), reference_evolve(grid_st, p)
+        for name in ("times",) + names:
+            assert getattr(got, name) == getattr(ref, name), name
+        assert np.array_equal(got.final.psi, ref.final.psi)
+
+
+def test_uncoupled_evolve_fft_calls(monkeypatch):
+    # 5 FFTs build the 5-step propagator and each of the 21 records makes
+    # one; the loop made one per step besides
+    calls = []
+    fft = np.fft.fft
+
+    def counting_fft(*args, **kw):
+        calls.append(1)
+        return fft(*args, **kw)
+
+    p = TwoFieldParams(grid_n=128, steps=1000, dt=1e-3, sample_stride=50)
+    st = product_state(p, gaussian_packet(p, 1.0), gaussian_packet(p, 1.0))
+    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    traj = evolve(st, p)
+    assert len(traj.times) == 21
+    assert len(calls) <= 30
 
 
 def reference_erase_raw(psi, dx):
@@ -217,6 +331,10 @@ def test_params_validation():
     for bad in (0.0, -0.0, -8.0):
         with pytest.raises(StructureError, match="grid_l must be positive"):
             TwoFieldParams(grid_l=bad)
+    for name, bad in (("grid_n", 128.0), ("grid_n", True), ("steps", 10.5), ("steps", True),
+                      ("sample_stride", 2.5), ("sample_stride", True), ("steps", "10")):
+        with pytest.raises(StructureError, match=f"{name} must be an integer"):
+            TwoFieldParams(**{name: bad})
 
 
 def test_erase_zero_state_raises():
