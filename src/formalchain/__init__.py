@@ -6,7 +6,7 @@ over formal chains, in dimensions 0 through 2 plus an opaque mock stage.
 """
 
 from .action import ActionParams, total_action
-from .chains import FormalChain, SamplerConfig, detect_termination, run, step
+from .chains import FormalChain, SamplerConfig, run, step
 from .growth import Cobordism, GrowthConfig, grow_layer, mirror_double
 from .pairing import (
     Bounded1Ket,
@@ -27,7 +27,6 @@ __all__ = [
     "total_action",
     "FormalChain",
     "SamplerConfig",
-    "detect_termination",
     "run",
     "step",
     "Cobordism",

@@ -206,6 +206,7 @@ def total_action(chain, p: ActionParams) -> ActionBreakdown:
         out.curvature += shares[0]
         out.cosmological += shares[1]
         out.volume += shares[2]
-    out.fugacity = fugacity_total(chain.steps, p)
-    out.kinetic = kinetic_total(chain.steps, p)
+    steps = chain.steps
+    out.fugacity = fugacity_total(steps, p)
+    out.kinetic = kinetic_total(steps, p)
     return out

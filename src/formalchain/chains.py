@@ -4,8 +4,9 @@ A chain alternates grow / double / fluctuate links starting from the empty
 set: a grow link raises the dimension by adding a Lorentzian layer (a
 superposition of layers where allowed), a double link pairs the layer
 superposition against itself into a closed Euclidean site, and fluctuate
-links retriangulate one collected term at a time.  After dimension 2 a chain
-may enter the mock stage, where kets are opaque ids glued through a
+links retriangulate one collected term at a time.  The sites say which link
+led to each of them (see ``FormalChain``).  After dimension 2 a chain may
+enter the mock stage, where kets are opaque ids glued through a
 user-supplied equivalence table; that stage stands in for the dimension in
 which cancellation becomes possible for purely topological reasons, and its
 sites are labeled dimension 4.
@@ -41,10 +42,6 @@ from .pairing import pair_terms
 from .superpose import Superposition
 from .topo import Triangulation, apply_pachner, iso_key, moves_for, point_set
 
-GROW = "grow"
-DOUBLE = "double"
-FLUCTUATE = "fluctuate"
-
 MOCK_DIM = 4  # the stage the opaque-ket mechanism stands in for
 
 
@@ -57,6 +54,7 @@ class ChainSite:
     state: Superposition
     reps: Dict[object, Triangulation] = field(default_factory=dict)
     x_terms: Tuple[Tuple[object, object], ...] = ()  # (amplitude, Cobordism | mock id)
+    step: Optional[FluctuationStep] = None  # set on fluctuation sites only
     # ActionParams -> this site's action shares, filled by action.total_action
     action_memo: Dict[ActionParams, Tuple[float, float, float]] = field(
         default_factory=dict, compare=False, repr=False
@@ -68,10 +66,11 @@ class ChainSite:
 
 @dataclass(frozen=True)
 class FormalChain:
-    """Ordered sites plus the link labels connecting consecutive sites.
+    """Ordered sites, starting after the implicit empty set (dimension -1).
 
-    The implicit first site is the empty set (dimension -1); ``links[i]``
-    connects site i-1 to site i with links[0] leaving the empty set.
+    The link into each site follows from the sites: an X site is grown, a
+    Euclidean site after an X site is its double, and a Euclidean site after
+    another Euclidean site is a fluctuation with its ``step``.
 
     ``doubles`` is the table of keys and doubles that ``_layer`` fills: the
     exact content of a grown space (``_content``) -> its ``iso_key``, and a
@@ -80,17 +79,20 @@ class FormalChain:
     """
 
     sites: Tuple[ChainSite, ...] = ()
-    links: Tuple[str, ...] = ()
-    steps: Tuple[FluctuationStep, ...] = ()
     doubles: Dict[tuple, object] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def terminated_dim(self) -> Optional[int]:
-        return detect_termination(self)[1]
+        """The dimension of the latest Euclidean site if it is zero, else ``None``."""
+        for site in reversed(self.sites):
+            if site.is_euclidean():
+                return site.dim if site.state.is_zero() else None
+        return None
 
     @property
-    def terminated(self) -> bool:
-        return detect_termination(self)[0]
+    def steps(self) -> Tuple[FluctuationStep, ...]:
+        """The fluctuation steps, in chain order."""
+        return tuple(s.step for s in self.sites if s.step is not None)
 
     def frontier(self) -> Optional[ChainSite]:
         return self.sites[-1] if self.sites else None
@@ -98,27 +100,11 @@ class FormalChain:
     def euclidean_sites(self) -> Iterator[ChainSite]:
         return (s for s in self.sites if s.is_euclidean())
 
-    def extended(self, new_sites: Sequence[ChainSite], new_links: Sequence[str],
-                 new_steps: Sequence[FluctuationStep] = ()) -> "FormalChain":
-        return FormalChain(
-            self.sites + tuple(new_sites),
-            self.links + tuple(new_links),
-            self.steps + tuple(new_steps),
-            self.doubles,
-        )
+    def extended(self, new_sites: Sequence[ChainSite]) -> "FormalChain":
+        return FormalChain(self.sites + tuple(new_sites), self.doubles)
 
     def with_last_pair_replaced(self, x: ChainSite, y: ChainSite) -> "FormalChain":
-        return FormalChain(self.sites[:-2] + (x, y), self.links, self.steps, self.doubles)
-
-
-def detect_termination(chain: FormalChain) -> Tuple[bool, Optional[int]]:
-    """A chain terminates when its latest Euclidean site collects to zero."""
-    for site in reversed(chain.sites):
-        if site.is_euclidean():
-            if site.state.is_zero():
-                return True, site.dim
-            return False, None
-    return False, None
+        return FormalChain(self.sites[:-2] + (x, y), self.doubles)
 
 
 # -- sampler -------------------------------------------------------------------------
@@ -158,7 +144,7 @@ class SamplerConfig:
             raise StructureError("temperature must be positive")
 
 
-def metropolis_accept(delta_s: float, rng: random.Random, temperature: float = 1.0) -> bool:
+def metropolis_accept(delta_s: float, rng: random.Random, temperature: float) -> bool:
     """Accept with probability min(1, exp(-delta_s / T))."""
     if delta_s <= 0.0:
         return True
@@ -261,7 +247,7 @@ def propose_extend(chain: FormalChain, cfg: SamplerConfig, rng: random.Random) -
     if frontier is None:
         pts = point_set(cfg.initial_points)
         x_terms = [(1.0, Cobordism(pts, pts.euler_characteristic()))]
-        return chain.extended(_layer(x_terms, 0, chain.doubles), [GROW, DOUBLE])
+        return chain.extended(_layer(x_terms, 0, chain.doubles))
     if not frontier.is_euclidean() or frontier.state.is_zero():
         return None
     d_next = frontier.dim + 1
@@ -277,7 +263,7 @@ def propose_extend(chain: FormalChain, cfg: SamplerConfig, rng: random.Random) -
         b = frontier.state.amplitude(key)
         x_terms.extend(grow_superposed(b, frontier.reps[key], cfg.growth, candidates, rng,
                                        lower_key=key))
-    return chain.extended(_layer(x_terms, d_next, chain.doubles), [GROW, DOUBLE])
+    return chain.extended(_layer(x_terms, d_next, chain.doubles))
 
 
 def _propose_mock_stage(chain: FormalChain, frontier: ChainSite) -> FormalChain:
@@ -289,7 +275,7 @@ def _propose_mock_stage(chain: FormalChain, frontier: ChainSite) -> FormalChain:
         b = frontier.state.amplitude(key)
         x_terms.append((b * w, ("A", i)))
         x_terms.append((b * w, ("B", i)))
-    return chain.extended(_layer(x_terms, MOCK_DIM, chain.doubles), [GROW, DOUBLE])
+    return chain.extended(_layer(x_terms, MOCK_DIM, chain.doubles))
 
 
 def propose_fluctuate(chain: FormalChain, cfg: SamplerConfig, rng: random.Random) -> Optional[FormalChain]:
@@ -324,8 +310,8 @@ def _fluctuated(chain: FormalChain, frontier: ChainSite, key, new_rep: Triangula
     reps = {k: r for k, r in frontier.reps.items() if k in new_state}
     if new_key in new_state:
         reps.setdefault(new_key, new_rep)
-    site = ChainSite(dim=frontier.dim, kind="Y", state=new_state, reps=reps)
-    return chain.extended([site], [FLUCTUATE], [step_rec])
+    site = ChainSite(dim=frontier.dim, kind="Y", state=new_state, reps=reps, step=step_rec)
+    return chain.extended([site])
 
 
 def propose_reweight(chain: FormalChain, cfg: SamplerConfig, rng: random.Random) -> Optional[FormalChain]:
@@ -334,7 +320,7 @@ def propose_reweight(chain: FormalChain, cfg: SamplerConfig, rng: random.Random)
     Norm-preserving, so the volume of the X site is untouched; the double is
     rebuilt from the reweighted amplitudes.
     """
-    if len(chain.sites) < 2 or not chain.links or chain.links[-1] != DOUBLE:
+    if len(chain.sites) < 2 or chain.sites[-2].is_euclidean():
         return None
     x_site = chain.sites[-2]
     if len(x_site.x_terms) < 2:
@@ -385,7 +371,7 @@ def step(
     """
     if current is None:
         current = total_action(chain, p)
-    if chain.terminated:
+    if chain.terminated_dim is not None:
         return chain, StepInfo(None, NOT_APPLICABLE, current)
     kinds = ["extend", "fluctuate", "reweight"]
     weights = [cfg.weight_extend, cfg.weight_fluctuate, cfg.weight_reweight]
@@ -519,7 +505,7 @@ def example_cancellation_chain(fluctuations: int = 2) -> FormalChain:
     c1 = Cobordism(a1, 1)
     c2 = Cobordism(a2, 1)
     x_terms = ((Fraction(1), c1), (Fraction(-1), c2))
-    chain = FormalChain(_layer(x_terms, 1, {}), (GROW, DOUBLE))
+    chain = FormalChain(_layer(x_terms, 1, {}))
     for _ in range(fluctuations):
         nxt = _example_fluctuation(chain)
         if nxt is None:

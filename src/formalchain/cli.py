@@ -19,7 +19,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import config as cfgmod
-from .chains import ACCEPTED, detect_termination, example_cancellation_chain, run as run_chains
+from .chains import ACCEPTED, example_cancellation_chain, run as run_chains
 from .errors import (
     BoundaryError,
     ConfigError,
@@ -103,13 +103,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_gap.add_argument("--graph", required=True, help=GRAPH_SPECS)
 
     p_two = sub.add_parser("twofield", help="two-particle molecule evolution")
-    p_two.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p_two.add_argument("--steps", type=int, default=4000)
-    p_two.add_argument("--dt", type=float, default=1e-3)
-    p_two.add_argument("--grid", type=int, default=256)
-    p_two.add_argument("--v-depth", type=float, default=0.0)
-    p_two.add_argument("--v-width", type=float, default=1.0)
-    p_two.add_argument("--stride", type=int, default=50)
+    two = TwoFieldParams()
+    p_two.add_argument("--lambda", dest="lam", type=float, default=two.lam)
+    p_two.add_argument("--steps", type=int, default=two.steps)
+    p_two.add_argument("--dt", type=float, default=two.dt)
+    p_two.add_argument("--grid", type=int, default=two.grid_n)
+    p_two.add_argument("--v-depth", type=float, default=two.v_depth)
+    p_two.add_argument("--v-width", type=float, default=two.v_width)
+    p_two.add_argument("--stride", type=int, default=two.sample_stride)
 
     p_pos = sub.add_parser("positivity", help="order checks and light-like search")
     p_pos.add_argument("--seed", type=int, required=True)
@@ -174,11 +175,11 @@ def cmd_pair(args) -> int:
     if args.example == "cancellation-3.2":
         chain = example_cancellation_chain()
         frontier = chain.sites[-1]
-        terminated, at_dim = detect_termination(chain)
+        at_dim = chain.terminated_dim
         payload = {
             "example": args.example,
             "result": superposition_to_json(frontier.state),
-            "terminated": terminated,
+            "terminated": at_dim is not None,
             "terminated_dimension": at_dim,
         }
         payload.update(_norm2_entry(frontier.state))
@@ -252,8 +253,11 @@ def _kets_from_json(data: dict):
         if not isinstance(k, dict):
             raise ConfigError(f"ket {i} must be an object, got {k!r}")
         for key in ("re", "im"):
-            if not isinstance(k.get(key, 0.0), (int, float)):
-                raise ConfigError(f"ket {i}: {key!r} must be a number, got {k[key]!r}")
+            value = k.get(key, 0.0)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"ket {i}: {key!r} must be a number, got {value!r}")
+            if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints past float range
+                raise ConfigError(f"ket {i}: {key!r} must be finite, got {value!r}")
         try:
             ket = make(k)
         except KeyError as exc:

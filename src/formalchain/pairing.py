@@ -267,9 +267,9 @@ def _polish(mats: np.ndarray, V: np.ndarray) -> np.ndarray:
 def lightlike_search(
     families: Sequence[Sequence],
     glue: Callable,
-    trials: int = 200,
-    steps: int = 500,
-    seed: int = 0,
+    trials: int,
+    steps: int,
+    seed: int,
     step_size: float = 0.1,
 ) -> List[SearchResult]:
     """Minimize ``norm2(pair(v, v))`` over unit vectors of each family by projected descent.

@@ -38,7 +38,7 @@ class TwoFieldParams:
     v_depth: float = 0.0  # Gaussian well V(r) = -depth * exp(-(r/width)^2)
     v_width: float = 1.0
     dt: float = 1e-3
-    steps: int = 1000
+    steps: int = 4000
     grid_n: int = 256
     grid_l: float = 8.0
     sample_stride: int = 50
@@ -86,10 +86,6 @@ class TwoFieldState:
     params: TwoFieldParams
     t: float = 0.0
     factors: Optional[np.ndarray] = None  # (2, n) with psi = outer(factors[0], factors[1])
-
-    def norm(self) -> float:
-        dx = grid_dx(self.params)
-        return math.sqrt(float(np.sum(np.abs(self.psi) ** 2)) * dx * dx)
 
 
 def product_state(p: TwoFieldParams, psi1: np.ndarray, psi2: np.ndarray) -> TwoFieldState:

@@ -189,7 +189,7 @@ def test_total_action_single_site_example():
     pts = point_set(4)
     key = iso_key(pts)
     site = ChainSite(dim=0, kind="Y", state=Superposition([(1.0, key)]), reps={key: pts})
-    chain = FormalChain((site,), ("double",))
+    chain = FormalChain((site,))
     p = ActionParams(Lambda=(1.0, 0.0, 0.0), c=(1.0, 1.0, 1.0), g=(1.0, 1.0, 1.0))
     br = total_action(chain, p)
     assert br.total == pytest.approx(9.0)
@@ -228,7 +228,7 @@ def test_large_g_prefers_smaller_volume():
         key = iso_key(pts)
         site = ChainSite(dim=0, kind="Y", state=Superposition([(amp, key)]),
                          reps={key: pts})
-        return FormalChain((site,), ("double",))
+        return FormalChain((site,))
 
     a = one_site_chain(6, 1.0)
     b = one_site_chain(1, 2.0)
@@ -361,7 +361,7 @@ def test_trajectories_replace_the_last_pair():
 def test_infinite_penalty_raises_on_every_call():
     site = ChainSite(dim=2, kind="Y", state=Superposition([(1.0, "k")]),
                      reps={"k": dangling_surface()})
-    chain = FormalChain((site,), ("double",))
+    chain = FormalChain((site,))
     hard = ActionParams(singular_penalty=math.inf)
     for _ in range(2):
         with pytest.raises(SingularError):

@@ -10,13 +10,9 @@ import pytest
 from formalchain import chains
 from formalchain.action import ActionParams, total_action
 from formalchain.chains import (
-    DOUBLE,
-    FLUCTUATE,
-    GROW,
     ChainSite,
     FormalChain,
     SamplerConfig,
-    detect_termination,
     example_cancellation_chain,
     metropolis_accept,
     propose_extend,
@@ -42,35 +38,37 @@ def default_params(**kw):
 
 
 def validate_chain(chain: FormalChain) -> None:
-    """Structural invariants: link cycle, alternation, dimension growth."""
-    if len(chain.sites) != len(chain.links):
-        raise StructureError("every site needs exactly one incoming link")
+    """Structural invariants: link grammar, alternation, dimension growth.
+
+    The link into a site is read off the sites: an X site is grown, a
+    Euclidean site after an X site is its double, and a Euclidean site after
+    a Euclidean site is a fluctuation, the only kind of site with a step.
+    """
     prev_dim = -1  # the empty set
     prev_kind = None
-    for site, link in zip(chain.sites, chain.links):
-        if link == GROW:
-            if site.kind not in ("X", "mock_X"):
-                raise StructureError("grow must produce an X site")
+    for site in chain.sites:
+        if site.kind in ("X", "mock_X"):  # grow
             if site.dim <= prev_dim:
                 raise StructureError("grow must raise dimension")
             if prev_kind not in (None, "Y", "mock_Y"):
                 raise StructureError("grow must leave a Euclidean site")
-        elif link == DOUBLE:
-            if site.kind not in ("Y", "mock_Y"):
-                raise StructureError("double must produce a Euclidean site")
-            if prev_kind not in ("X", "mock_X") or site.dim != prev_dim:
+        elif site.kind not in ("Y", "mock_Y"):
+            raise StructureError(f"unknown site kind {site.kind!r}")
+        elif prev_kind in ("X", "mock_X"):  # double
+            if site.dim != prev_dim:
                 raise StructureError("double must follow the X site of equal dimension")
-        elif link == FLUCTUATE:
-            if site.kind != "Y" or prev_kind != "Y" or site.dim != prev_dim:
-                raise StructureError("fluctuate connects Euclidean sites of one dimension")
-        else:
-            raise StructureError(f"unknown link {link!r}")
+        elif prev_kind is None:
+            raise StructureError("a Euclidean site needs an X site or a Euclidean site before it")
+        elif site.kind != "Y" or prev_kind != "Y" or site.dim != prev_dim:  # fluctuate
+            raise StructureError("fluctuate connects Euclidean sites of one dimension")
+        fluctuation = site.is_euclidean() and prev_kind in ("Y", "mock_Y")
+        if (site.step is not None) != fluctuation:
+            raise StructureError("a site carries a step if and only if it is a fluctuation")
+        if fluctuation and site.step.dim != site.dim:
+            raise StructureError("a fluctuation step has the dimension of its site")
         if site.kind == "Y" and set(site.reps) != set(site.state.keys()):
             raise StructureError("every term of a Euclidean site needs a representative")
         prev_dim, prev_kind = site.dim, site.kind
-    n_fluct = sum(1 for l in chain.links if l == FLUCTUATE)
-    if n_fluct != len(chain.steps):
-        raise StructureError("fluctuation steps out of sync with fluctuate links")
 
 
 def default_cfg(**kw):
@@ -87,8 +85,7 @@ def default_cfg(**kw):
 
 def test_example_chain_terminates_exactly():
     chain = example_cancellation_chain()
-    terminated, at_dim = detect_termination(chain)
-    assert terminated and at_dim == 1
+    assert chain.terminated_dim == 1
     assert chain.sites[-1].state.is_zero()
     # exact arithmetic all the way through
     fresh = example_cancellation_chain(fluctuations=0)
@@ -106,17 +103,16 @@ def test_example_chain_validates():
     validate_chain(example_cancellation_chain(fluctuations=1))
 
 
-def test_detect_termination_nonzero():
+def test_terminated_dim_nonzero():
     chain = example_cancellation_chain(fluctuations=1)
-    terminated, at_dim = detect_termination(chain)
-    assert not terminated and at_dim is None
+    assert chain.terminated_dim is None
 
 
-def test_detect_termination_empty_chain():
-    assert detect_termination(FormalChain()) == (False, None)
+def test_terminated_dim_empty_chain():
+    assert FormalChain().terminated_dim is None
 
 
-def test_detect_termination_matches_norm_threshold():
+def test_terminated_dim_matches_norm_threshold():
     chain = example_cancellation_chain()
     site = chain.sites[-1]
     assert float(site.state.norm2()) <= (1e-12) ** 2
@@ -164,10 +160,10 @@ def test_grow_steps_respect_euler_constraint():
     checked = 0
     for _ in range(120):
         chain, info = step(chain, p, cfg, rng)
-        if chain.terminated:
+        if chain.terminated_dim is not None:
             break
-    for site, link in zip(chain.sites, chain.links):
-        if link == "grow" and site.kind == "X":
+    for site in chain.sites:
+        if site.kind == "X":  # grown
             for amp, cob in site.x_terms:
                 assert cob.space.euler_characteristic() == cob.lower_chi
                 checked += 1
@@ -180,8 +176,8 @@ def test_fluctuate_moves_one_term():
     out = propose_fluctuate(chain, default_cfg(), rng)
     assert out is not None
     validate_chain(out)
-    assert out.links[-1] == "fluctuate"
-    assert len(out.steps) == 1
+    assert [s.kind for s in out.sites[-2:]] == ["Y", "Y"]  # a fluctuation
+    assert len(out.steps) == 1 and out.steps[0] is out.sites[-1].step
 
 
 def test_fluctuate_errors_are_counted():
@@ -208,12 +204,38 @@ def test_reweight_requires_fresh_double():
     )
 
 
+def test_reweight_not_applicable_right_after_a_fluctuation():
+    # along a sampler trajectory, a chain whose latest site is a fluctuation
+    # gets no reweight and draws nothing; a fresh double of two or more
+    # candidates gets one
+    cfg = default_cfg()
+    p = default_params()
+    rng = random.Random(9)
+    chain, br = FormalChain(), None
+    after_fluctuation = after_double = 0
+    for _ in range(150):
+        probe = random.Random(0)
+        state = probe.getstate()
+        out = propose_reweight(chain, cfg, probe)
+        if chain.sites and chain.sites[-1].step is not None:
+            assert out is None and probe.getstate() == state
+            after_fluctuation += 1
+        elif len(chain.sites) >= 2 and len(chain.sites[-2].x_terms) >= 2:
+            assert out is not None
+            after_double += 1
+        chain, info = step(chain, p, cfg, rng, br)
+        br = info.breakdown
+        if chain.terminated_dim is not None:
+            break
+    assert after_fluctuation > 0 and after_double > 0
+
+
 def test_metropolis_rules():
     rng = random.Random(5)
-    assert metropolis_accept(0.0, rng)
-    assert metropolis_accept(-3.0, rng)
-    assert not metropolis_accept(math.inf, rng)
-    n = sum(metropolis_accept(1.0, rng) for _ in range(4000))
+    assert metropolis_accept(0.0, rng, 1.0)
+    assert metropolis_accept(-3.0, rng, 1.0)
+    assert not metropolis_accept(math.inf, rng, 1.0)
+    n = sum(metropolis_accept(1.0, rng, 1.0) for _ in range(4000))
     assert abs(n / 4000 - math.exp(-1.0)) < 0.03
 
 
@@ -261,8 +283,7 @@ def test_mock_chain_cancellation():
             flipped = out
         if flipped.sites[-1].state.is_zero():
             break
-    terminated, at_dim = detect_termination(flipped)
-    assert terminated and at_dim == 4
+    assert flipped.terminated_dim == 4
 
 
 def test_toy_space_stationarity():
@@ -352,7 +373,7 @@ def test_stats_histogram_consistency():
 
 def test_terminated_chain_draws_no_proposal():
     chain = example_cancellation_chain()
-    assert chain.terminated and chain.terminated_dim == 1
+    assert chain.terminated_dim == 1
     rng = random.Random(0)
     state = rng.getstate()
     br = total_action(chain, default_params())
@@ -514,7 +535,7 @@ def test_double_table_hit_equals_a_table_free_layer(monkeypatch):
             hits[proposal] += 1
         chain, info = step(chain, p, cfg, rng, br)
         br = info.breakdown
-        if chain.terminated:
+        if chain.terminated_dim is not None:
             break
     assert hits[propose_extend] >= 5 and hits[propose_reweight] >= 5
 

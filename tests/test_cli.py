@@ -105,6 +105,13 @@ def test_pair_bad_file_exit_2(tmp_path, capsys):
         (json.dumps({"boundary": points, "kets": [{"re": 1.0}]}), "ket 0 has no 'matching'"),
         (json.dumps({"mock": mock, "kets": [{"id": "B", "re": 1.0}, {"id": "A", "re": "one"}]}),
          "ket 1: 're' must be a number"),
+        ('{"boundary": {"dimension": 0, "points": [0, 1]}, "kets": [{"matching": [[0, 1]], '
+         '"re": NaN}]}', "ket 0: 're' must be finite, got nan"),
+        ('{"boundary": {"dimension": 0, "points": [0, 1]}, "kets": [{"matching": [[0, 1]], '
+         '"re": 1.0, "im": -Infinity}]}', "ket 0: 'im' must be finite, got -inf"),
+        (json.dumps({"boundary": points, "kets": [{"matching": [[0, 1]], "re": 1.0},
+                                                  {"matching": [[0, 1]], "re": True}]}),
+         "ket 1: 're' must be a number, got True"),
         (json.dumps({"mock": {"kets": ["A"]}, "kets": [{"id": "A", "re": 1.0}]}), "'glue'"),
         (json.dumps({"mock": {"kets": "A", "glue": {}}, "kets": []}), "'kets' list of names"),
         ("[1, 2]", "ket file must hold a JSON object"),

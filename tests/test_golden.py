@@ -169,6 +169,7 @@ def test_sample_stdout_independent_of_hash_seed(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["positivity", "--seed", "3", "--points", "6", "--families", "4"],
     ["pair", "--example", "freedman-3.1"],
+    ["pair", "--example", "cancellation-3.2"],
     ["pair", "--kets", "kets_mock.json"],
     ["series", "--gmax", "6"],
     ["grow", "--seed", "3", "--input", "circle3.txt"],
@@ -176,7 +177,7 @@ def test_sample_stdout_independent_of_hash_seed(tmp_path):
     ["gap", "--graph", "sphere:40"],
     ["gap", "--graph", "circles:1:6"],
     ["twofield", "--steps", "50", "--grid", "32", "--stride", "10"],
-], ids=["positivity", "pair", "pair_kets_mock", "series", "grow_circle", "grow_points",
+], ids=["positivity", "pair", "pair_cancellation", "pair_kets_mock", "series", "grow_circle", "grow_points",
         "gap_sphere", "gap_circles", "twofield"])
 def test_stdout_independent_of_hash_seed(argv, tmp_path):
     _write_inputs(tmp_path)

@@ -231,7 +231,7 @@ def test_pairing_functions_raise_on_mismatched_families():
             pair(v, v, glue)
         # every family is glued before any descent starts
         with pytest.raises(BoundaryError):
-            lightlike_search([kets[:1], kets], glue, trials=2, steps=5)
+            lightlike_search([kets[:1], kets], glue, trials=2, steps=5, seed=0)
         with pytest.raises(BoundaryError):
             cauchy_schwarz_check(kets, glue, lambda key: 0)
 
@@ -366,9 +366,9 @@ def test_lightlike_deterministic_given_seed():
 
 def test_lightlike_rejects_empty_families():
     with pytest.raises(StructureError):
-        lightlike_search([], glue_1d)
+        lightlike_search([], glue_1d, trials=2, steps=5, seed=0)
     with pytest.raises(StructureError):
-        lightlike_search([[Bounded1Ket(((0, 1),))], []], glue_1d)
+        lightlike_search([[Bounded1Ket(((0, 1),))], []], glue_1d, trials=2, steps=5, seed=0)
 
 
 def reference_lightlike_search(kets, glue, trials=200, steps=500, seed=0, step_size=0.1):
