@@ -464,7 +464,7 @@ def run(cfg: SamplerConfig, p: ActionParams) -> ChainStats:
 
 
 def sample_discrete(actions: Sequence[float], sweeps: int, seed: int,
-                    temperature: float = 1.0) -> List[int]:
+                    temperature: float) -> List[int]:
     """Metropolis over an explicit finite state set with uniform proposals.
 
     Uses the same acceptance rule as the chain sampler; returns visit counts.

@@ -4,12 +4,13 @@ Subcommands: pair, series, grow, sample, gap, twofield, positivity.
 Single-object results are printed as JSON, traces as CSV; every output embeds
 the resolved configuration and seed, and diagnostics go to stderr.  Exit
 codes: 0 success, 2 configuration or parse error, 3 boundary mismatch,
-4 numeric failure (an internal oracle disagreed beyond tolerance).
+4 numeric failure (a non-finite result, or an oracle off its tolerance).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -24,7 +25,7 @@ from .errors import (
     BoundaryError,
     ConfigError,
     FormalChainError,
-    IntegratorError,
+    NumericError,
     ParseError,
     StructureError,
 )
@@ -66,7 +67,9 @@ GRAPH_SPECS = "path<n> | cycle<n> | star<n> | circles:<min>:<max> | sphere:<max 
 GRAPH_SPEC_INTS = {"path": 1, "cycle": 1, "star": 1, "circles:": 2, "sphere:": 1}
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="formalchain",
         description="Formal chains of combinatorial manifolds: pairings, growth, sampling.",
@@ -124,8 +127,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="allow kets with up to this many free circles (positivity still "
              "holds but the 0.05 floor is only for pure matchings)",
     )
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return {
             "pair": cmd_pair,
@@ -142,7 +148,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BoundaryError as exc:
         print(f"boundary mismatch: {exc}", file=sys.stderr)
         return EXIT_BOUNDARY
-    except IntegratorError as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except FormalChainError as exc:
@@ -151,7 +157,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:  # NaN or an infinity, which JSON cannot hold
+        raise NumericError(f"result is not finite: {exc}")
+    print(text)
 
 
 def _norm2_entry(s: Superposition) -> dict:
@@ -165,31 +175,21 @@ def _norm2_entry(s: Superposition) -> dict:
 def cmd_pair(args) -> int:
     if bool(args.example) == bool(args.kets):
         raise ConfigError("pass exactly one of --example / --kets")
-    if args.example == "freedman-3.1":
-        v, glue = example_superposed_arcs()
-        result = pair(v, v, glue)
-        payload = {"example": args.example, "result": superposition_to_json(result)}
-        payload.update(_norm2_entry(result))
-        _emit_json(payload)
-        return EXIT_OK
     if args.example == "cancellation-3.2":
         chain = example_cancellation_chain()
-        frontier = chain.sites[-1]
-        at_dim = chain.terminated_dim
-        payload = {
-            "example": args.example,
-            "result": superposition_to_json(frontier.state),
-            "terminated": at_dim is not None,
-            "terminated_dimension": at_dim,
-        }
-        payload.update(_norm2_entry(frontier.state))
-        _emit_json(payload)
-        return EXIT_OK
-    with open(args.kets) as fh:
-        data = json.load(fh)
-    v, glue = _kets_from_json(data)
-    result = pair(v, v, glue)
-    payload = {"kets": args.kets, "result": superposition_to_json(result)}
+        result, at_dim = chain.sites[-1].state, chain.terminated_dim
+        payload = {"example": args.example, "terminated": at_dim is not None,
+                   "terminated_dimension": at_dim}
+    else:
+        if args.example:
+            v, glue = example_superposed_arcs()
+            payload = {"example": args.example}
+        else:
+            with open(args.kets) as fh:
+                v, glue = _kets_from_json(json.load(fh))
+            payload = {"kets": args.kets}
+        result = pair(v, v, glue)
+    payload["result"] = superposition_to_json(result)
     payload.update(_norm2_entry(result))
     _emit_json(payload)
     return EXIT_OK
@@ -452,7 +452,7 @@ def cmd_positivity(args) -> int:
     ]
     # family i searches from seed + i
     results = lightlike_search(
-        families, glue_1d, trials=args.trials, steps=args.steps, seed=args.seed
+        families, glue_1d, trials=args.trials, steps=args.steps, seed=args.seed, step_size=0.1
     )
     residuals = [res.min_residual for res in results]
     short_sizes = {len(fam) for fam in families if len(fam) < args.kets_per_family}
@@ -465,7 +465,8 @@ def cmd_positivity(args) -> int:
         )
     mock_kets, mock = example_mock_null_family()
     [mock_res] = lightlike_search(
-        [mock_kets], mock.glue, trials=max(4, args.trials // 4), steps=args.steps, seed=args.seed
+        [mock_kets], mock.glue, trials=max(4, args.trials // 4), steps=args.steps,
+        seed=args.seed, step_size=0.1,
     )
     amps = {k: complex(a) for k, a in mock_res.argmin.items()}
     ratio = amps.get("B", 0j) / amps.get("A", 1j) if amps.get("A") else 0j

@@ -41,7 +41,11 @@ class SingularError(FormalChainError):
     """A singular (non-manifold) component reached an operation configured to reject it."""
 
 
-class IntegratorError(FormalChainError):
+class NumericError(FormalChainError):
+    """A numeric result is unusable: not finite, or off its contract or oracle."""
+
+
+class IntegratorError(NumericError):
     """Numerical time evolution lost more norm than the integrator contract allows."""
 
 

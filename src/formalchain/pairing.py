@@ -270,7 +270,7 @@ def lightlike_search(
     trials: int,
     steps: int,
     seed: int,
-    step_size: float = 0.1,
+    step_size: float,
 ) -> List[SearchResult]:
     """Minimize ``norm2(pair(v, v))`` over unit vectors of each family by projected descent.
 

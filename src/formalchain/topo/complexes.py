@@ -686,8 +686,9 @@ def from_text(text: str) -> Triangulation:
                 if body and body[-1].startswith("len2="):
                     try:
                         l2 = Fraction(body[-1][5:])
-                    except (ValueError, ZeroDivisionError):
-                        raise ParseError(ln, f"bad rational {body[-1][5:]!r}")
+                        float(l2)  # read as a float later, so it must fit one
+                    except (ValueError, ZeroDivisionError, OverflowError):
+                        raise ParseError(ln, f"len2 {body[-1][5:]!r} is not a finite rational")
                     body = body[:-1]
                 if len(body) != 2:
                     raise ParseError(ln, "edge record is 's 1 <a> <b> [len2=<r>]'")

@@ -162,22 +162,29 @@ def _factor_measures(f: np.ndarray, x: np.ndarray, dx: float) -> Tuple[float, np
     return math.sqrt(sa * sb), raw, mean
 
 
-def _propagator_steps(p: TwoFieldParams) -> int:
-    """Steps m that one product with the m-step propagator P of the 1D split step advances.
+def _propagator_pays(p: TwoFieldParams) -> bool:
+    """Whether a factored run advances each whole stride by one product with P = U^stride.
 
-    m is the largest divisor of the sample stride not above its square root,
-    so records fall on whole products.  P is taken when building it and the
-    products cost no more than the loop steps they replace; otherwise m = 1,
-    the plain split step.  Costs are in loop steps, which on a 2-vCPU x86_64
-    host take 25-35 us on grids up to 512, mostly numpy call overhead: each
-    of the m split steps of the n x n identity that build P costs about
-    1 + n^2 / 2000 of them and a product about n^2 / 28000.
+    True when building P and the products cost less than the loop steps they
+    replace.  In loop steps (25-50 us on a 2-vCPU x86_64 host, mostly numpy
+    call overhead), P costs about n^3 / 300000 per unit of bit_length +
+    popcount of the stride, and a (2, n) x (n, n) product about n^2 / 20000.
     """
-    stride, n2 = p.sample_stride, p.grid_n ** 2
-    m = next(d for d in range(math.isqrt(stride), 0, -1) if stride % d == 0)
-    products = p.steps // m
-    cost = m * (1 + n2 / 2000) + products * n2 / 28000
-    return m if cost <= products * m else 1
+    n, stride, products = p.grid_n, p.sample_stride, p.steps // p.sample_stride
+    build = n ** 3 / 300_000 * (stride.bit_length() + stride.bit_count())
+    return build + products * n * n / 20_000 < products * stride
+
+
+def _power(u: np.ndarray, e: int) -> np.ndarray:
+    """u^e for e >= 1 by binary powering from the top bit, in two buffers besides u."""
+    out, spare = u.copy(), np.empty_like(u)
+    for bit in bin(e)[3:]:
+        np.matmul(out, out, out=spare)
+        out, spare = spare, out
+        if bit == "1":
+            np.matmul(out, u, out=spare)
+            out, spare = spare, out
+    return out
 
 
 def evolve(state: TwoFieldState, p: TwoFieldParams) -> Trajectory:
@@ -190,13 +197,12 @@ def evolve(state: TwoFieldState, p: TwoFieldParams) -> Trajectory:
     other state evolves and is recorded on the 2D grid.  Either array is
     stepped in place.
 
-    A factored state for which ``_propagator_steps`` gives m > 1 advances m
-    steps at a time by one product with the m-step propagator, the n x n
-    identity stepped m times; steps left over at the end take the split step.
-    That needs a stride with a divisor m > 1 and enough steps to pay for
-    building the propagator.  The products skip the per-step call overhead of
-    the loop but cost O(n^2) each, so the larger the grid, the larger m must
-    be: m = 5 (stride 50) pays up to grid 256, not at 512.
+    A factored state for which ``_propagator_pays`` advances each whole
+    sample stride by one product with P = U^stride, where U is the n x n
+    identity stepped once; steps after the last whole stride take the split
+    step.  The products skip the loop's per-step call overhead but cost O(n^2)
+    each, and P costs O(n^3 log(stride)), so the loop stays on large grids
+    (512 and up at 1,000 steps) and for runs shorter than a stride.
 
     Raises :class:`IntegratorError` when the joint norm drifts by more than
     ``MAX_NORM_DRIFT`` (the joint evolution is exactly unitary; drift beyond
@@ -240,24 +246,21 @@ def evolve(state: TwoFieldState, p: TwoFieldParams) -> Trajectory:
             )
 
     record(0)
-    m = _propagator_steps(p) if factored else 1
-    if m > 1:
-        # row j is e_j after m steps, so psi @ prop advances each factor row
+    prop = None
+    if factored and _propagator_pays(p):
+        # row j of U is e_j after one step, so psi @ U advances each factor row
         prop = np.eye(p.grid_n, dtype=complex)
-        for _ in range(m):
-            split_step(prop)
-        spare = np.empty_like(psi)
-    s = 0
-    while s < p.steps:
-        until = min((s // p.sample_stride + 1) * p.sample_stride, p.steps)
-        while m > 1 and s + m <= until:
+        split_step(prop)
+        prop, spare = _power(prop, p.sample_stride), np.empty_like(psi)
+    for s in range(0, p.steps, p.sample_stride):
+        until = min(s + p.sample_stride, p.steps)
+        if prop is not None and until - s == p.sample_stride:
             np.matmul(psi, prop, out=spare)
             psi, spare = spare, psi
-            s += m
-        while s < until:
-            split_step(psi)
-            s += 1
-        record(s)
+        else:
+            for _ in range(s, until):
+                split_step(psi)
+        record(until)
     traj.final = TwoFieldState(np.outer(psi[0], psi[1]) if factored else psi, p,
                                state.t + p.steps * p.dt, factors=psi if factored else None)
     return traj

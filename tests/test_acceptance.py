@@ -187,12 +187,13 @@ def test_acceptance_05_positivity(capsys):
         ms = all_matchings(list(pts))
         size = min(len(ms), 2 + fam_i % 5)
         fam = [Bounded1Ket(m) for m in rng.sample(ms, size)]
-        [res] = lightlike_search([fam], glue_1d, trials=20, steps=200, seed=1000 + fam_i)
+        [res] = lightlike_search([fam], glue_1d, trials=20, steps=200, seed=1000 + fam_i,
+                                 step_size=0.1)
         floors.append(res.min_residual)
     assert min(floors) > 0.05
     # the constructed null family must be found
     kets, mock = example_mock_null_family()
-    [res] = lightlike_search([kets], mock.glue, trials=10, steps=200, seed=7)
+    [res] = lightlike_search([kets], mock.glue, trials=10, steps=200, seed=7, step_size=0.1)
     assert res.min_residual < 1e-8
     amps = {k: complex(a) for k, a in res.argmin.items()}
     assert abs(amps["B"] / amps["A"] + 1.0) < 1e-3
@@ -269,13 +270,13 @@ def test_acceptance_08_toy_stationarity(capsys):
     t0 = time.time()
     actions = [0.0, 0.8, 2.0]
     sweeps = 100000
-    counts = sample_discrete(actions, sweeps, seed=77)
+    counts = sample_discrete(actions, sweeps, seed=77, temperature=1.0)
     z = sum(math.exp(-s) for s in actions)
     expected = [sweeps * math.exp(-s) / z for s in actions]
     chi2 = sum((c - e) ** 2 / e for c, e in zip(counts, expected))
     p_value = math.exp(-chi2 / 2)  # chi-squared survival with 2 dof
     assert p_value > 0.01
-    assert counts == sample_discrete(actions, sweeps, seed=77)
+    assert counts == sample_discrete(actions, sweeps, seed=77, temperature=1.0)
     cfg = SamplerConfig(seed=3, chains=4, sweeps=30)
     p = ActionParams(g=(0.5, 1.0, 6.0))
     s1 = run_chains(cfg, p)

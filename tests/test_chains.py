@@ -289,7 +289,7 @@ def test_mock_chain_cancellation():
 def test_toy_space_stationarity():
     actions = [0.0, 1.0, 2.5]
     sweeps = 100000
-    counts = sample_discrete(actions, sweeps, seed=11)
+    counts = sample_discrete(actions, sweeps, seed=11, temperature=1.0)
     z = sum(math.exp(-s) for s in actions)
     expected = [sweeps * math.exp(-s) / z for s in actions]
     chi2 = sum((c - e) ** 2 / e for c, e in zip(counts, expected))
@@ -297,7 +297,7 @@ def test_toy_space_stationarity():
     p_value = math.exp(-chi2 / 2)
     assert p_value > 0.01
     # and the same seed is bit-identical
-    assert counts == sample_discrete(actions, sweeps, seed=11)
+    assert counts == sample_discrete(actions, sweeps, seed=11, temperature=1.0)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -312,7 +312,7 @@ def test_sampler_config_rejects_non_finite(name, value):
 
 def test_toy_space_needs_two_states():
     with pytest.raises(StructureError):
-        sample_discrete([1.0], 10, seed=0)
+        sample_discrete([1.0], 10, seed=0, temperature=1.0)
 
 
 def test_sampler_runs_with_partial_layers_and_circles():

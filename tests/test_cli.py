@@ -9,7 +9,7 @@ import pytest
 from formalchain import config as cfgmod
 from formalchain.cli import main
 from formalchain.topo import circle, to_text
-from formalchain.twofield import TwoFieldParams, _propagator_steps
+from formalchain.twofield import TwoFieldParams, _propagator_pays
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +159,22 @@ def test_pair_bad_file_exit_2(tmp_path, capsys):
         assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("data", [
+    {"boundary": {"dimension": 0, "points": [0, 1]},
+     "kets": [{"matching": [[0, 1]], "re": 1e308},
+              {"matching": [[0, 1]], "free_circles": 1, "re": 1e308}]},
+    {"mock": {"kets": ["A"], "glue": {"A|A": "s"}}, "kets": [{"id": "A", "re": 1e308}]},
+], ids=["boundary", "mock"])
+def test_pair_non_finite_result_exit_4(tmp_path, capsys, data):
+    # finite amplitudes whose pairing overflows: JSON holds no Infinity
+    f = tmp_path / "kets.json"
+    f.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "pair", "--kets", str(f))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("numeric failure: result is not finite")
+
+
 def test_pair_requires_exactly_one_source(capsys):
     code, _, _ = run_cli(capsys, "pair")
     assert code == 2
@@ -219,6 +235,16 @@ def test_grow_bad_input_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "grow", "--input", str(f), "--seed", "1")
     assert code == 2
     assert "line 2" in err
+
+
+def test_grow_len2_overflow_exit_2(tmp_path, capsys):
+    # an exact rational whose float overflows where the geometry reads it
+    f = tmp_path / "big.txt"
+    f.write_text("dim=1\nv 0\nv 1\nv 2\ns 1 0 1 len2=1e400\ns 1 1 2\ns 1 2 0\n")
+    code, out, err = run_cli(capsys, "grow", "--input", str(f), "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 5: len2 '1e400' is not a finite rational\n"
 
 
 def test_grow_config_sets_growth_keys_only(tmp_path, capsys):
@@ -451,13 +477,14 @@ def test_twofield_csv(capsys):
 def test_twofield_nan_norm_exit_4(capsys):
     # an overflowing potential turns every norm into NaN, which must fail the
     # drift check instead of printing nan rows; with the coupling V the state
-    # evolves on the 2D grid, without it as two factors, stepped one step at
-    # a time at stride 1 and two at a time by the propagator at stride 4
-    for potential, steps, stride in (("--v-depth", 2, 1), ("--lambda", 2, 1), ("--lambda", 8, 4)):
+    # evolves on the 2D grid, without it as two factors, advanced a stride at
+    # a time by the propagator, or by the split step when no stride fits
+    for potential, steps, stride in (("--v-depth", 2, 1), ("--lambda", 2, 1),
+                                     ("--lambda", 8, 4), ("--lambda", 2, 4)):
         argv = (potential, "1e308", "--dt", "1e10", "--steps", str(steps),
                 "--grid", "16", "--stride", str(stride))
         p = TwoFieldParams(steps=steps, grid_n=16, sample_stride=stride)
-        assert _propagator_steps(p) == (2 if stride == 4 else 1)
+        assert _propagator_pays(p) is (steps >= stride)
         code, out, err = run_cli(capsys, "twofield", *argv)
         assert code == 4, argv
         assert "nan" not in out, argv

@@ -231,7 +231,7 @@ def test_pairing_functions_raise_on_mismatched_families():
             pair(v, v, glue)
         # every family is glued before any descent starts
         with pytest.raises(BoundaryError):
-            lightlike_search([kets[:1], kets], glue, trials=2, steps=5, seed=0)
+            lightlike_search([kets[:1], kets], glue, trials=2, steps=5, seed=0, step_size=0.1)
         with pytest.raises(BoundaryError):
             cauchy_schwarz_check(kets, glue, lambda key: 0)
 
@@ -280,7 +280,8 @@ def test_hermitian_norm_symmetry_real_amplitudes():
 
 
 def test_lightlike_single_ket_residual_one():
-    [res] = lightlike_search([[Bounded1Ket(((0, 1),))]], glue_1d, trials=3, steps=50, seed=0)
+    [res] = lightlike_search([[Bounded1Ket(((0, 1),))]], glue_1d, trials=3, steps=50, seed=0,
+                             step_size=0.1)
     assert math.isclose(res.min_residual, 1.0, abs_tol=1e-9)
     # step 0.5 maps a unit vector to (1 - |v|^2) v, often exactly 0: rows are redrawn
     [res] = lightlike_search(
@@ -297,13 +298,14 @@ def test_lightlike_matching_families_bounded_below():
         for fam_i in range(3):
             size = min(len(ms), 2 + fam_i)
             fam = [Bounded1Ket(m) for m in rng.sample(ms, size)]
-            [res] = lightlike_search([fam], glue_1d, trials=10, steps=150, seed=fam_i)
+            [res] = lightlike_search([fam], glue_1d, trials=10, steps=150, seed=fam_i,
+                                     step_size=0.1)
             assert res.min_residual > 0.05
 
 
 def test_lightlike_mock_finds_null_vector():
     kets, mock = example_mock_null_family()
-    [res] = lightlike_search([kets], mock.glue, trials=8, steps=150, seed=3)
+    [res] = lightlike_search([kets], mock.glue, trials=8, steps=150, seed=3, step_size=0.1)
     assert res.min_residual < 1e-8
     amps = {k: complex(a) for k, a in res.argmin.items()}
     ratio = amps["B"] / amps["A"]
@@ -350,14 +352,14 @@ def test_lightlike_surface_families_positive():
     rng = random.Random(13)
     for _ in range(4):
         fam = rng.sample(kets, 5)
-        [res] = lightlike_search([fam], glue_2d, trials=8, steps=150, seed=99)
+        [res] = lightlike_search([fam], glue_2d, trials=8, steps=150, seed=99, step_size=0.1)
         assert res.min_residual > 1e-6
 
 
 def test_lightlike_deterministic_given_seed():
     kets, mock = example_mock_null_family()
-    [a] = lightlike_search([kets], mock.glue, trials=5, steps=100, seed=42)
-    [b] = lightlike_search([kets], mock.glue, trials=5, steps=100, seed=42)
+    [a] = lightlike_search([kets], mock.glue, trials=5, steps=100, seed=42, step_size=0.1)
+    [b] = lightlike_search([kets], mock.glue, trials=5, steps=100, seed=42, step_size=0.1)
     assert a.min_residual == b.min_residual
     assert {k: complex(x) for k, x in a.argmin.items()} == {
         k: complex(x) for k, x in b.argmin.items()
@@ -366,9 +368,10 @@ def test_lightlike_deterministic_given_seed():
 
 def test_lightlike_rejects_empty_families():
     with pytest.raises(StructureError):
-        lightlike_search([], glue_1d, trials=2, steps=5, seed=0)
+        lightlike_search([], glue_1d, trials=2, steps=5, seed=0, step_size=0.1)
     with pytest.raises(StructureError):
-        lightlike_search([[Bounded1Ket(((0, 1),))], []], glue_1d, trials=2, steps=5, seed=0)
+        lightlike_search([[Bounded1Ket(((0, 1),))], []], glue_1d, trials=2, steps=5, seed=0,
+                         step_size=0.1)
 
 
 def reference_lightlike_search(kets, glue, trials=200, steps=500, seed=0, step_size=0.1):
@@ -551,19 +554,19 @@ def single_family_search(
     return SearchResult(float(residuals[best]), argmin)
 
 
-def assert_matches_reference(kets, glue, **kw):
-    [res] = lightlike_search([kets], glue, **kw)
-    ref_r, _ = reference_lightlike_search(kets, glue, **kw)
+def assert_matches_reference(kets, glue, step_size=0.1, **kw):
+    [res] = lightlike_search([kets], glue, step_size=step_size, **kw)
+    ref_r, _ = reference_lightlike_search(kets, glue, step_size=step_size, **kw)
     assert abs(res.min_residual - ref_r) <= 1e-12
     return res
 
 
-def assert_bit_equal_to_single_family(families, glue, seed, **kw):
+def assert_bit_equal_to_single_family(families, glue, seed, step_size=0.1, **kw):
     """Search ``families`` at once; family i must equal a search of it alone from ``seed + i``."""
-    results = lightlike_search(families, glue, seed=seed, **kw)
+    results = lightlike_search(families, glue, seed=seed, step_size=step_size, **kw)
     assert len(results) == len(families)
     for i, (fam, res) in enumerate(zip(families, results)):
-        ref = single_family_search(fam, glue, seed=seed + i, **kw)
+        ref = single_family_search(fam, glue, seed=seed + i, step_size=step_size, **kw)
         assert res.min_residual == ref.min_residual
         assert list(res.argmin.items()) == list(ref.argmin.items())
     return results
@@ -579,7 +582,7 @@ def test_lightlike_matches_reference_on_positivity_families():
             fam = cli._random_family(matchings, 4, rng)
             assert_matches_reference(fam, glue_1d, trials=40, steps=300, seed=seed + fam_i)
         kets, mock = example_mock_null_family()
-        [res] = lightlike_search([kets], mock.glue, trials=10, steps=300, seed=seed)
+        [res] = lightlike_search([kets], mock.glue, trials=10, steps=300, seed=seed, step_size=0.1)
         _, ref_argmin = reference_lightlike_search(kets, mock.glue, trials=10, steps=300, seed=seed)
         assert res.min_residual < 1e-8
         amps = {k: complex(a) for k, a in res.argmin.items()}

@@ -17,7 +17,7 @@ from formalchain.twofield import (
     _factor_measures,
     _grid_measures,
     _phases,
-    _propagator_steps,
+    _propagator_pays,
     alpha_erase,
     com_density,
     erase_twice,
@@ -55,7 +55,7 @@ def test_zero_steps_identity():
     pytest.param(0.5, 300, id="0.5"),
     # the last record falls between strides
     pytest.param(0.5, 310, id="0.5-steps310"),
-    # neither a multiple of the stride nor of the propagator's 5 steps
+    # not a multiple of the stride
     pytest.param(0.5, 1003, id="0.5-steps1003"),
 ])
 def test_factored_evolution_matches_2d(lam, steps):
@@ -120,33 +120,48 @@ def reference_evolve(state, p):
     return traj
 
 
-@pytest.mark.parametrize("grid, steps, stride, m", [
-    # the rule keeps the loop: products dearer than the steps they skip on
-    # grid 512 and for m = 2 on grid 256, a prime stride, and a propagator
-    # that costs more to build than the steps it replaces
-    (512, 1000, 50, 1),
-    (256, 1000, 4, 1),
-    (64, 1000, 7, 1),
-    (256, 100, 50, 1),
-    (256, 310, 20, 1),
-    # m steps per product; 310 and 1003 leave steps over after the last
-    # product and a last record between strides
-    (16, 310, 20, 4),
-    (16, 1003, 20, 4),
-    (32, 310, 20, 4),
-    (64, 1003, 20, 4),
-    (128, 310, 20, 4),
-    (128, 1003, 50, 5),
-    (256, 1003, 20, 4),
+@pytest.mark.parametrize("grid, steps, stride, prop", [
+    # the rule keeps the loop: building P costs more than the loop steps it
+    # replaces on grid 512, at strides 1 and 4 on grid 256 and for few strides
+    (512, 1000, 50, False),
+    (256, 1000, 4, False),
+    (256, 310, 1, False),
+    (256, 100, 50, False),
+    (256, 310, 20, False),
+    # no whole stride to advance
+    (64, 30, 50, False),
+    # one product per whole stride; where the steps are no multiple of the
+    # stride, the last ones take the split step and the last record falls
+    # between strides
+    (16, 310, 1, True),
+    (16, 1003, 7, True),
+    (16, 310, 20, True),
+    (16, 1003, 20, True),
+    (32, 310, 13, True),
+    (32, 310, 20, True),
+    (32, 1003, 50, True),
+    (64, 1003, 1, True),
+    (64, 1000, 7, True),
+    (64, 310, 13, True),
+    (64, 1003, 20, True),
+    (128, 310, 1, True),
+    (128, 1003, 7, True),
+    (128, 1003, 13, True),
+    (128, 310, 20, True),
+    (128, 1003, 50, True),
+    (256, 1003, 7, True),
+    (256, 1003, 13, True),
+    (256, 1003, 20, True),
+    (256, 1003, 50, True),
 ])
-def test_evolve_matches_reference_loop(grid, steps, stride, m):
+def test_evolve_matches_reference_loop(grid, steps, stride, prop):
     p = TwoFieldParams(lam=0.5, grid_n=grid, dt=1e-3, steps=steps, sample_stride=stride)
-    assert _propagator_steps(p) == m
+    assert _propagator_pays(p) is prop
     st = product_state(p, gaussian_packet(p, 1.0), gaussian_packet(p, -0.5))
     got, ref = evolve(st, p), reference_evolve(st, p)
     assert got.times == ref.times
     names = ("joint_norms", "erased_norms", "com_means")
-    if m == 1:
+    if not prop:
         for name in names:
             assert getattr(got, name) == getattr(ref, name), name
         assert np.array_equal(got.final.factors, ref.final.factors)
@@ -165,8 +180,8 @@ def test_evolve_matches_reference_loop(grid, steps, stride, m):
 
 
 def test_uncoupled_evolve_fft_calls(monkeypatch):
-    # 5 FFTs build the 5-step propagator and each of the 21 records makes
-    # one; the loop made one per step besides
+    # one FFT pair steps the identity into U and each of the 21 records makes
+    # one FFT; the loop made one per step besides
     calls = []
     fft = np.fft.fft
 
@@ -175,11 +190,12 @@ def test_uncoupled_evolve_fft_calls(monkeypatch):
         return fft(*args, **kw)
 
     p = TwoFieldParams(grid_n=128, steps=1000, dt=1e-3, sample_stride=50)
+    assert _propagator_pays(p)
     st = product_state(p, gaussian_packet(p, 1.0), gaussian_packet(p, 1.0))
     monkeypatch.setattr(np.fft, "fft", counting_fft)
     traj = evolve(st, p)
     assert len(traj.times) == 21
-    assert len(calls) <= 30
+    assert len(calls) == 22
 
 
 def reference_erase_raw(psi, dx):
