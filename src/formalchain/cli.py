@@ -228,6 +228,10 @@ def _kets_from_json(data: dict):
                     raise ConfigError(f"'boundary.{key}' entry {i} must be a label, got {label!r}")
             if len(set(labels)) != len(labels):
                 raise ConfigError(f"boundary {key[:-1]} labels must be unique")
+            try:  # kets sort their labels, so labels that do not compare fit no ket
+                sorted(labels)
+            except TypeError:
+                raise ConfigError(f"'boundary.{key}' mixes labels that do not compare: {labels!r}")
         if bd.get("dimension") == 0:
             glue, declared, mismatch = glue_1d, frozenset(bd.get("points", ())), "match boundary"
 

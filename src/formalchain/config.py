@@ -90,8 +90,8 @@ def _parsed(key: str, text: str, default):
         raise ConfigError(f"key {key!r}: bad number {text!r}")
     try:
         real = float(number)  # GrowthConfig converts its Fraction fields too
-    except OverflowError as exc:
-        raise ConfigError(str(exc))
+    except OverflowError:
+        raise ConfigError(f"key {key!r}: number {text!r} is out of float range")
     return number if isinstance(default, Fraction) else real
 
 

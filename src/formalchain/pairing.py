@@ -238,30 +238,47 @@ def _descend(mats: np.ndarray, rngs: Sequence[Sequence[np.random.Generator]],
 
 
 def _polish(mats: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """40 Gauss-Newton steps on the residual system ``q_k(v) = 0, |v|^2 = 1``, every row at once.
+    """Gauss-Newton steps on the residual system ``q_k(v) = 0, |v|^2 = 1`` while they contract.
 
     ``mats`` is an ``(F, K, n, n)`` stack of key matrices and ``V`` the
     ``(F, T, n)`` rows to polish.  The quartic objective is flat near a null
     vector, where plain descent crawls; solving the quadratic system converges
     quadratically.  Each step is the minimum-norm least-squares solution with
-    ``lstsq``'s default cutoff.  A row that reaches norm 0 has a zero Jacobian
-    from then on, so it stays the zero vector.
+    ``lstsq``'s default cutoff.  A row takes at most 40 steps, and only while
+    they shrink: the first step is always taken, and the first step ``delta_k``
+    with ``|delta_k| >= |delta_{k-1}|`` (the monotonicity test of Newton
+    methods) is dropped and ends the row, which keeps its last iterate.  On a
+    family with no null vector the undamped steps diverge, so most rows stop
+    after a few steps.  The rows still stepping are gathered, with their
+    families' key matrices, before each step, so each SVD call covers only
+    them, and a row's path does not depend on the others.  A row that reaches
+    norm 0 has a zero Jacobian from then on, so it stays the zero vector.
     """
-    n = V.shape[-1]
+    F, T, n = V.shape
+    out = V.reshape(F * T, n).copy()
+    live = np.arange(F * T)  # rows still stepping, as indices into ``out``
+    last = np.inf  # the norm of each live row's last step
     for _ in range(40):
+        X = out[live]
         # one row M_k v per key, then v itself for the norm constraint
-        rows = np.concatenate([np.einsum("fkij,ftj->ftki", mats, V), V[..., None, :]], axis=-2)
-        res = np.einsum("fti,ftki->ftk", V.conj(), rows).real
-        res[..., -1] -= 1.0
+        rows = np.concatenate([np.einsum("rkij,rj->rki", mats[live // T], X), X[:, None, :]],
+                              axis=1)
+        res = np.einsum("ri,rki->rk", X.conj(), rows).real
+        res[:, -1] -= 1.0
         jac = 2.0 * np.concatenate([rows.real, rows.imag], axis=-1)
         u, s, wh = np.linalg.svd(jac, full_matrices=False)
-        keep = s > np.finfo(float).eps * max(jac.shape[-2:]) * s[..., :1]
+        keep = s > np.finfo(float).eps * max(jac.shape[-2:]) * s[:, :1]
         inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-        delta = np.einsum("ftri,ftr->fti", wh, inv * np.einsum("ftkr,ftk->ftr", u, -res))
-        V = V + delta[..., :n] + 1j * delta[..., n:]
-        nv = np.linalg.norm(V, axis=-1)
-        V = np.divide(V, nv[..., None], out=V, where=nv[..., None] != 0.0)
-    return V
+        delta = np.einsum("rsi,rs->ri", wh, inv * np.einsum("rks,rk->rs", u, -res))
+        size = np.linalg.norm(delta, axis=-1)
+        shrinks = size < last
+        live, X, delta, last = live[shrinks], X[shrinks], delta[shrinks], size[shrinks]
+        if not live.size:
+            break
+        X = X + delta[:, :n] + 1j * delta[:, n:]
+        nv = np.linalg.norm(X, axis=-1)
+        out[live] = np.divide(X, nv[:, None], out=X, where=nv[:, None] != 0.0)
+    return out.reshape(F, T, n)
 
 
 def lightlike_search(
@@ -276,9 +293,10 @@ def lightlike_search(
 
     Returns one result per family, in input order.  The residual is a smooth
     quartic in the amplitudes.  Every restart follows the analytic gradient
-    from a random complex start, then a Gauss-Newton polish, and keeps the
-    polished vector unless the unpolished one is strictly better.  The best
-    restart is returned; ties go to the lowest restart index.
+    from a random complex start, then a Gauss-Newton polish that stops at the
+    first step that does not shrink, and keeps the polished vector unless the
+    unpolished one is strictly better.  The best restart is returned; ties go
+    to the lowest restart index.
 
     Restart t of family i draws its start (and any redraw after its vector
     collapses to 0) from its own generator, the t-th child of

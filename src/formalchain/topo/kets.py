@@ -31,6 +31,9 @@ class Bounded1Ket:
     free_circles: int = 0
 
     def __post_init__(self):
+        for p in self.matching:
+            if len(p) != 2:
+                raise StructureError(f"arc {list(p)!r} must join two points")
         norm = tuple(sorted(tuple(sorted(p)) for p in self.matching))
         object.__setattr__(self, "matching", norm)
         labels = [x for p in self.matching for x in p]

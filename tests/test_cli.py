@@ -129,6 +129,14 @@ def test_pair_bad_file_exit_2(tmp_path, capsys):
          "'boundary.circles' entry 1 must be a label"),
         (json.dumps({"mock": mock, "kets": [{"id": ["A"], "re": 1.0}]}),
          "ket 0: 'id' must be a name"),
+        (json.dumps({"boundary": points, "kets": [{"matching": [[0]], "re": 1.0}]}),
+         "ket 0: arc [0] must join two points"),
+        (json.dumps({"boundary": points, "kets": [{"matching": [[0, 1, 2, 3]], "re": 1.0}]}),
+         "ket 0: arc [0, 1, 2, 3] must join two points"),
+        # kets sort their labels, so no ket fits labels that do not compare
+        (json.dumps({"boundary": {"dimension": 0, "points": [1, "a"]},
+                     "kets": [{"matching": [[0, 1]], "re": 1.0}]}),
+         "'boundary.points' mixes labels that do not compare: [1, 'a']"),
         (json.dumps({"boundary": points, "kets": [{"matching": [[0, 1]], "free_circles": 1.5}]}),
          "ket 0: free circle count must be an integer"),
         (json.dumps({"boundary": points, "kets": [{"matching": [[0, 1]], "free_circles": True}]}),
@@ -376,6 +384,13 @@ def test_sample_infinite_singular_penalty(capsys):
         assert code2 == 2, bad
         assert out2 == ""
         assert err2 == f"error: key {bad.split('=')[0]!r}: bad number {bad.split('=')[1]!r}\n"
+
+
+def test_sample_number_out_of_float_range_exit_2(capsys):
+    code, out, err = run_cli(capsys, "sample", "--seed", "1", "--set", "g.0=1e400")
+    assert code == 2
+    assert out == ""
+    assert err == "error: key 'g.0': number '1e400' is out of float range\n"
 
 
 @pytest.mark.parametrize("flag, value", [("--chains", "-2"), ("--sweeps", "-1")])

@@ -448,8 +448,8 @@ def reference_lightlike_search(kets, glue, trials=200, steps=500, seed=0, step_s
 
 
 # The single-family search that the multi-family one replaced, kept verbatim
-# with its helpers except that it takes a glue function: every family of a multi-family search must give its result
-# bit for bit.
+# with its helpers except that it takes a glue function and its polish runs row
+# by row: every family of a multi-family search must give its result bit for bit.
 
 
 def _residual_and_grad(flat_mats: np.ndarray, V: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -467,29 +467,36 @@ def _residual_and_grad(flat_mats: np.ndarray, V: np.ndarray) -> Tuple[np.ndarray
 
 
 def _polish(mats: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """40 Gauss-Newton steps on the residual system ``q_k(v) = 0, |v|^2 = 1``, every row at once.
+    """The Gauss-Newton polish of ``pairing._polish``, one row of ``V`` at a time.
 
-    The quartic objective is flat near a null vector, where plain descent
-    crawls; solving the quadratic system converges quadratically.  Each step
-    is the minimum-norm least-squares solution with ``lstsq``'s default
-    cutoff.  A row that reaches norm 0 has a zero Jacobian from then on, so it
-    stays the zero vector.
+    Each row takes at most 40 steps on ``q_k(v) = 0, |v|^2 = 1``, each the
+    minimum-norm least-squares solution with ``lstsq``'s default cutoff, and
+    stops before the first step that is not shorter than the one before.
     """
     n = V.shape[1]
-    for _ in range(40):
-        # one row M_k v per key, then v itself for the norm constraint
-        rows = np.concatenate([np.einsum("kij,tj->tki", mats, V), V[:, None, :]], axis=1)
-        res = np.einsum("ti,tki->tk", V.conj(), rows).real
-        res[:, -1] -= 1.0
-        jac = 2.0 * np.concatenate([rows.real, rows.imag], axis=2)
-        u, s, wh = np.linalg.svd(jac, full_matrices=False)
-        keep = s > np.finfo(float).eps * max(jac.shape[1:]) * s[:, :1]
-        inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-        delta = np.einsum("tri,tr->ti", wh, inv * np.einsum("tkr,tk->tr", u, -res))
-        V = V + delta[:, :n] + 1j * delta[:, n:]
-        nv = np.linalg.norm(V, axis=1)
-        V = np.divide(V, nv[:, None], out=V, where=nv[:, None] != 0.0)
-    return V
+    out = V.copy()
+    for t, v in enumerate(V):
+        last = np.inf
+        for _ in range(40):
+            # one row M_k v per key, then v itself for the norm constraint
+            rows = np.concatenate([np.einsum("kij,j->ki", mats, v), v[None, :]])
+            res = np.einsum("i,ki->k", v.conj(), rows).real
+            res[-1] -= 1.0
+            jac = 2.0 * np.concatenate([rows.real, rows.imag], axis=1)
+            u, s, wh = np.linalg.svd(jac, full_matrices=False)
+            keep = s > np.finfo(float).eps * max(jac.shape) * s[0]
+            inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+            delta = np.einsum("ri,r->i", wh, inv * np.einsum("kr,k->r", u, -res))
+            size = np.linalg.norm(delta, axis=-1)
+            if not size < last:
+                break
+            last = size
+            v = v + delta[:n] + 1j * delta[n:]
+            nv = np.linalg.norm(v, axis=-1)
+            if nv != 0.0:
+                v = v / nv
+        out[t] = v
+    return out
 
 
 def single_family_search(
@@ -673,6 +680,24 @@ def test_multi_family_search_groups_ket_counts_in_input_order():
     results = assert_bit_equal_to_single_family(families, glue_1d, 11, trials=10, steps=100)
     for fam, res in zip(families, results):
         assert [ket for ket, _ in res.argmin.items()] == list(fam)
+
+
+def test_polish_stops_diverging_rows_early(monkeypatch, capsys):
+    # 40 steps for each of 4 x 40 family restarts and 10 mock restarts would
+    # be 6,800 matrices; the two-ket mock's Jacobians have 4 columns
+    svd = np.linalg.svd
+    matrices = {}
+
+    def counting_svd(a, *args, **kw):
+        matrices[a.shape[-1]] = matrices.get(a.shape[-1], 0) + math.prod(a.shape[:-2])
+        return svd(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert cli.main(["positivity", "--seed", "3", "--points", "6", "--families", "4"]) == 0
+    capsys.readouterr()
+    # the mock restarts converge linearly, so each takes all 40 steps
+    assert matrices[4] == 400
+    assert sum(matrices.values()) < 1000
 
 
 # -- topological Cauchy-Schwarz order ----------------------------------------------
