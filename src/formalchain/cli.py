@@ -195,30 +195,51 @@ def cmd_pair(args) -> int:
     return EXIT_OK
 
 
+def _json_object(value, keys: set, name: str, must: str) -> dict:
+    """``value`` if it is a JSON object with no key outside ``keys``, else :class:`ConfigError`."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must {must}, got {value!r}")
+    unknown = sorted(value.keys() - keys)
+    if unknown:
+        raise ConfigError(f"{name} has unknown key {unknown[0]!r}")
+    return value
+
+
 def _kets_from_json(data: dict):
     """Ket file: {"boundary": {...}, "kets": [...]} or {"mock": {...}, "kets": [...]}.
 
-    Returns the superposition and its glue function.  A missing or malformed
-    entry raises :class:`ConfigError` naming the ket index and the key; once
-    every ket is parsed, a ket whose boundary is not the declared one raises
-    :class:`BoundaryError`.
+    Returns the superposition and its glue function.  A missing, malformed or
+    unknown entry raises :class:`ConfigError` naming the ket index or the key;
+    once every ket is parsed, a ket whose boundary is not the declared one
+    raises :class:`BoundaryError`.
     """
-    if not isinstance(data, dict):
-        raise ConfigError(f"ket file must hold a JSON object, got {data!r}")
+    _json_object(data, {"boundary", "mock", "kets"}, "ket file", "hold a JSON object")
+    if ("boundary" in data) == ("mock" in data):
+        raise ConfigError("ket file needs exactly one of a 'boundary' and a 'mock' object")
     declared = None
     if "mock" in data:
-        glue = MockEquivalence.from_json(json.dumps(data["mock"])).glue
+        mock = _json_object(data["mock"], {"kets", "glue"}, "'mock'", "be an object")
+        names, classes = mock.get("kets"), mock.get("glue")
+        if not isinstance(names, list) or not all(isinstance(k, str) for k in names):
+            raise ConfigError(f"mock table needs a 'kets' list of names, got {names!r}")
+        if not isinstance(classes, dict) or not all(isinstance(c, str) for c in classes.values()):
+            raise ConfigError(f"mock table needs a 'glue' object of class names, got {classes!r}")
+        table = {}
+        for key, cls in classes.items():
+            ab = tuple(key.split("|"))
+            if len(ab) != 2 or not set(ab) <= set(names):
+                raise ConfigError(f"mock glue key {key!r} must be 'A|B' over names in 'kets'")
+            table[ab] = cls
+        table.update({(b, a): cls for (a, b), cls in table.items() if (b, a) not in table})
+        glue, ket_keys = MockEquivalence(names, table).glue, {"id"}
 
         def make(k):
             if not isinstance(k["id"], str):
                 raise TypeError(f"'id' must be a name, got {k['id']!r}")
             return k["id"]
     else:
-        bd = data.get("boundary")
-        if bd is None:
-            raise ConfigError("ket file needs a 'boundary' or 'mock' object")
-        if not isinstance(bd, dict):
-            raise ConfigError(f"'boundary' must be an object, got {bd!r}")
+        bd = data["boundary"]
+        _json_object(bd, {"dimension", "points", "circles"}, "'boundary'", "be an object")
         for key in ("points", "circles"):
             labels = bd.get(key, [])
             if not isinstance(labels, list):
@@ -234,19 +255,16 @@ def _kets_from_json(data: dict):
                 raise ConfigError(f"'boundary.{key}' mixes labels that do not compare: {labels!r}")
         if bd.get("dimension") == 0:
             glue, declared, mismatch = glue_1d, frozenset(bd.get("points", ())), "match boundary"
+            ket_keys = {"matching", "free_circles"}
 
             def make(k):
-                return Bounded1Ket(
-                    tuple(tuple(p) for p in k["matching"]), k.get("free_circles", 0)
-                )
+                return Bounded1Ket(k["matching"], k.get("free_circles", 0))
         elif bd.get("dimension") == 1:
             glue, declared, mismatch = glue_2d, frozenset(bd.get("circles", ())), "cover circles"
+            ket_keys = {"components", "closed"}
 
             def make(k):
-                return BoundedSurfaceKet(
-                    tuple((g, frozenset(ls)) for g, ls in k["components"]),
-                    tuple(k.get("closed", ())),
-                )
+                return BoundedSurfaceKet(k["components"], k.get("closed", ()))
         else:
             raise ConfigError(f"unsupported boundary dimension {bd.get('dimension')!r}")
     kets = data.get("kets")
@@ -254,8 +272,7 @@ def _kets_from_json(data: dict):
         raise ConfigError("ket file needs a 'kets' list")
     terms = []
     for i, k in enumerate(kets):
-        if not isinstance(k, dict):
-            raise ConfigError(f"ket {i} must be an object, got {k!r}")
+        _json_object(k, ket_keys | {"re", "im"}, f"ket {i}", "be an object")
         for key in ("re", "im"):
             value = k.get(key, 0.0)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -299,6 +316,9 @@ def cmd_series(args) -> int:
 def cmd_grow(args) -> int:
     with open(args.input) as fh:
         y = from_text(fh.read())
+    if args.subdivisions < 1 or (y.dim == 1 and args.subdivisions != 1):
+        need = "1: circle growth has no arcs to subdivide" if y.dim == 1 else "at least 1"
+        raise ConfigError(f"--subdivisions must be {need}, got {args.subdivisions}")
     settings = {}
     if args.config:
         with open(args.config) as fh:

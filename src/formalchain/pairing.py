@@ -17,7 +17,6 @@ which returns the closed class of ``a`` glued to ``mirror(b)`` and raises
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
@@ -109,28 +108,6 @@ class MockEquivalence:
             if k not in self.kets:
                 raise BoundaryError(f"unknown mock ket {k!r}")
         return self.table[(a, b)]
-
-    @staticmethod
-    def from_json(text: str) -> "MockEquivalence":
-        """Load {"kets": [...], "glue": {"A|B": "class", ...}}."""
-        data = json.loads(text)
-        kets, glue = (data.get("kets"), data.get("glue")) if isinstance(data, dict) else (None, None)
-        if not isinstance(kets, list) or not all(isinstance(k, str) for k in kets):
-            raise StructureError(f"mock table needs a 'kets' list of names, got {kets!r}")
-        if not isinstance(glue, dict) or not all(isinstance(c, str) for c in glue.values()):
-            raise StructureError(f"mock table needs a 'glue' object of class names, got {glue!r}")
-        table = {}
-        for pair, cls in glue.items():
-            if pair.count("|") != 1:
-                raise StructureError(f"mock glue key {pair!r} must be 'A|B'")
-            a, b = pair.split("|")
-            if a not in kets or b not in kets:
-                raise StructureError(f"mock glue key {pair!r} names a ket not in 'kets'")
-            table[(a, b)] = cls
-        for a, b in itertools.product(kets, repeat=2):
-            if (a, b) not in table and (b, a) in table:
-                table[(a, b)] = table[(b, a)]
-        return MockEquivalence(kets, table)
 
 
 # -- the pairing --------------------------------------------------------------------

@@ -631,12 +631,15 @@ def from_text(text: str) -> Triangulation:
         b <vertex-id> <lower|upper>        (d = 1)
         b <a>-<b> <lower|upper>            (d = 2, edge by vertex pair)
 
-    Malformed lines raise :class:`ParseError` with the line number.
+    In dimension 2 a vertex takes no sign, and each ``s 1`` or ``b`` pair is a
+    side of some face, listed at most once by ``s 1``.  Malformed lines raise
+    :class:`ParseError` with the line number.
     """
     dim: Optional[int] = None
     vertex_sign: Dict[int, int] = {}
     edges: Dict[int, Tuple[int, int]] = {}
     len2: Dict[int, object] = {}
+    edge_line: Dict[int, int] = {}
     face_triples: List[Tuple[int, int, int]] = []
     marks_raw: List[Tuple[int, str, str]] = []
     next_edge = [0]
@@ -672,6 +675,8 @@ def from_text(text: str) -> Triangulation:
                 raise ParseError(ln, f"bad vertex id {parts[1]!r}")
             if vid in vertex_sign:
                 raise ParseError(ln, f"duplicate vertex {vid}")
+            if dim == 2 and len(parts) == 3:
+                raise ParseError(ln, "a dimension-2 vertex takes no sign")
             vertex_sign[vid] = -1 if len(parts) == 3 else 1
         elif kind == "s":
             if len(parts) < 2:
@@ -699,6 +704,7 @@ def from_text(text: str) -> Triangulation:
                 e = fresh_edge()
                 edges[e] = (a, b)
                 len2[e] = l2
+                edge_line[e] = ln
             elif sd == 2:
                 if len(parts) != 5:
                     raise ParseError(ln, "face record is 's 2 <a> <b> <c>'")
@@ -733,7 +739,15 @@ def from_text(text: str) -> Triangulation:
                     raise ParseError(ln, f"bad vertex id {tok!r} in boundary record")
             t = Triangulation(1, vertex_sign, edges, len2, {}, marks)
         else:
-            pair_len2 = {frozenset(ab): len2[e] for e, ab in edges.items()}
+            sides = {frozenset((tri[i], tri[i - 1])) for tri in face_triples for i in range(3)}
+            pair_len2 = {}
+            for e, (a, b) in edges.items():
+                pair = frozenset((a, b))
+                if pair not in sides:
+                    raise ParseError(edge_line[e], f"edge {a}-{b} is no side of a face")
+                if pair in pair_len2:
+                    raise ParseError(edge_line[e], f"edge {a}-{b} is listed twice")
+                pair_len2[pair] = len2[e]
             pair_marks = {}
             for ln, tok, m in marks_raw:
                 bits = tok.split("-")
@@ -743,6 +757,8 @@ def from_text(text: str) -> Triangulation:
                     pair = frozenset((int(bits[0]), int(bits[1])))
                 except ValueError:
                     raise ParseError(ln, f"bad edge token {tok!r}")
+                if pair not in sides:
+                    raise ParseError(ln, f"boundary edge {tok} is no side of a face")
                 pair_marks[pair] = m
             t = surface_from_faces(
                 face_triples, edge_len2_by_pair=pair_len2,

@@ -32,8 +32,8 @@ class Bounded1Ket:
 
     def __post_init__(self):
         for p in self.matching:
-            if len(p) != 2:
-                raise StructureError(f"arc {list(p)!r} must join two points")
+            if not isinstance(p, (list, tuple)) or len(p) != 2:
+                raise StructureError(f"arc {p!r} must join two points")
         norm = tuple(sorted(tuple(sorted(p)) for p in self.matching))
         object.__setattr__(self, "matching", norm)
         labels = [x for p in self.matching for x in p]
@@ -62,6 +62,10 @@ class BoundedSurfaceKet:
     closed_genera: Tuple[int, ...] = ()
 
     def __post_init__(self):
+        for c in self.components:
+            if not (isinstance(c, (list, tuple)) and len(c) == 2
+                    and isinstance(c[1], (list, tuple, set, frozenset))):
+                raise StructureError(f"component {c!r} must be a genus and a list of circle labels")
         comps = tuple(sorted(((g, frozenset(ls)) for g, ls in self.components),
                              key=lambda c: (c[0], tuple(sorted(c[1])))))
         object.__setattr__(self, "components", comps)

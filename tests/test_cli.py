@@ -11,6 +11,8 @@ from formalchain.cli import main
 from formalchain.topo import circle, to_text
 from formalchain.twofield import TwoFieldParams, _propagator_pays
 
+DATA = Path(__file__).parent / "data"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -157,6 +159,26 @@ def test_pair_bad_file_exit_2(tmp_path, capsys):
                      "kets": [{"id": "A", "re": 1.0}]}), "mock glue key 'A|Z'"),
         (json.dumps({"mock": {"kets": ["A"], "glue": {"A|A": "s", "Z|A": "u"}},
                      "kets": [{"id": "A", "re": 1.0}]}), "mock glue key 'Z|A'"),
+        # each object takes only its declared keys
+        (json.dumps({"boundary": points, "kets": [{"matching": [[0, 1]], "free_circle": 2}]}),
+         "ket 0 has unknown key 'free_circle'"),
+        (json.dumps({"boundary": points, "mock": mock, "kets": [{"id": "A", "re": 1.0}]}),
+         "ket file needs exactly one of a 'boundary' and a 'mock' object"),
+        (json.dumps({"mock": mock, "kets": [{"id": "A", "matching": [["A", "B"]], "re": 1.0}]}),
+         "ket 0 has unknown key 'matching'"),
+        (json.dumps({"boundary": points, "kets": [], "ket": []}), "ket file has unknown key 'ket'"),
+        (json.dumps({"boundary": {**points, "dim": 0}, "kets": []}),
+         "'boundary' has unknown key 'dim'"),
+        (json.dumps({"mock": {**mock, "classes": {}}, "kets": []}), "'mock' has unknown key 'classes'"),
+        # the ket classes check the shape of what the file holds
+        (json.dumps({"boundary": {"dimension": 0, "points": ["a", "b"]},
+                     "kets": [{"matching": [{"a": 1, "b": 2}], "re": 1.0}]}),
+         "ket 0: arc {'a': 1, 'b': 2} must join two points"),
+        (json.dumps({"boundary": points, "kets": [{"matching": ["01"], "re": 1.0}]}),
+         "ket 0: arc '01' must join two points"),
+        (json.dumps({"boundary": {"dimension": 1, "circles": ["c0"]},
+                     "kets": [{"components": [[0, "c0"]], "re": 1.0}]}),
+         "ket 0: component [0, 'c0'] must be a genus and a list of circle labels"),
     ]
     f = tmp_path / "kets.json"
     for text, message in cases:
@@ -239,10 +261,16 @@ def test_grow_missing_seed_rejected(tmp_path, capsys):
 
 def test_grow_bad_input_exit_2(tmp_path, capsys):
     f = tmp_path / "bad.txt"
-    f.write_text("dim=1\nnonsense\n")
-    code, _, err = run_cli(capsys, "grow", "--input", str(f), "--seed", "1")
-    assert code == 2
-    assert "line 2" in err
+    cases = [
+        ("dim=1\nnonsense\n", "line 2"),
+        # a boundary pair that is no side of any face
+        ("dim=2\ns 2 0 1 2\nb 5-6 lower\n", "line 3: boundary edge 5-6 is no side of a face"),
+    ]
+    for text, message in cases:
+        f.write_text(text)
+        code, _, err = run_cli(capsys, "grow", "--input", str(f), "--seed", "1")
+        assert code == 2
+        assert message in err
 
 
 def test_grow_len2_overflow_exit_2(tmp_path, capsys):
@@ -253,6 +281,18 @@ def test_grow_len2_overflow_exit_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: line 5: len2 '1e400' is not a finite rational\n"
+
+
+@pytest.mark.parametrize("data, value, need", [
+    ("points22.txt", "0", "at least 1"),
+    ("circle3.txt", "-3", "1: circle growth has no arcs to subdivide"),
+    ("circle3.txt", "7", "1: circle growth has no arcs to subdivide"),
+])
+def test_grow_subdivisions_checked_exit_2(capsys, data, value, need):
+    code, out, err = run_cli(capsys, "grow", "--input", str(DATA / data), "--seed", "3",
+                             "--subdivisions", value)
+    assert (code, out) == (2, "")
+    assert err == f"error: --subdivisions must be {need}, got {value}\n"
 
 
 def test_grow_config_sets_growth_keys_only(tmp_path, capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from formalchain import cli
-from formalchain.errors import BoundaryError, StructureError
+from formalchain.errors import BoundaryError, ConfigError, StructureError
 from formalchain.pairing import (
     Bounded1Ket,
     BoundedSurfaceKet,
@@ -208,8 +208,8 @@ def test_mock_glue_rejects_unknown_kets():
     assert mock.glue("A", "A") == "s"
     with pytest.raises(BoundaryError):
         mock.glue("A", "C")
-    with pytest.raises(StructureError, match=r"mock glue key 'A\|C' names a ket not in 'kets'"):
-        MockEquivalence.from_json('{"kets": ["A"], "glue": {"A|A": "s", "A|C": "t"}}')
+    with pytest.raises(ConfigError, match=r"mock glue key 'A\|C' must be 'A\|B' over names in"):
+        cli._kets_from_json({"mock": {"kets": ["A"], "glue": {"A|A": "s", "A|C": "t"}}, "kets": []})
 
 
 def mismatched_families():
@@ -822,10 +822,11 @@ def test_square_partial_sums_monotone():
 
 
 def test_mock_equivalence_json_and_validation():
-    mock = MockEquivalence.from_json(
-        '{"kets": ["A", "B"], "glue": {"A|A": "s", "A|B": "s", "B|A": "s", "B|B": "s"}}'
+    # a one-sided 'A|B' entry of a ket file's table holds both ways
+    _, glue = cli._kets_from_json(
+        {"mock": {"kets": ["A", "B"], "glue": {"A|A": "s", "A|B": "t", "B|B": "s"}}, "kets": []}
     )
-    assert mock.glue("A", "B") == "s"
+    assert glue("A", "B") == glue("B", "A") == "t"
     with pytest.raises(StructureError):
         MockEquivalence(["A", "B"], {("A", "A"): "x"})
     with pytest.raises(StructureError):

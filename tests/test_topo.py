@@ -269,21 +269,23 @@ def test_text_round_trip_with_boundary():
 
 
 def test_parse_errors_carry_line_numbers():
-    with pytest.raises(ParseError) as err:
-        from_text("dim=1\nv 0\nwhat is this\n")
-    assert "line 3" in str(err.value)
-    with pytest.raises(ParseError) as err:
-        from_text("v 0\n")
-    assert "line 1" in str(err.value)
-    with pytest.raises(ParseError) as err:
-        from_text("dim=1\nv 0\nv 0\n")
-    assert "line 3" in str(err.value)
-    with pytest.raises(ParseError) as err:
-        from_text("dim=2\ns 2 0 1\n")
-    assert "line 2" in str(err.value)
-    with pytest.raises(ParseError) as err:
-        from_text("dim=1\nv 0\nv 1\ns 1 0 1 len2=huh\n")
-    assert "line 4" in str(err.value)
+    tetra = "dim=2\ns 2 0 1 2\ns 2 0 3 1\ns 2 1 3 2\ns 2 0 2 3\n"
+    cases = [
+        ("dim=1\nv 0\nwhat is this\n", "line 3"),
+        ("v 0\n", "line 1"),
+        ("dim=1\nv 0\nv 0\n", "line 3"),
+        ("dim=2\ns 2 0 1\n", "line 2"),
+        ("dim=1\nv 0\nv 1\ns 1 0 1 len2=huh\n", "line 4"),
+        # dimension 2: records the surface cannot hold are errors, not dropped
+        (tetra + "b 5-6 lower\n", "line 6: boundary edge 5-6 is no side of a face"),
+        ("dim=2\nv 0 -\n" + tetra[6:], "line 2: a dimension-2 vertex takes no sign"),
+        (tetra + "s 1 0 5\n", "line 6: edge 0-5 is no side of a face"),
+        (tetra + "s 1 0 1 len2=2\ns 1 1 0 len2=3\n", "line 7: edge 1-0 is listed twice"),
+    ]
+    for text, where in cases:
+        with pytest.raises(ParseError) as err:
+            from_text(text)
+        assert where in str(err.value)
 
 
 def test_parser_rejects_bad_boundary_mark():
