@@ -239,34 +239,37 @@ def _kets_from_json(data: dict):
             return k["id"]
     else:
         bd = data["boundary"]
-        _json_object(bd, {"dimension", "points", "circles"}, "'boundary'", "be an object")
-        for key in ("points", "circles"):
-            labels = bd.get(key, [])
-            if not isinstance(labels, list):
-                raise ConfigError(f"'boundary.{key}' must be a list, got {labels!r}")
-            for i, label in enumerate(labels):
-                if isinstance(label, (list, dict)):
-                    raise ConfigError(f"'boundary.{key}' entry {i} must be a label, got {label!r}")
-            if len(set(labels)) != len(labels):
-                raise ConfigError(f"boundary {key[:-1]} labels must be unique")
-            try:  # kets sort their labels, so labels that do not compare fit no ket
-                sorted(labels)
-            except TypeError:
-                raise ConfigError(f"'boundary.{key}' mixes labels that do not compare: {labels!r}")
-        if bd.get("dimension") == 0:
-            glue, declared, mismatch = glue_1d, frozenset(bd.get("points", ())), "match boundary"
-            ket_keys = {"matching", "free_circles"}
+        # the labels are points in dimension 0 and circles in dimension 1; a
+        # boundary that is no object fails its key check below
+        dimension = bd.get("dimension") if isinstance(bd, dict) else 0
+        # a JSON true or 0.0 is no dimension either
+        if type(dimension) is not int or dimension not in (0, 1):
+            raise ConfigError(f"unsupported boundary dimension {dimension!r}")
+        key = "points" if dimension == 0 else "circles"
+        _json_object(bd, {"dimension", key}, "'boundary'", "be an object")
+        labels = bd.get(key, [])
+        if not isinstance(labels, list):
+            raise ConfigError(f"'boundary.{key}' must be a list, got {labels!r}")
+        for i, label in enumerate(labels):
+            if isinstance(label, (list, dict)):
+                raise ConfigError(f"'boundary.{key}' entry {i} must be a label, got {label!r}")
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"boundary {key[:-1]} labels must be unique")
+        try:  # kets sort their labels, so labels that do not compare fit no ket
+            sorted(labels)
+        except TypeError:
+            raise ConfigError(f"'boundary.{key}' mixes labels that do not compare: {labels!r}")
+        declared = frozenset(labels)
+        if dimension == 0:
+            glue, mismatch, ket_keys = glue_1d, "match boundary", {"matching", "free_circles"}
 
             def make(k):
                 return Bounded1Ket(k["matching"], k.get("free_circles", 0))
-        elif bd.get("dimension") == 1:
-            glue, declared, mismatch = glue_2d, frozenset(bd.get("circles", ())), "cover circles"
-            ket_keys = {"components", "closed"}
+        else:
+            glue, mismatch, ket_keys = glue_2d, "cover circles", {"components", "closed"}
 
             def make(k):
                 return BoundedSurfaceKet(k["components"], k.get("closed", ()))
-        else:
-            raise ConfigError(f"unsupported boundary dimension {bd.get('dimension')!r}")
     kets = data.get("kets")
     if not isinstance(kets, list):
         raise ConfigError("ket file needs a 'kets' list")

@@ -66,6 +66,8 @@ class BoundedSurfaceKet:
             if not (isinstance(c, (list, tuple)) and len(c) == 2
                     and isinstance(c[1], (list, tuple, set, frozenset))):
                 raise StructureError(f"component {c!r} must be a genus and a list of circle labels")
+            if len(set(c[1])) != len(c[1]):
+                raise StructureError(f"component {c!r} lists a boundary circle twice")
         comps = tuple(sorted(((g, frozenset(ls)) for g, ls in self.components),
                              key=lambda c: (c[0], tuple(sorted(c[1])))))
         object.__setattr__(self, "components", comps)

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import IntegratorError, StructureError, ZeroStateError
 
 MAX_NORM_DRIFT = 1e-6  # joint-norm drift beyond which evolve raises
+SNAPSHOT_BYTES = 1 << 20  # factor snapshots a factored evolve holds before measuring them
 
 
 @dataclass(frozen=True)
@@ -146,29 +147,64 @@ def _grid_measures(psi: np.ndarray, x: np.ndarray, dx: float) -> Tuple[float, np
     return n, _erase_raw(psi, dx), mean
 
 
-def _factor_measures(f: np.ndarray, x: np.ndarray, dx: float) -> Tuple[float, np.ndarray, float]:
-    """The same from the rows a, b of psi = outer(a, b), without the grid.
+def _factor_measures(f: np.ndarray, x: np.ndarray,
+                     dx: float) -> List[Tuple[float, np.ndarray, float]]:
+    """The same for each (2, n) snapshot in f of the rows a, b of psi = outer(a, b).
 
     The anti-diagonal sums are the circular convolution (a * b)[2m mod n],
     from one FFT pair, and the marginals are |a|^2 sum|b|^2 and |b|^2 sum|a|^2.
+    The transforms and row sums run over the whole (records, 2, n) stack at
+    once; the means and norms are taken per record, so a record does not
+    depend on the stack it is computed in.
     """
     dens = np.abs(f) ** 2 * dx
-    sa, sb = float(dens[0].sum()), float(dens[1].sum())
     spectra = np.fft.fft(f)
-    conv = np.fft.ifft(spectra[0] * spectra[1])
-    n_grid = f.shape[1]
-    raw = conv[2 * np.arange(n_grid) % n_grid] * dx
-    mean = float((x @ dens[0] * sb + x @ dens[1] * sa) / (2.0 * sa * sb))
-    return math.sqrt(sa * sb), raw, mean
+    conv = np.fft.ifft(spectra[:, 0] * spectra[:, 1])
+    n_grid = f.shape[-1]
+    raws = conv[:, 2 * np.arange(n_grid) % n_grid] * dx
+    return [(math.sqrt(sa * sb), raw, float((x @ d[0] * sb + x @ d[1] * sa) / (2.0 * sa * sb)))
+            for d, (sa, sb), raw in zip(dens, dens.sum(axis=-1).tolist(), raws)]
+
+
+def _to_parity(f: np.ndarray) -> np.ndarray:
+    """Coordinates of the grid rows f (..., n) in the parity basis.
+
+    With h = n/2, index j in [0, h] holds the even part (f_j + f_{n-j})/2 at
+    grid point j, and index h + j, 0 < j < h, the odd part (f_j - f_{n-j})/2,
+    which vanishes at 0 and h.  Both phases are even in x and k, so the
+    split step commutes with j -> -j mod n and never mixes the two parts.
+    The basis, e_0, e_h and e_j +- e_{n-j}, is orthogonal; leaving it
+    unnormalised keeps both maps to scalings by 1 and 1/2, so a round trip
+    does not scale the state.
+    """
+    h = f.shape[-1] // 2
+    c = np.empty_like(f)
+    c[..., ::h] = f[..., ::h]
+    c[..., 1:h] = (f[..., 1:h] + f[..., :h:-1]) * 0.5
+    c[..., h + 1:] = (f[..., 1:h] - f[..., :h:-1]) * 0.5
+    return c
+
+
+def _to_grid(c: np.ndarray) -> np.ndarray:
+    """Grid rows of the parity coordinates c (..., n); the inverse of ``_to_parity``."""
+    h = c.shape[-1] // 2
+    f = np.empty_like(c)
+    f[..., ::h] = c[..., ::h]
+    f[..., 1:h] = c[..., 1:h] + c[..., h + 1:]
+    f[..., :h:-1] = c[..., 1:h] - c[..., h + 1:]
+    return f
 
 
 def _propagator_pays(p: TwoFieldParams) -> bool:
-    """Whether a factored run advances each whole stride by one product with P = U^stride.
+    """Whether a factored run advances each whole stride by the propagator U^stride.
 
-    True when building P and the products cost less than the loop steps they
-    replace.  In loop steps (25-50 us on a 2-vCPU x86_64 host, mostly numpy
-    call overhead), P costs about n^3 / 300000 per unit of bit_length +
-    popcount of the stride, and a (2, n) x (n, n) product about n^2 / 20000.
+    True when building it and the products cost less than the loop steps
+    they replace.  In loop steps (25-50 us on a 2-vCPU x86_64 host, mostly
+    numpy call overhead), the rule prices the power of one n x n U at
+    n^3 / 300000 per unit of bit_length + popcount of the stride, and a
+    (2, n) x (n, n) product at n^2 / 20000.  ``evolve`` powers the two
+    parity blocks of U, of about n/2 each, so the rule is conservative: a
+    build costs about a quarter of what it assumes.
     """
     n, stride, products = p.grid_n, p.sample_stride, p.steps // p.sample_stride
     build = n ** 3 / 300_000 * (stride.bit_length() + stride.bit_count())
@@ -187,26 +223,44 @@ def _power(u: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
+def _parity_powers(p: TwoFieldParams, split_step) -> List[Tuple[slice, np.ndarray]]:
+    """(columns, block of U^stride) for the even and the odd parity coordinates.
+
+    Row i of U is parity basis row i after one ``split_step``, in parity
+    coordinates.  The step never mixes the parities, so U is block diagonal
+    and each block is read off and raised to the stride on its own.
+    """
+    h = p.grid_n // 2
+    u = _to_grid(np.eye(p.grid_n)).astype(complex)
+    split_step(u)
+    return [(cols, _power(_to_parity(u[cols])[:, cols], p.sample_stride))
+            for cols in (slice(0, h + 1), slice(h + 1, None))]
+
+
 def evolve(state: TwoFieldState, p: TwoFieldParams) -> Trajectory:
     """Strang split-step evolution with per-sample norm monitoring.
 
     A product state without the coupling V evolves as its two factors, each
-    under the 1D split step, with one batched 1D FFT per transform, and its
-    records come from the factors (norms, convolution, marginals); the joint
-    wavefunction, their outer product, is formed only for ``final``.  Any
-    other state evolves and is recorded on the 2D grid.  Either array is
-    stepped in place.
+    under the 1D split step, with one batched 1D FFT per transform; the
+    joint wavefunction, their outer product, is formed only for ``final``.
+    Its records come from factor snapshots, taken at each record and
+    measured by ``_factor_measures`` in batches of at most
+    ``SNAPSHOT_BYTES`` (all of them at once for short runs).  Any other
+    state evolves on the 2D grid and is recorded at each record.  Either
+    array is stepped in place.
 
-    A factored state for which ``_propagator_pays`` advances each whole
-    sample stride by one product with P = U^stride, where U is the n x n
-    identity stepped once; steps after the last whole stride take the split
-    step.  The products skip the loop's per-step call overhead but cost O(n^2)
-    each, and P costs O(n^3 log(stride)), so the loop stays on large grids
-    (512 and up at 1,000 steps) and for runs shorter than a stride.
+    A factored state for which ``_propagator_pays`` advances in parity
+    coordinates (``_to_parity``): the basis rows are stepped once, and each
+    whole sample stride is one product per block, of n/2 + 1 even and
+    n/2 - 1 odd coordinates, with that block of U raised to the stride.
+    Steps after the last whole stride take the split step.  The products
+    skip the loop's per-step call overhead but cost O(n^2) each, and the
+    powers O(n^3 log(stride)), so the loop stays on large grids (512 and up
+    at 1,000 steps) and for runs shorter than a stride.
 
-    Raises :class:`IntegratorError` when the joint norm drifts by more than
-    ``MAX_NORM_DRIFT`` (the joint evolution is exactly unitary; drift beyond
-    roundoff signals a broken configuration).
+    Raises :class:`IntegratorError` at the first record whose joint norm
+    drifts by more than ``MAX_NORM_DRIFT`` (the joint evolution is exactly
+    unitary; drift beyond roundoff signals a broken configuration).
     """
     factored = state.factors is not None and p.v_depth == 0.0
     half_v, kin = _phases(p, factored)
@@ -214,7 +268,6 @@ def evolve(state: TwoFieldState, p: TwoFieldParams) -> Trajectory:
     # 1D transforms of each factor row, or the 2D transform of the grid
     # (fftn, since ifft2 ignores its out argument)
     fft, ifft = (np.fft.fft, np.fft.ifft) if factored else (np.fft.fftn, np.fft.ifftn)
-    measures = _factor_measures if factored else _grid_measures
     x = grid_points(p)
     dx = grid_dx(p)
     norm0 = erase_scale = None
@@ -227,10 +280,9 @@ def evolve(state: TwoFieldState, p: TwoFieldParams) -> Trajectory:
         ifft(a, out=a)
         a *= half_v
 
-    def record(step_idx: int):
+    def record(step_idx: int, n: float, raw: np.ndarray, mean: float):
         nonlocal norm0, erase_scale
         t = state.t + step_idx * p.dt
-        n, raw, mean = measures(psi, x, dx)
         raw_norm = math.sqrt(float(np.sum(np.abs(raw) ** 2)) * dx)
         if erase_scale is None:
             if raw_norm == 0.0:
@@ -245,24 +297,44 @@ def evolve(state: TwoFieldState, p: TwoFieldParams) -> Trajectory:
                 f"joint norm drifted by {abs(n - norm0):.3e} at t = {t:.4f}"
             )
 
-    record(0)
-    prop = None
-    if factored and _propagator_pays(p):
-        # row j of U is e_j after one step, so psi @ U advances each factor row
-        prop = np.eye(p.grid_n, dtype=complex)
-        split_step(prop)
-        prop, spare = _power(prop, p.sample_stride), np.empty_like(psi)
-    for s in range(0, p.steps, p.sample_stride):
-        until = min(s + p.sample_stride, p.steps)
-        if prop is not None and until - s == p.sample_stride:
-            np.matmul(psi, prop, out=spare)
-            psi, spare = spare, psi
-        else:
+    # the step index of each record
+    marks = [0] + [min(s + p.sample_stride, p.steps) for s in range(0, p.steps, p.sample_stride)]
+    if not factored:
+        for s, until in zip([0] + marks, marks):
             for _ in range(s, until):
                 split_step(psi)
-        record(until)
-    traj.final = TwoFieldState(np.outer(psi[0], psi[1]) if factored else psi, p,
-                               state.t + p.steps * p.dt, factors=psi if factored else None)
+            record(until, *_grid_measures(psi, x, dx))
+        traj.final = TwoFieldState(psi, p, state.t + p.steps * p.dt)
+        return traj
+    parity = _propagator_pays(p)
+    if parity:
+        # from here on psi holds the parity coordinates of the factors
+        blocks = _parity_powers(p, split_step)
+        psi = _to_parity(psi)
+        spare = np.empty_like(psi)
+    snaps = np.empty((max(1, min(len(marks), SNAPSHOT_BYTES // psi.nbytes)),) + psi.shape,
+                     dtype=complex)
+    taken: List[int] = []  # the step index of each snapshot held in snaps
+    for s, until in zip([0] + marks, marks):
+        if parity and until - s == p.sample_stride:
+            for cols, power in blocks:
+                np.matmul(psi[:, cols], power, out=spare[:, cols])
+            psi, spare = spare, psi
+        elif until > s:
+            psi = _to_grid(psi) if parity else psi
+            for _ in range(s, until):
+                split_step(psi)
+            psi = _to_parity(psi) if parity else psi
+        snaps[len(taken)] = psi
+        taken.append(until)
+        if len(taken) == len(snaps) or until == p.steps:
+            batch = _to_grid(snaps[:len(taken)]) if parity else snaps[:len(taken)]
+            for step_idx, measures in zip(taken, _factor_measures(batch, x, dx)):
+                record(step_idx, *measures)
+            taken.clear()
+    psi = _to_grid(psi) if parity else psi
+    traj.final = TwoFieldState(np.outer(psi[0], psi[1]), p, state.t + p.steps * p.dt,
+                               factors=psi)
     return traj
 
 

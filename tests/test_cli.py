@@ -179,6 +179,30 @@ def test_pair_bad_file_exit_2(tmp_path, capsys):
         (json.dumps({"boundary": {"dimension": 1, "circles": ["c0"]},
                      "kets": [{"components": [[0, "c0"]], "re": 1.0}]}),
          "ket 0: component [0, 'c0'] must be a genus and a list of circle labels"),
+        # a surface piece bounds each circle at most once
+        (json.dumps({"boundary": circles, "kets": [{"components": [[0, ["a", "a"]]], "re": 1.0}]}),
+         "ket 0: component [0, ['a', 'a']] lists a boundary circle twice"),
+        (json.dumps({"boundary": {"dimension": 1, "circles": ["a", "b"]},
+                     "kets": [{"components": [[0, ["a"]]], "re": 1.0},
+                              {"components": [[1, ["b", "a", "b"]]], "re": 1.0}]}),
+         "ket 1: component [1, ['b', 'a', 'b']] lists a boundary circle twice"),
+        # the boundary's labels follow its dimension
+        (json.dumps({"boundary": {**points, "circles": ["x"]},
+                     "kets": [{"matching": [[0, 1]], "re": 1.0}]}),
+         "'boundary' has unknown key 'circles'"),
+        (json.dumps({"boundary": {**circles, "points": [0, 1]},
+                     "kets": [{"components": [[0, ["a"]]], "re": 1.0}]}),
+         "'boundary' has unknown key 'points'"),
+        (json.dumps({"boundary": {"dimension": 2, "circles": ["a"]}, "kets": []}),
+         "unsupported boundary dimension 2"),
+        (json.dumps({"boundary": {"dimension": [0], "points": [0, 1]}, "kets": []}),
+         "unsupported boundary dimension [0]"),
+        (json.dumps({"boundary": {"dimension": True, "circles": ["a"]},
+                     "kets": [{"components": [[0, ["a"]]], "re": 1.0}]}),
+         "unsupported boundary dimension True"),
+        (json.dumps({"boundary": {"dimension": 0.0, "points": [0, 1]},
+                     "kets": [{"matching": [[0, 1]], "re": 1.0}]}),
+         "unsupported boundary dimension 0.0"),
     ]
     f = tmp_path / "kets.json"
     for text, message in cases:

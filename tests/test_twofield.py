@@ -1,10 +1,12 @@
 """Two-particle molecule evolution and ket-erasure maps."""
 
+import gc
 import math
 
 import numpy as np
 import pytest
 
+from formalchain import twofield
 from formalchain.errors import IntegratorError, StructureError, ZeroStateError
 from formalchain.twofield import (
     MAX_NORM_DRIFT,
@@ -18,6 +20,8 @@ from formalchain.twofield import (
     _grid_measures,
     _phases,
     _propagator_pays,
+    _to_grid,
+    _to_parity,
     alpha_erase,
     com_density,
     erase_twice,
@@ -82,7 +86,12 @@ def reference_evolve(state, p):
     # 1D transforms of each factor row, or the 2D transform of the grid
     # (fftn, since ifft2 ignores its out argument)
     fft, ifft = (np.fft.fft, np.fft.ifft) if factored else (np.fft.fftn, np.fft.ifftn)
-    measures = _factor_measures if factored else _grid_measures
+    # one record at a time: a factored one as a stack of one snapshot
+    if factored:
+        def measures(f, x, dx):
+            return _factor_measures(f[None], x, dx)[0]
+    else:
+        measures = _grid_measures
     x = grid_points(p)
     dx = grid_dx(p)
     norm0 = erase_scale = None
@@ -156,6 +165,32 @@ def reference_evolve(state, p):
 ])
 def test_evolve_matches_reference_loop(grid, steps, stride, prop):
     p = TwoFieldParams(lam=0.5, grid_n=grid, dt=1e-3, steps=steps, sample_stride=stride)
+    assert_matches_reference_loop(p, prop)
+
+
+@pytest.mark.parametrize("grid, steps, stride, prop", [
+    (256, 310, 20, False),
+    (64, 30, 50, False),
+    (16, 1003, 7, True),
+    (32, 310, 1, True),
+    (64, 1003, 13, True),
+    (128, 1003, 50, True),
+    (256, 1003, 20, True),
+])
+def test_evolve_matches_reference_loop_off_symmetric_grid(grid, steps, stride, prop):
+    # at grid_l 7.3 the grid points -x_j and x_{n-j} differ in floating
+    # point, so the phases are even only up to roundoff and the parity blocks
+    # of U leave a roundoff-sized coupling out
+    p = TwoFieldParams(lam=0.5, grid_n=grid, grid_l=7.3, dt=1e-3, steps=steps,
+                       sample_stride=stride)
+    x = grid_points(p)
+    assert not np.array_equal(x[1:grid // 2], -x[:grid // 2:-1])
+    assert_matches_reference_loop(p, prop)
+
+
+def assert_matches_reference_loop(p, prop):
+    """Bit-equal records and factors on the loop, within 1e-12 on the propagator."""
+    grid = p.grid_n
     assert _propagator_pays(p) is prop
     st = product_state(p, gaussian_packet(p, 1.0), gaussian_packet(p, -0.5))
     got, ref = evolve(st, p), reference_evolve(st, p)
@@ -180,8 +215,8 @@ def test_evolve_matches_reference_loop(grid, steps, stride, prop):
 
 
 def test_uncoupled_evolve_fft_calls(monkeypatch):
-    # one FFT pair steps the identity into U and each of the 21 records makes
-    # one FFT; the loop made one per step besides
+    # one FFT pair steps the parity basis into U and one batched pair makes
+    # all 21 records; the loop made one per step besides
     calls = []
     fft = np.fft.fft
 
@@ -195,7 +230,87 @@ def test_uncoupled_evolve_fft_calls(monkeypatch):
     monkeypatch.setattr(np.fft, "fft", counting_fft)
     traj = evolve(st, p)
     assert len(traj.times) == 21
-    assert len(calls) == 22
+    assert len(calls) == 2
+
+
+def test_uncoupled_evolve_powers_parity_blocks(monkeypatch):
+    # U^stride is built for the even and the odd block of U, never for U
+    shapes = []
+
+    def recording_power(u, e):
+        shapes.append((u.shape, e))
+        return power(u, e)
+
+    power = twofield._power
+    monkeypatch.setattr(twofield, "_power", recording_power)
+    p = TwoFieldParams(grid_n=128, steps=1000, dt=1e-3, sample_stride=50)
+    traj = evolve(product_state(p, gaussian_packet(p, 1.0), gaussian_packet(p, 1.0)), p)
+    assert len(traj.times) == 21
+    assert sorted(shapes) == [((63, 63), 50), ((65, 65), 50)]
+
+
+def test_parity_coordinates_round_trip():
+    rng = np.random.default_rng(3)
+    f = rng.normal(size=(3, 2, 16)) + 1j * rng.normal(size=(3, 2, 16))
+    c = _to_parity(f)
+    # even part at grid points 0..8, odd part at 1..7
+    assert np.array_equal(c[..., :9], (f[..., :9] + f[..., (-np.arange(9)) % 16]) / 2)
+    assert np.array_equal(c[..., 9:], (f[..., 1:8] - f[..., 15:8:-1]) / 2)
+    assert np.allclose(_to_grid(c), f, rtol=0, atol=1e-14)
+    # the parity of a reflected state: even coordinates stay, odd ones flip
+    assert np.array_equal(_to_parity(f[..., (-np.arange(16)) % 16]),
+                          np.concatenate([c[..., :9], -c[..., 9:]], axis=-1))
+
+
+@pytest.mark.parametrize("grid, steps, stride", [(64, 1003, 20), (512, 310, 20), (16, 1003, 1)])
+def test_snapshot_batches_do_not_change_records(monkeypatch, grid, steps, stride):
+    # a budget of 3 snapshots measures the records 3 at a time; each record
+    # is computed alone, so the trajectory is the same bit for bit
+    p = TwoFieldParams(lam=0.5, grid_n=grid, dt=1e-3, steps=steps, sample_stride=stride)
+    st = product_state(p, gaussian_packet(p, 1.0), gaussian_packet(p, -0.5))
+    whole = evolve(st, p)
+    monkeypatch.setattr(twofield, "SNAPSHOT_BYTES", 3 * 2 * grid * 16)
+    batched = evolve(st, p)
+    for name in ("times", "joint_norms", "erased_norms", "com_means"):
+        assert getattr(batched, name) == getattr(whole, name), name
+    assert np.array_equal(batched.final.factors, whole.final.factors)
+
+
+def test_evolve_leaves_no_garbage():
+    # the run's arrays go with its last reference, without the cyclic collector
+    p = TwoFieldParams(grid_n=128, steps=1000, dt=1e-3, sample_stride=50)
+    st = product_state(p, gaussian_packet(p, 1.0), gaussian_packet(p, 1.0))
+    for v_depth in (0.0, 0.3):
+        q = TwoFieldParams(grid_n=64, steps=100, dt=1e-3, sample_stride=50, v_depth=v_depth)
+        gc.collect()
+        gc.disable()
+        try:
+            evolve(st, p)
+            evolve(product_state(q, gaussian_packet(q, 1.0), gaussian_packet(q, 1.0)), q)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+@pytest.mark.parametrize("grid, steps, stride", [(16, 8, 4), (16, 2, 4), (16, 2, 1), (512, 8, 4)])
+def test_evolve_errors_match_reference_loop(grid, steps, stride):
+    # an overflowing potential makes every norm after t = 0 NaN: the first
+    # record after it fails, with the loop's message
+    p = TwoFieldParams(lam=1e308, dt=1e10, grid_n=grid, steps=steps, sample_stride=stride)
+    st = product_state(p, gaussian_packet(p, 1.0), gaussian_packet(p, 1.0))
+    with np.errstate(all="ignore"):
+        with pytest.raises(IntegratorError) as got:
+            evolve(st, p)
+        with pytest.raises(IntegratorError) as ref:
+            reference_evolve(st, p)
+    assert str(got.value) == str(ref.value)
+    assert str(got.value).endswith(f"at t = {min(stride, steps) * 1e10:.4f}")
+    # a zero state fails at t = 0, on the propagator path too
+    p = TwoFieldParams(grid_n=grid, steps=1000, dt=1e-3, sample_stride=50)
+    zero = np.zeros(grid, complex)
+    with np.errstate(invalid="ignore"), pytest.raises(ZeroStateError,
+                                                    match="erased wavefunction vanishes at t = 0"):
+        evolve(product_state(p, zero, zero), p)
 
 
 def reference_erase_raw(psi, dx):
@@ -233,7 +348,7 @@ def test_anti_diagonal_sums_match_loops(n):
     a = rng.normal(size=n) + 1j * rng.normal(size=n)
     b = rng.normal(size=n) * np.exp(0.3j * np.arange(n)) + 0.5
     x = -8.0 + dx * np.arange(n)
-    norm_f, raw_f, mean_f = _factor_measures(np.array([a, b]), x, dx)
+    (norm_f, raw_f, mean_f), = _factor_measures(np.array([[a, b]]), x, dx)
     norm_g, raw_g, mean_g = _grid_measures(np.outer(a, b), x, dx)
     ref = reference_erase_raw(np.outer(a, b), dx)
     assert np.allclose(raw_f, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
