@@ -460,32 +460,6 @@ def run(cfg: SamplerConfig, p: ActionParams) -> ChainStats:
     )
 
 
-# -- enumerable toy space -----------------------------------------------------------
-
-
-def sample_discrete(actions: Sequence[float], sweeps: int, seed: int,
-                    temperature: float) -> List[int]:
-    """Metropolis over an explicit finite state set with uniform proposals.
-
-    Uses the same acceptance rule as the chain sampler; returns visit counts.
-    The stationary distribution is exp(-S_i/T) / Z.
-    """
-    n = len(actions)
-    if n < 2:
-        raise StructureError("need at least two states")
-    rng = random.Random(f"{seed}:toy")
-    state = 0
-    counts = [0] * n
-    for _ in range(sweeps):
-        other = rng.randrange(n - 1)
-        if other >= state:
-            other += 1
-        if metropolis_accept(actions[other] - actions[state], rng, temperature):
-            state = other
-        counts[state] += 1
-    return counts
-
-
 # -- the cancellation example as a chain ----------------------------------------------
 
 

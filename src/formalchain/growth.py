@@ -264,7 +264,10 @@ def _grow_circle_layer(y: Triangulation, cfg: GrowthConfig, rng, extra_tori: int
     base = Triangulation(2, vs, edges, len2, faces, marks)
     out = base
     for _ in range(extra_tori):
-        out = out.disjoint_union(_extra_torus(cfg))
+        # a closed torus has chi = 0, so the constraint still holds; closed
+        # components of a layer are the dimension-2 analog of the extra circles
+        # of dimension-1 growth: compact directions shed by the process
+        out = out.disjoint_union(torus_triangulation(len2=cfg.a))
     return Cobordism(out, y.euler_characteristic(), lower_key)
 
 
@@ -275,15 +278,6 @@ def _partial_subset(n: int, rng) -> List[bool]:
         if any(chosen):
             return chosen
     return [True] * n
-
-
-def _extra_torus(cfg: GrowthConfig) -> Triangulation:
-    """A small closed torus component (chi = 0, so the constraint still holds).
-
-    Closed components of a layer are the dimension-2 analog of the extra
-    circles of dimension-1 growth: compact directions shed by the process.
-    """
-    return torus_triangulation(len2=cfg.a)
 
 
 def double_cross(a: Cobordism, b: Cobordism) -> Triangulation:

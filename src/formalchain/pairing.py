@@ -32,7 +32,6 @@ from .topo import (
     ClosedSurfaceClass,
     Triangulation,
     connected_groups,
-    disk_with_handles,
     iso_key,
 )
 

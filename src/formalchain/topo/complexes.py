@@ -150,9 +150,6 @@ class Triangulation:
             if m not in (LOWER, UPPER):
                 raise StructureError(f"bad boundary mark {m!r} on edge {e}")
 
-    def _traversal(self, f: int, e: int) -> int:
-        return _traversal(self.faces[f], e, self.edges)
-
     # -- basic queries ---------------------------------------------------------
 
     def euler_characteristic(self) -> int:
@@ -573,26 +570,6 @@ def torus_triangulation(len2=Fraction(1)) -> Triangulation:
     return surface_from_faces(faces, default_len2=len2)
 
 
-def genus2_triangulation(len2=Fraction(1)) -> Triangulation:
-    """Closed genus-2 surface: the double of the 7-vertex torus minus one face."""
-    t = torus_triangulation(len2)
-    return remove_faces(t, [min(t.faces)]).double()
-
-
-def remove_faces(t: Triangulation, face_ids: Iterable[int]) -> Triangulation:
-    """Delete faces from a closed surface, marking the exposed edges lower."""
-    face_ids = set(face_ids)
-    faces = {f: fd for f, fd in t.faces.items() if f not in face_ids}
-    sides = edge_faces(faces)
-    edges = {e: d for e, d in t.edges.items() if e in sides}
-    len2 = {e: t.edge_len2[e] for e in edges}
-    used_v = {v for fv, _ in faces.values() for v in fv}
-    vs = {v: s for v, s in t.vertex_sign.items() if v in used_v}
-    marks = {e: m for e, m in t.boundary_mark.items() if e in edges}
-    marks.update({e: LOWER for e in edges if len(sides[e]) == 1})
-    return Triangulation(2, vs, edges, len2, faces, marks)
-
-
 # -- text format ---------------------------------------------------------------------
 
 
@@ -631,9 +608,9 @@ def from_text(text: str) -> Triangulation:
         b <vertex-id> <lower|upper>        (d = 1)
         b <a>-<b> <lower|upper>            (d = 2, edge by vertex pair)
 
-    In dimension 2 a vertex takes no sign, and each ``s 1`` or ``b`` pair is a
-    side of some face, listed at most once by ``s 1``.  Malformed lines raise
-    :class:`ParseError` with the line number.
+    Only a dimension-0 vertex takes a sign.  In dimension 2 each ``s 1`` or
+    ``b`` pair is a side of some face, listed at most once by ``s 1``.
+    Malformed lines raise :class:`ParseError` with the line number.
     """
     dim: Optional[int] = None
     vertex_sign: Dict[int, int] = {}
@@ -675,8 +652,8 @@ def from_text(text: str) -> Triangulation:
                 raise ParseError(ln, f"bad vertex id {parts[1]!r}")
             if vid in vertex_sign:
                 raise ParseError(ln, f"duplicate vertex {vid}")
-            if dim == 2 and len(parts) == 3:
-                raise ParseError(ln, "a dimension-2 vertex takes no sign")
+            if dim != 0 and len(parts) == 3:
+                raise ParseError(ln, f"a dimension-{dim} vertex takes no sign")
             vertex_sign[vid] = -1 if len(parts) == 3 else 1
         elif kind == "s":
             if len(parts) < 2:

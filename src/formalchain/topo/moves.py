@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from ..errors import GeometryError, MoveError
-from .complexes import Triangulation, edge_faces
+from .complexes import Triangulation, _traversal, edge_faces
 
 SUBDIVIDE_1_2 = "subdivide_1_2"
 MERGE_2_1 = "merge_2_1"
@@ -195,7 +195,7 @@ def flip_edge(t: Triangulation, edge_id: int) -> Triangulation:
     a, b = t.edges[edge_id]
     c = _third_corner(t, f1, edge_id)
     d = _third_corner(t, f2, edge_id)
-    if t._traversal(f1, edge_id) == -1:
+    if _traversal(t.faces[f1], edge_id, t.edges) == -1:
         f1, f2 = f2, f1
         c, d = d, c
     if c == d:
@@ -247,32 +247,6 @@ def moves_for(t: Triangulation) -> List[PachnerMove]:
             if e not in t.boundary_mark and len(sides.get(e, ())) == 2:
                 out.append(PachnerMove(FLIP_2_2, e))
     return out
-
-
-def random_orbit(t: Triangulation, n_moves: int, rng) -> Triangulation:
-    """Apply ``n_moves`` random applicable moves, resampling failures up to 200 times each.
-
-    Metric validity is preserved: moves whose new lengths would violate a
-    triangle inequality are skipped, so every intermediate stays Euclidean
-    when the seed is.
-    """
-    cur = t
-    for _ in range(n_moves):
-        applied = False
-        for _ in range(200):
-            options = moves_for(cur)
-            if not options:
-                break
-            m = options[rng.randrange(len(options))]
-            try:
-                cur = apply_pachner(cur, m)
-                applied = True
-                break
-            except (MoveError, GeometryError):
-                continue
-        if not applied:
-            break
-    return cur
 
 
 def _third_corner(t: Triangulation, f: int, e: int) -> int:

@@ -81,16 +81,31 @@ def gaussian_packet(p: TwoFieldParams, center: float = 0.0) -> np.ndarray:
 
 @dataclass
 class TwoFieldState:
-    """Joint two-coordinate wavefunction on the periodic grid."""
+    """Two-coordinate wavefunction on the periodic grid, held as one array.
 
-    psi: np.ndarray  # (n, n), axis 0 = x1, axis 1 = x2
+    ``psi`` is either the (2, n) factor rows a, b of a product state
+    Psi = outer(a, b) or the (n, n) joint grid, axis 0 = x1 and axis 1 = x2.
+    The grid of a product state is formed only by ``joint``.
+    """
+
+    psi: np.ndarray
     params: TwoFieldParams
     t: float = 0.0
-    factors: Optional[np.ndarray] = None  # (2, n) with psi = outer(factors[0], factors[1])
+
+    def __post_init__(self):
+        n = self.params.grid_n
+        if np.shape(self.psi) not in ((2, n), (n, n)):
+            raise StructureError(f"a state is ({n}, {n}) or (2, {n}) factor rows, "
+                                 f"got shape {np.shape(self.psi)}")
+
+    def joint(self) -> np.ndarray:
+        """The (n, n) joint grid: ``psi`` itself or the outer product of its rows."""
+        return np.outer(self.psi[0], self.psi[1]) if len(self.psi) == 2 else self.psi
 
 
 def product_state(p: TwoFieldParams, psi1: np.ndarray, psi2: np.ndarray) -> TwoFieldState:
-    return TwoFieldState(np.outer(psi1, psi2), p, factors=np.array([psi1, psi2], dtype=complex))
+    """The product state psi1(x1) psi2(x2), held as its two factor rows."""
+    return TwoFieldState(np.array([psi1, psi2], dtype=complex), p)
 
 
 def _phases(p: TwoFieldParams, factored: bool):
@@ -126,12 +141,6 @@ class Trajectory:
     erased_norms: List[float] = field(default_factory=list)
     com_means: List[float] = field(default_factory=list)
     final: Optional[TwoFieldState] = None
-
-    def max_joint_drift(self) -> float:
-        return max(abs(n - self.joint_norms[0]) for n in self.joint_norms)
-
-    def max_erased_drift(self) -> float:
-        return max(abs(n - self.erased_norms[0]) for n in self.erased_norms)
 
 
 def _grid_measures(psi: np.ndarray, x: np.ndarray, dx: float) -> Tuple[float, np.ndarray, float]:
@@ -240,14 +249,14 @@ def _parity_powers(p: TwoFieldParams, split_step) -> List[Tuple[slice, np.ndarra
 def evolve(state: TwoFieldState, p: TwoFieldParams) -> Trajectory:
     """Strang split-step evolution with per-sample norm monitoring.
 
-    A product state without the coupling V evolves as its two factors, each
-    under the 1D split step, with one batched 1D FFT per transform; the
-    joint wavefunction, their outer product, is formed only for ``final``.
-    Its records come from factor snapshots, taken at each record and
-    measured by ``_factor_measures`` in batches of at most
+    A state held as two factor rows, without the coupling V, evolves as its
+    two factors, each under the 1D split step, with one batched 1D FFT per
+    transform, and its ``final`` holds the factor rows: the joint grid is
+    never formed.  Its records come from factor snapshots, taken at each
+    record and measured by ``_factor_measures`` in batches of at most
     ``SNAPSHOT_BYTES`` (all of them at once for short runs).  Any other
-    state evolves on the 2D grid and is recorded at each record.  Either
-    array is stepped in place.
+    state, a product state under V too, evolves on its ``joint`` grid and is
+    recorded at each record.  Either array is stepped in place.
 
     A factored state for which ``_propagator_pays`` advances in parity
     coordinates (``_to_parity``): the basis rows are stepped once, and each
@@ -262,9 +271,9 @@ def evolve(state: TwoFieldState, p: TwoFieldParams) -> Trajectory:
     drifts by more than ``MAX_NORM_DRIFT`` (the joint evolution is exactly
     unitary; drift beyond roundoff signals a broken configuration).
     """
-    factored = state.factors is not None and p.v_depth == 0.0
+    factored = len(state.psi) == 2 and p.v_depth == 0.0
     half_v, kin = _phases(p, factored)
-    psi = (state.factors if factored else state.psi).astype(complex)
+    psi = (state.psi if factored else state.joint()).astype(complex)
     # 1D transforms of each factor row, or the 2D transform of the grid
     # (fftn, since ifft2 ignores its out argument)
     fft, ifft = (np.fft.fft, np.fft.ifft) if factored else (np.fft.fftn, np.fft.ifftn)
@@ -333,54 +342,15 @@ def evolve(state: TwoFieldState, p: TwoFieldParams) -> Trajectory:
                 record(step_idx, *measures)
             taken.clear()
     psi = _to_grid(psi) if parity else psi
-    traj.final = TwoFieldState(np.outer(psi[0], psi[1]), p, state.t + p.steps * p.dt,
-                               factors=psi)
+    traj.final = TwoFieldState(psi, p, state.t + p.steps * p.dt)
     return traj
 
 
-def _anti_diagonals(psi: np.ndarray) -> np.ndarray:
-    """Row m holds Psi[j, (2m - j) mod n] over j, the m-th anti-diagonal."""
+def _erase_raw(psi: np.ndarray, dx: float) -> np.ndarray:
+    """phi(c_m) = sum_j Psi[j, (2m - j) mod n] dx, the sum over the m-th anti-diagonal."""
     n = psi.shape[0]
     j = np.arange(n)
-    return psi[j, (2 * j[:, None] - j) % n]
-
-
-def _erase_raw(psi: np.ndarray, dx: float) -> np.ndarray:
-    """phi(c_m) = sum_j Psi[j, (2m - j) mod n] dx (anti-diagonal transform)."""
-    return _anti_diagonals(psi).sum(axis=1) * dx
-
-
-def ket_erase(state: TwoFieldState) -> np.ndarray:
-    """Induced center-of-mass wavefunction of the state, scaled to unit norm."""
-    dx = grid_dx(state.params)
-    raw = _erase_raw(state.psi, dx)
-    nrm = math.sqrt(float(np.sum(np.abs(raw) ** 2)) * dx)
-    if nrm == 0.0:
-        raise ZeroStateError("erased wavefunction has zero norm")
-    return raw / nrm
-
-
-def _com_density(psi: np.ndarray, dx: float) -> np.ndarray:
-    dens = (np.abs(_anti_diagonals(psi)) ** 2).sum(axis=1) * dx
-    total = dens.sum() * dx
-    return dens / total if total > 0 else dens
-
-
-def com_density(state: TwoFieldState) -> np.ndarray:
-    """Probability density of the center-of-mass coordinate on the grid.
-
-    Sampled along anti-diagonals of the periodic grid, so it repeats with
-    period L in the coordinate; for states localized within |c| < L/2 the
-    physical window is the central half of the grid.
-    """
-    return _com_density(state.psi, grid_dx(state.params))
-
-
-def fidelity(a: TwoFieldState, b: TwoFieldState) -> float:
-    """|<a|b>|^2 with the grid measure."""
-    dx = grid_dx(a.params)
-    ov = complex(np.sum(np.conj(a.psi) * b.psi)) * dx * dx
-    return abs(ov) ** 2
+    return psi[j, (2 * j[:, None] - j) % n].sum(axis=1) * dx
 
 
 # -- ket erasure on the finite nested model ----------------------------------------
@@ -470,11 +440,3 @@ def erase_twice(frame: np.ndarray, component: int = 0) -> np.ndarray:
     v3 = eval_embed(frame, component)
     v2 = alpha_erase(v3, n=2)
     return alpha_erase(v2, n=1)
-
-
-def random_unitary(m: int, seed: int) -> np.ndarray:
-    """Haar-ish unitary via QR of a complex Gaussian matrix."""
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))

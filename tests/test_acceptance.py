@@ -21,7 +21,6 @@ from formalchain.chains import (
     SamplerConfig,
     example_cancellation_chain,
     run as run_chains,
-    sample_discrete,
     step,
 )
 from formalchain.cli import main
@@ -50,21 +49,26 @@ from formalchain.pairing import (
 from formalchain.superpose import RC, Superposition, abs2
 from formalchain.topo import (
     circle,
-    genus2_triangulation,
     insert_vertex,
-    remove_faces,
     sphere_triangulation,
     torus_triangulation,
 )
-from formalchain.topo.moves import random_orbit
 from formalchain.twofield import (
     TwoFieldParams,
     erase_twice,
     evolve,
-    fidelity,
     gaussian_packet,
     product_state,
+)
+from support import (
+    fidelity,
+    genus2_triangulation,
+    max_erased_drift,
+    max_joint_drift,
+    random_orbit,
     random_unitary,
+    remove_faces,
+    sample_discrete,
 )
 
 TWO_PI = 2 * math.pi
@@ -351,8 +355,8 @@ def test_acceptance_11_two_field(capsys):
         p = TwoFieldParams(lam=lam, grid_n=128, dt=dt, steps=steps, sample_stride=250)
         psi = gaussian_packet(p, center=1.0)
         traj = evolve(product_state(p, psi, psi), p)
-        assert traj.max_joint_drift() < 1e-10 * (horizon + 1.0)
-        drifts[lam] = traj.max_erased_drift()
+        assert max_joint_drift(traj) < 1e-10 * (horizon + 1.0)
+        drifts[lam] = max_erased_drift(traj)
     assert drifts[0.0] < 1e-6
     assert drifts[0.5] > 10 * drifts[0.0]
     p = TwoFieldParams(lam=0.0, grid_n=128, dt=dt, steps=int(round(TWO_PI / dt)),

@@ -33,14 +33,13 @@ from formalchain.topo import (
     circle,
     classify_surface,
     flip_edge,
-    genus2_triangulation,
     iso_key,
     point_set,
     sphere_triangulation,
     surface_from_faces,
     torus_triangulation,
 )
-from formalchain.topo.moves import random_orbit
+from support import genus2_triangulation, random_orbit
 
 TWO_PI = 2 * math.pi
 

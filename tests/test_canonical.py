@@ -12,9 +12,7 @@ from formalchain.topo import (
     Triangulation,
     curve_profile,
     circle,
-    genus2_triangulation,
     iso_key,
-    remove_faces,
     sphere_triangulation,
     surface_code,
     torus_triangulation,
@@ -22,7 +20,7 @@ from formalchain.topo import (
 from formalchain.growth import GrowthConfig, grow_layer, mirror_double
 from formalchain.topo import invariants, surface_from_faces
 from formalchain.topo.invariants import _least_rotation, _min_rotation, _token
-from formalchain.topo.moves import random_orbit
+from support import genus2_triangulation, random_orbit, remove_faces
 
 
 def reference_surface_code(t: Triangulation, metric: bool = True) -> Tuple:

@@ -19,13 +19,13 @@ from formalchain.chains import (
     propose_fluctuate,
     propose_reweight,
     run,
-    sample_discrete,
     step,
 )
 from formalchain.errors import GeometryError, StructureError
 from formalchain.growth import Cobordism, GrowthConfig
 from formalchain.superpose import Superposition
 from formalchain.topo import Triangulation, arc, iso_key, point_set
+from support import sample_discrete
 
 
 def default_params(**kw):

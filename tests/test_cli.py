@@ -289,6 +289,9 @@ def test_grow_bad_input_exit_2(tmp_path, capsys):
         ("dim=1\nnonsense\n", "line 2"),
         # a boundary pair that is no side of any face
         ("dim=2\ns 2 0 1 2\nb 5-6 lower\n", "line 3: boundary edge 5-6 is no side of a face"),
+        # a sign on a circle's vertex, which nothing reads
+        ("dim=1\nv 0 -\nv 1\nv 2\ns 1 0 1\ns 1 1 2\ns 1 2 0\n",
+         "line 2: a dimension-1 vertex takes no sign"),
     ]
     for text, message in cases:
         f.write_text(text)

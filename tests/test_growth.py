@@ -2,10 +2,13 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from formalchain.action import ActionParams
+from formalchain.chains import FormalChain, SamplerConfig, step
 from formalchain.errors import (
     EulerConstraintError,
     GeometryError,
@@ -31,10 +34,10 @@ from formalchain.topo import (
     classify_surface,
     insert_vertex,
     point_set,
-    remove_faces,
     sphere_triangulation,
     surface_from_faces,
 )
+from support import remove_faces
 
 
 def cfg(**kw):
@@ -265,3 +268,32 @@ def test_growth_dim_cap():
     t = sphere_triangulation()
     with pytest.raises(UnsupportedError):
         grow_layer(t, cfg(), random.Random(0))
+
+
+def test_grown_spaces_carry_no_vertex_sign():
+    # from_text takes a vertex sign only in dimension 0, so to_text must write
+    # none in dimensions 1 and 2: every space grow and the sampler build there
+    # has +1 signs.  The golden grow slices, and sampler chains at the
+    # acceptance-9 couplings; chain 1 of seed 5001 reaches dimension 2.
+    spaces = []
+    for y in (circle(3), point_set(2, 2)):
+        x = grow_layer(y, cfg(), random.Random("3:grow"))
+        spaces += [x.space, x.upper_slice(), mirror_double(x)]
+    p = ActionParams(g=(0.5, 1.0, 6.0), f=(0.01, 0.01, 0.01), Lambda=(0.05, 0.0, 0.5))
+    sampler = SamplerConfig(weight_extend=0.15, weight_fluctuate=0.65, weight_reweight=0.2)
+    for ci in range(4):
+        rng = random.Random(f"5001:{ci}")
+        chain, br = FormalChain(), None
+        for _ in range(200):
+            chain, info = step(chain, p, sampler, rng, br)
+            br = info.breakdown
+            if chain.terminated_dim is not None:
+                break
+        for site in chain.sites:
+            spaces += [t for t in site.reps.values() if isinstance(t, Triangulation)]
+            spaces += [x.space for _, x in site.x_terms if isinstance(x, Cobordism)]
+    dims = Counter(t.dim for t in spaces)
+    assert dims[1] > 100 and dims[2] > 4
+    for t in spaces:
+        if t.dim > 0:
+            assert set(t.vertex_sign.values()) == {1}

@@ -20,19 +20,17 @@ from formalchain.topo import (
     classify_curves,
     classify_surface,
     flip_edge,
-    genus2_triangulation,
     insert_vertex,
     iso_key,
     merge_vertex,
     moves_for,
-    remove_faces,
     remove_vertex,
     sphere_triangulation,
     subdivide_edge,
     surface_from_faces,
     torus_triangulation,
 )
-from formalchain.topo.moves import random_orbit
+from support import genus2_triangulation, random_orbit, remove_faces
 
 
 def test_subdivide_circle_preserves_chi_and_class():

@@ -21,7 +21,6 @@ from formalchain.pairing import (
     _key_matrices,
     _residual,
     cauchy_schwarz_check,
-    disk_with_handles,
     example_mock_null_family,
     example_superposed_arcs,
     glue_1d,
@@ -39,10 +38,11 @@ from formalchain.topo import (
     Closed1Class,
     ClosedSurfaceClass,
     circle,
+    disk_with_handles,
     point_set,
-    remove_faces,
     sphere_triangulation,
 )
+from support import remove_faces
 
 
 def all_matchings(labels):

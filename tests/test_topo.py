@@ -24,18 +24,17 @@ from formalchain.topo import (
     connected_groups,
     curve_profile,
     from_text,
-    genus2_triangulation,
     glue_along_boundary,
     homology_ranks,
     iso_key,
     point_set,
-    remove_faces,
     sphere_triangulation,
     surface_code,
     surface_from_faces,
     to_text,
     torus_triangulation,
 )
+from support import genus2_triangulation, random_orbit, remove_faces
 
 
 def test_euler_circle():
@@ -125,8 +124,6 @@ def test_homology_two_spheres():
 
 def test_homology_matches_classification_random():
     rng = random.Random(3)
-    from formalchain.topo.moves import random_orbit
-
     for seed_t in (sphere_triangulation(), torus_triangulation(), genus2_triangulation()):
         t = random_orbit(seed_t, rng.randrange(3, 9), rng)
         cls = classify_surface(t)
@@ -147,8 +144,6 @@ def test_smith_normal_form_torsion():
 
 def homology_corpus() -> List[Triangulation]:
     """Every kind of complex the package builds, in dimensions 0 to 2."""
-    from formalchain.topo.moves import random_orbit
-
     rng = random.Random(7)
     spaces = [point_set(0), point_set(3, 2), circle(1), circle(2), circle(6), arc(1), arc(4)]
     spaces.append(circle(3).disjoint_union(circle(1)).disjoint_union(arc(2)))
@@ -279,6 +274,8 @@ def test_parse_errors_carry_line_numbers():
         # dimension 2: records the surface cannot hold are errors, not dropped
         (tetra + "b 5-6 lower\n", "line 6: boundary edge 5-6 is no side of a face"),
         ("dim=2\nv 0 -\n" + tetra[6:], "line 2: a dimension-2 vertex takes no sign"),
+        ("dim=1\nv 0 -\nv 1\nv 2\ns 1 0 1\ns 1 1 2\ns 1 2 0\n",
+         "line 2: a dimension-1 vertex takes no sign"),
         (tetra + "s 1 0 5\n", "line 6: edge 0-5 is no side of a face"),
         (tetra + "s 1 0 1 len2=2\ns 1 1 0 len2=3\n", "line 7: edge 1-0 is listed twice"),
     ]

@@ -14,7 +14,6 @@ from formalchain.twofield import (
     Trajectory,
     TwoFieldParams,
     TwoFieldState,
-    _com_density,
     _erase_raw,
     _factor_measures,
     _grid_measures,
@@ -23,18 +22,15 @@ from formalchain.twofield import (
     _to_grid,
     _to_parity,
     alpha_erase,
-    com_density,
     erase_twice,
     eval_embed,
     evolve,
-    fidelity,
     gaussian_packet,
     grid_dx,
     grid_points,
-    ket_erase,
     product_state,
-    random_unitary,
 )
+from support import fidelity, max_erased_drift, max_joint_drift, random_unitary
 
 TWO_PI = 2 * math.pi
 
@@ -50,8 +46,33 @@ def test_zero_steps_identity():
     psi = gaussian_packet(p, 0.5)
     st = product_state(p, psi, gaussian_packet(p, -0.5))
     traj = evolve(st, p)
-    assert np.allclose(traj.final.psi, st.psi)
-    assert np.array_equal(traj.final.factors, st.factors)
+    assert np.allclose(traj.final.joint(), st.joint())
+    assert np.array_equal(traj.final.psi, st.psi)
+
+
+def test_state_is_one_array(monkeypatch):
+    # a product state is its two factor rows; the grid is formed on request
+    p = TwoFieldParams(grid_n=128, steps=1000, dt=1e-3, sample_stride=50)
+    n = p.grid_n
+    outers = []
+    outer = np.outer
+
+    def counting_outer(*args, **kw):
+        outers.append(1)
+        return outer(*args, **kw)
+
+    monkeypatch.setattr(np, "outer", counting_outer)
+    st = product_state(p, gaussian_packet(p, 1.0), gaussian_packet(p, -0.5))
+    traj = evolve(st, p)
+    assert st.psi.shape == traj.final.psi.shape == (2, n)
+    assert outers == []
+    monkeypatch.undo()
+    assert np.array_equal(traj.final.joint(), np.outer(*traj.final.psi))
+    grid = TwoFieldState(st.joint(), p)
+    assert grid.joint() is grid.psi
+    for shape in ((n,), (3, n), (2, n // 2), (n, 2), (n, n // 2), (2, n, n)):
+        with pytest.raises(StructureError, match="got shape"):
+            TwoFieldState(np.zeros(shape, complex), p)
 
 
 @pytest.mark.parametrize("lam, steps", [
@@ -69,20 +90,19 @@ def test_factored_evolution_matches_2d(lam, steps):
     a, b = gaussian_packet(p, 1.0), gaussian_packet(p, -0.5)
     factored = evolve(product_state(p, a, b), p)
     grid = evolve(TwoFieldState(np.outer(a, b), p), p)
-    assert factored.final.factors is not None and grid.final.factors is None
+    assert factored.final.psi.shape == (2, p.grid_n) and grid.final.psi.shape == (p.grid_n,) * 2
     assert factored.times == grid.times
     assert len(grid.times) == steps // 50 + 1 + (steps % 50 > 0)
     for name in ("joint_norms", "erased_norms", "com_means"):
         assert np.allclose(getattr(factored, name), getattr(grid, name), rtol=0, atol=1e-12), name
-    assert np.allclose(factored.final.psi, grid.final.psi, rtol=0, atol=1e-12)
-    assert np.array_equal(factored.final.psi, np.outer(*factored.final.factors))
+    assert np.allclose(factored.final.joint(), grid.final.psi, rtol=0, atol=1e-12)
 
 
 def reference_evolve(state, p):
     """The split-step loop without the propagator: every step through the FFTs."""
-    factored = state.factors is not None and p.v_depth == 0.0
+    factored = len(state.psi) == 2 and p.v_depth == 0.0
     half_v, kin = _phases(p, factored)
-    psi = (state.factors if factored else state.psi).astype(complex)
+    psi = (state.psi if factored else state.joint()).astype(complex)
     # 1D transforms of each factor row, or the 2D transform of the grid
     # (fftn, since ifft2 ignores its out argument)
     fft, ifft = (np.fft.fft, np.fft.ifft) if factored else (np.fft.fftn, np.fft.ifftn)
@@ -124,8 +144,7 @@ def reference_evolve(state, p):
         psi *= half_v
         if s % p.sample_stride == 0 or s == p.steps:
             record(s)
-    traj.final = TwoFieldState(np.outer(psi[0], psi[1]) if factored else psi, p,
-                               state.t + p.steps * p.dt, factors=psi if factored else None)
+    traj.final = TwoFieldState(psi, p, state.t + p.steps * p.dt)
     return traj
 
 
@@ -199,15 +218,14 @@ def assert_matches_reference_loop(p, prop):
     if not prop:
         for name in names:
             assert getattr(got, name) == getattr(ref, name), name
-        assert np.array_equal(got.final.factors, ref.final.factors)
         assert np.array_equal(got.final.psi, ref.final.psi)
     else:
         for name in names:
             assert np.allclose(getattr(got, name), getattr(ref, name), rtol=0, atol=1e-12), name
-        assert np.allclose(got.final.factors, ref.final.factors, rtol=0, atol=1e-12)
+        assert np.allclose(got.final.psi, ref.final.psi, rtol=0, atol=1e-12)
     # the 2D path takes every split step, so it stays bit-equal
     if grid <= 64:
-        grid_st = TwoFieldState(st.psi, p)
+        grid_st = TwoFieldState(st.joint(), p)
         got, ref = evolve(grid_st, p), reference_evolve(grid_st, p)
         for name in ("times",) + names:
             assert getattr(got, name) == getattr(ref, name), name
@@ -273,7 +291,7 @@ def test_snapshot_batches_do_not_change_records(monkeypatch, grid, steps, stride
     batched = evolve(st, p)
     for name in ("times", "joint_norms", "erased_norms", "com_means"):
         assert getattr(batched, name) == getattr(whole, name), name
-    assert np.array_equal(batched.final.factors, whole.final.factors)
+    assert np.array_equal(batched.final.psi, whole.final.psi)
 
 
 def test_evolve_leaves_no_garbage():
@@ -339,9 +357,6 @@ def test_anti_diagonal_sums_match_loops(n):
     psi = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     dx = 16.0 / n
     assert np.array_equal(_erase_raw(psi, dx), reference_erase_raw(psi, dx))
-    assert np.array_equal(_com_density(psi, dx), reference_com_density(psi, dx))
-    zero = np.zeros((n, n), complex)
-    assert np.array_equal(_com_density(zero, dx), reference_com_density(zero, dx))
     # a product state's records from its factors: the convolution erase, the
     # norm and the marginal mean; unequal, non-symmetric factors, so a wrong
     # 2m mod n index or a swapped factor fails
@@ -361,7 +376,7 @@ def test_joint_norm_conserved():
     p = small_params(lam=0.7, v_depth=0.3)
     st = product_state(p, gaussian_packet(p, 1.0), gaussian_packet(p, -0.5))
     traj = evolve(st, p)
-    assert traj.max_joint_drift() < 1e-10 * (p.steps * p.dt + 1)
+    assert max_joint_drift(traj) < 1e-10 * (p.steps * p.dt + 1)
 
 
 def test_sho_coherent_state_returns():
@@ -391,7 +406,8 @@ def test_erased_wavefunction_is_midpoint_gaussian():
     p = small_params()
     a, b = -0.8, 1.4
     st = product_state(p, gaussian_packet(p, a), gaussian_packet(p, b))
-    phi = ket_erase(st)
+    raw = _erase_raw(st.joint(), grid_dx(p))
+    phi = raw / math.sqrt(float(np.sum(np.abs(raw) ** 2)) * grid_dx(p))
     x = grid_points(p)
     window = np.abs(x) < p.grid_l / 2
     phi_w = phi[window]
@@ -412,7 +428,7 @@ def test_lambda_zero_erased_norm_constant():
     p = small_params(lam=0.0, steps=1500)
     psi = gaussian_packet(p, 1.0)
     traj = evolve(product_state(p, psi, psi), p)
-    assert traj.max_erased_drift() < 1e-6
+    assert max_erased_drift(traj) < 1e-6
 
 
 def test_lambda_couples_levels():
@@ -420,8 +436,8 @@ def test_lambda_couples_levels():
     p5 = small_params(lam=0.5, steps=1000)
     psi0 = gaussian_packet(p0, 1.0)
     psi5 = gaussian_packet(p5, 1.0)
-    d0 = evolve(product_state(p0, psi0, psi0), p0).max_erased_drift()
-    d5 = evolve(product_state(p5, psi5, psi5), p5).max_erased_drift()
+    d0 = max_erased_drift(evolve(product_state(p0, psi0, psi0), p0))
+    d5 = max_erased_drift(evolve(product_state(p5, psi5, psi5), p5))
     assert d5 > 10 * d0
 
 
@@ -432,7 +448,7 @@ def test_com_reduced_density_independent_of_v():
         p = small_params(lam=0.0, v_depth=depth, steps=800)
         psi = gaussian_packet(p, 1.0)
         traj = evolve(product_state(p, psi, psi), p)
-        outs.append(com_density(traj.final))
+        outs.append(reference_com_density(traj.final.joint(), grid_dx(p)))
     dx = 2 * 8.0 / 64
     trace_distance = 0.5 * float(np.sum(np.abs(outs[0] - outs[1]))) * dx
     assert trace_distance < 1e-6
@@ -444,7 +460,7 @@ def test_grid_refinement_consistency():
         steps = int(round(2.0 / dt))
         p = TwoFieldParams(lam=0.5, grid_n=n, dt=dt, steps=steps, sample_stride=50)
         psi = gaussian_packet(p, 1.0)
-        drifts.append(evolve(product_state(p, psi, psi), p).max_erased_drift())
+        drifts.append(max_erased_drift(evolve(product_state(p, psi, psi), p)))
     assert abs(drifts[1] - drifts[0]) / drifts[1] < 0.10
 
 
@@ -466,13 +482,6 @@ def test_params_validation():
                       ("sample_stride", 2.5), ("sample_stride", True), ("steps", "10")):
         with pytest.raises(StructureError, match=f"{name} must be an integer"):
             TwoFieldParams(**{name: bad})
-
-
-def test_erase_zero_state_raises():
-    p = small_params()
-    st = product_state(p, np.zeros(p.grid_n, complex), np.zeros(p.grid_n, complex))
-    with pytest.raises(ZeroStateError):
-        ket_erase(st)
 
 
 # -- nested erasure ------------------------------------------------------------------
