@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .errors import GeometryError, SingularError, StructureError, UnsupportedError
 from .superpose import Superposition, abs2
@@ -145,18 +145,18 @@ class FluctuationStep:
     amp_pairs: Tuple[Tuple[object, object], ...]
 
 
-def fugacity_total(steps: Sequence[FluctuationStep], p: ActionParams) -> float:
-    """Sum of c_d f_d |amplitude of the fluctuating term|^2 over moves."""
-    total = 0.0
+def fugacity_total(steps: Iterable[FluctuationStep], p: ActionParams, total: float) -> float:
+    """``total`` plus c_d f_d |amplitude of the fluctuating term|^2 of each move,
+    added in order."""
     for s in steps:
         k = p.idx(s.dim)
         total += p.c[k] * p.f[k] * float(abs2(s.moved_amp))
     return total
 
 
-def kinetic_total(steps: Sequence[FluctuationStep], p: ActionParams) -> float:
-    """Sum of 2 h_d |b_k - b_{k+1}|^2 over nearest-neighbour amplitude pairs."""
-    total = 0.0
+def kinetic_total(steps: Iterable[FluctuationStep], p: ActionParams, total: float) -> float:
+    """``total`` plus 2 h_d |b_k - b_{k+1}|^2 of each nearest-neighbour amplitude
+    pair, added in order."""
     for s in steps:
         hd = p.h[p.idx(s.dim)]
         if hd == 0.0:
@@ -181,32 +181,51 @@ class ActionBreakdown:
     def total(self) -> float:
         return self.curvature + self.cosmological + self.fugacity + self.volume + self.kinetic
 
+    def continued(self, sites: Iterable, p: ActionParams) -> "ActionBreakdown":
+        """A new breakdown: these five sums continued over ``sites`` in order.
+
+        Each Euclidean site adds c_d (S_d weighted over the superposition) and
+        g_d |Y|^2; sites are never changed after construction, so these
+        (curvature, cosmological, volume) shares are computed once per
+        ``ActionParams`` and kept in ``site.action_memo``.  The fluctuation
+        steps continue the fugacity and kinetic sums (``fugacity_total``,
+        ``kinetic_total``).  Every field is one running ``+=`` sum, so
+        continuing a chain's breakdown over the sites an extension appends
+        gives the same bits as continuing an empty breakdown over all sites of
+        the extended chain.
+        """
+        out = ActionBreakdown(self.curvature, self.cosmological, self.fugacity, self.volume,
+                              self.kinetic)
+        steps = []
+        for site in sites:
+            if site.is_euclidean():
+                shares = site.action_memo.get(p)
+                if shares is None:
+                    k = p.idx(site.dim)
+                    curv, cosm = s_d_superposed(site.state, site.reps, p)
+                    shares = site.action_memo[p] = (
+                        p.c[k] * curv, p.c[k] * cosm, p.g[k] * float(site.state.norm2())
+                    )
+                out.curvature += shares[0]
+                out.cosmological += shares[1]
+                out.volume += shares[2]
+            if site.step is not None:
+                steps.append(site.step)
+        out.fugacity = fugacity_total(steps, p, out.fugacity)
+        out.kinetic = kinetic_total(steps, p, out.kinetic)
+        return out
+
 
 def total_action(chain, p: ActionParams) -> ActionBreakdown:
-    """Total action of a formal chain.
+    """Total action of a formal chain, walked over all its sites.
 
     The chain contributes, per Euclidean site, c_d (S_d weighted over the
     superposition) plus g_d |Y|^2, and per fluctuation step c_d f_d |b|^2
     fugacity plus the kinetic penalty.  A site whose collected superposition
     is zero contributes nothing, which is what makes termination cheap.
 
-    Sites are never changed after construction, so each site's
-    (curvature, cosmological, volume) share is computed once per
-    ``ActionParams`` and kept in ``site.action_memo``.
+    This is an empty breakdown continued over every site
+    (``ActionBreakdown.continued``); the sampler continues the breakdown it
+    has over the sites a proposal appends instead (``chains.step``).
     """
-    out = ActionBreakdown()
-    for site in chain.euclidean_sites():
-        shares = site.action_memo.get(p)
-        if shares is None:
-            k = p.idx(site.dim)
-            curv, cosm = s_d_superposed(site.state, site.reps, p)
-            shares = site.action_memo[p] = (
-                p.c[k] * curv, p.c[k] * cosm, p.g[k] * float(site.state.norm2())
-            )
-        out.curvature += shares[0]
-        out.cosmological += shares[1]
-        out.volume += shares[2]
-    steps = chain.steps
-    out.fugacity = fugacity_total(steps, p)
-    out.kinetic = kinetic_total(steps, p)
-    return out
+    return ActionBreakdown().continued(chain.sites, p)

@@ -55,9 +55,10 @@ class ChainSite:
     reps: Dict[object, Triangulation] = field(default_factory=dict)
     x_terms: Tuple[Tuple[object, object], ...] = ()  # (amplitude, Cobordism | mock id)
     step: Optional[FluctuationStep] = None  # set on fluctuation sites only
-    # ActionParams -> this site's action shares, filled by action.total_action
+    # ActionParams -> this site's action shares, filled by ActionBreakdown.continued;
+    # not an init argument, so dataclasses.replace gives the new site a fresh memo
     action_memo: Dict[ActionParams, Tuple[float, float, float]] = field(
-        default_factory=dict, compare=False, repr=False
+        default_factory=dict, init=False, compare=False, repr=False
     )
 
     def is_euclidean(self) -> bool:
@@ -88,11 +89,6 @@ class FormalChain:
             if site.is_euclidean():
                 return site.dim if site.state.is_zero() else None
         return None
-
-    @property
-    def steps(self) -> Tuple[FluctuationStep, ...]:
-        """The fluctuation steps, in chain order."""
-        return tuple(s.step for s in self.sites if s.step is not None)
 
     def frontier(self) -> Optional[ChainSite]:
         return self.sites[-1] if self.sites else None
@@ -259,7 +255,7 @@ def propose_extend(chain: FormalChain, cfg: SamplerConfig, rng: random.Random) -
         return _propose_mock_stage(chain, frontier)
     candidates = cfg.x1_candidates if d_next == 1 else 1
     x_terms: List[Tuple[object, Cobordism]] = []
-    for key in sorted(frontier.state.keys(), key=str):
+    for key in frontier.state.keys_by_str():
         b = frontier.state.amplitude(key)
         x_terms.extend(grow_superposed(b, frontier.reps[key], cfg.growth, candidates, rng,
                                        lower_key=key))
@@ -271,7 +267,7 @@ def _propose_mock_stage(chain: FormalChain, frontier: ChainSite) -> FormalChain:
     whose mutual gluings are one closed class."""
     x_terms: List[Tuple[object, Tuple[str, int]]] = []
     w = 1.0 / math.sqrt(2.0)
-    for i, key in enumerate(sorted(frontier.state.keys(), key=str)):
+    for i, key in enumerate(frontier.state.keys_by_str()):
         b = frontier.state.amplitude(key)
         x_terms.append((b * w, ("A", i)))
         x_terms.append((b * w, ("B", i)))
@@ -285,7 +281,7 @@ def propose_fluctuate(chain: FormalChain, cfg: SamplerConfig, rng: random.Random
         return None
     if frontier.state.is_zero():
         return None
-    keys = sorted(frontier.state.keys(), key=str)
+    keys = frontier.state.keys_by_str()
     key = keys[rng.randrange(len(keys))]
     rep = frontier.reps[key]
     moves = moves_for(rep)
@@ -303,7 +299,7 @@ def _fluctuated(chain: FormalChain, frontier: ChainSite, key, new_rep: Triangula
     new_state = old_state.map_key(key, new_key)
     moved_amp = old_state.amplitude(key)
     pairs: List[Tuple[object, object]] = [(moved_amp, new_state.amplitude(new_key))]
-    for k in sorted(old_state.keys(), key=str):
+    for k in old_state.keys_by_str():
         if k != key:
             pairs.append((old_state.amplitude(k), new_state.amplitude(k)))
     step_rec = FluctuationStep(dim=frontier.dim, moved_amp=moved_amp, amp_pairs=tuple(pairs))
@@ -366,8 +362,11 @@ def step(
     """One Metropolis step: propose extend/fluctuate/reweight, accept by exp(-dS).
 
     ``current`` is ``total_action(chain, p)`` if the caller has it, as from
-    the previous step's ``StepInfo.breakdown``; each step then evaluates the
-    action only of its proposal.
+    the previous step's ``StepInfo.breakdown``; otherwise the step walks the
+    chain for it.  An extend or fluctuate proposal appends sites to ``chain``,
+    so its action is ``current`` continued over the appended sites alone
+    (``ActionBreakdown.continued``), bit-identical to walking the whole
+    proposal; a reweight replaces the last pair and is walked in full.
     """
     if current is None:
         current = total_action(chain, p)
@@ -382,8 +381,12 @@ def step(
         return chain, StepInfo(kind, f"error:{type(exc).__name__}", current)
     if proposal is None:
         return chain, StepInfo(kind, NOT_APPLICABLE, current)
+    n = len(chain.sites)
     try:
-        new = total_action(proposal, p)
+        if len(proposal.sites) > n and proposal.sites[:n] == chain.sites:
+            new = current.continued(proposal.sites[n:], p)
+        else:
+            new = total_action(proposal, p)
     except SingularError:
         # an infinite singular_penalty: the proposal's action is +inf
         return chain, StepInfo(kind, METROPOLIS_REJECT, current, math.inf)

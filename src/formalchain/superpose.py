@@ -103,10 +103,10 @@ class Superposition:
 
     Immutable after construction.  Equal keys are summed on construction and
     amplitudes of magnitude <= ``EPS_ZERO`` dropped, so the stored term map is
-    already canonical.
+    already canonical, and the key order ``keys_by_str`` computes is kept.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_by_str")
 
     def __init__(self, terms: Iterable[Tuple[Any, Any]] = ()):
         acc: Dict[Any, Any] = {}
@@ -116,6 +116,7 @@ class Superposition:
             else:
                 acc[key] = amp
         self._terms = {k: a for k, a in acc.items() if not _negligible(a)}
+        self._by_str = None
 
     # -- construction ------------------------------------------------------
 
@@ -131,6 +132,12 @@ class Superposition:
 
     def keys(self):
         return self._terms.keys()
+
+    def keys_by_str(self) -> Tuple[Any, ...]:
+        """The keys sorted by ``str`` (ties in insertion order), computed on first use."""
+        if self._by_str is None:
+            self._by_str = tuple(sorted(self._terms, key=str))
+        return self._by_str
 
     def amplitude(self, key):
         return self._terms.get(key, 0)
@@ -164,9 +171,6 @@ class Superposition:
         return "Superposition({" + inner + "})"
 
     # -- algebra -----------------------------------------------------------
-
-    def scale(self, factor) -> "Superposition":
-        return Superposition([(factor * a, k) for k, a in self._terms.items()])
 
     def add(self, other: "Superposition") -> "Superposition":
         return Superposition(
@@ -202,7 +206,8 @@ def superposition_to_json(s: Superposition) -> dict:
     Exact amplitudes additionally carry "re_exact"/"im_exact" strings.
     """
     out = []
-    for key, amp in sorted(s.items(), key=lambda t: str(t[0])):
+    for key in s.keys_by_str():
+        amp = s.amplitude(key)
         re, im = amp_re_im(amp)
         entry = {"key": str(key), "re": re, "im": im}
         if is_exact(amp):

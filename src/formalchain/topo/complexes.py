@@ -15,6 +15,13 @@ Conventions:
 * dimension-0 manifolds are oriented point sets, one sign per vertex.
 
 All instances are immutable by convention; operations return new objects.
+The memos that rest on this are never invalidated: each Triangulation's
+``action_memo`` (``action.s_d_parts`` per ``ActionParams``) and
+``moves_memo`` (the ``moves.moves_for`` tuple), and the sampler's
+``FormalChain.doubles`` table, whose stored space and key stand for every
+space of equal content.  Chain sites and superpositions follow the same
+convention, so ``ChainSite.action_memo`` and the key order
+``Superposition.keys_by_str`` keeps are never invalidated either.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ class Triangulation:
     """
 
     __slots__ = ("dim", "vertex_sign", "edges", "edge_len2", "faces", "boundary_mark",
-                 "action_memo")
+                 "action_memo", "moves_memo")
 
     def __init__(
         self,
@@ -59,6 +66,8 @@ class Triangulation:
         self.boundary_mark: Dict[int, str] = dict(boundary_mark)
         # ActionParams -> action.s_d_parts of this space, filled by action.s_d_superposed
         self.action_memo: Dict[object, Tuple[float, float]] = {}
+        # the moves.moves_for tuple of this space, filled on its first call
+        self.moves_memo: Optional[tuple] = None
         self._validate()
 
     # -- structural checks ---------------------------------------------------
@@ -282,16 +291,6 @@ class Triangulation:
         marks = dict(self.boundary_mark)
         marks.update({s + off: m for s, m in other.boundary_mark.items()})
         return Triangulation(self.dim, vs, edges, len2, faces, marks)
-
-    def double(self) -> "Triangulation":
-        """Glue this space to its mirror image along its entire boundary.
-
-        Boundary simplices are shared between the two copies; interior
-        simplices of the mirror copy get fresh ids.  A closed input doubles to
-        the disjoint union with its mirror.
-        """
-        mirror = self.mirrored()
-        return glue_along_boundary(self, mirror)
 
 
 def connected_groups(nodes: Iterable, links: Iterable[Tuple[object, object]]) -> List[list]:

@@ -69,9 +69,6 @@ class ClosedSurfaceClass:
     def components(self) -> int:
         return len(self.genera)
 
-    def union(self, other: "ClosedSurfaceClass") -> "ClosedSurfaceClass":
-        return ClosedSurfaceClass(tuple(sorted(self.genera + other.genera)))
-
     def __str__(self):
         return "surface(" + ",".join(f"g{g}" for g in self.genera) + ")"
 

@@ -223,8 +223,14 @@ def flip_edge(t: Triangulation, edge_id: int) -> Triangulation:
     return out
 
 
-def moves_for(t: Triangulation) -> List[PachnerMove]:
-    """All structurally applicable moves (geometric validity checked on apply)."""
+def moves_for(t: Triangulation) -> Tuple[PachnerMove, ...]:
+    """All structurally applicable moves (geometric validity checked on apply).
+
+    Computed once per space and kept in ``t.moves_memo``: nothing changes a
+    Triangulation after construction.
+    """
+    if t.moves_memo is not None:
+        return t.moves_memo
     out: List[PachnerMove] = []
     ends = Counter(v for ab in t.edges.values() for v in ab)
     if t.dim == 1:
@@ -246,7 +252,8 @@ def moves_for(t: Triangulation) -> List[PachnerMove]:
         for e in sorted(t.edges):
             if e not in t.boundary_mark and len(sides.get(e, ())) == 2:
                 out.append(PachnerMove(FLIP_2_2, e))
-    return out
+    t.moves_memo = tuple(out)
+    return t.moves_memo
 
 
 def _third_corner(t: Triangulation, f: int, e: int) -> int:

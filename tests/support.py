@@ -1,19 +1,30 @@
 """Builders and readers that only the tests use.
 
 The package keeps only code its commands run; the test inputs built here
-(random move orbits, the genus-2 surface, surfaces with holes, random
-unitary frames) and the readers of a run (toy-space visit counts, state
-fidelity, norm drifts of a trajectory) live beside the tests instead.
+(random move orbits, the genus-2 surface, surfaces with holes, doubles,
+scaled superpositions, random unitary frames) and the readers of a
+run (toy-space visit counts, chain steps, state fidelity, norm drifts of a
+trajectory) live beside the tests instead.
 """
 
 import random
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from formalchain.chains import metropolis_accept
+from formalchain.action import FluctuationStep
+from formalchain.chains import FormalChain, metropolis_accept
 from formalchain.errors import GeometryError, MoveError, StructureError
-from formalchain.topo import LOWER, Triangulation, apply_pachner, moves_for, torus_triangulation
+from formalchain.superpose import Superposition
+from formalchain.topo import (
+    LOWER,
+    ClosedSurfaceClass,
+    Triangulation,
+    apply_pachner,
+    glue_along_boundary,
+    moves_for,
+    torus_triangulation,
+)
 from formalchain.topo.complexes import edge_faces
 from formalchain.twofield import Trajectory, TwoFieldState, grid_dx
 
@@ -70,7 +81,17 @@ def random_orbit(t: Triangulation, n_moves: int, rng) -> Triangulation:
 def genus2_triangulation() -> Triangulation:
     """Closed genus-2 surface: the double of the 7-vertex torus minus one face."""
     t = torus_triangulation()
-    return remove_faces(t, [min(t.faces)]).double()
+    return double(remove_faces(t, [min(t.faces)]))
+
+
+def double(t: Triangulation) -> Triangulation:
+    """Glue a space to its mirror image along its entire boundary.
+
+    Boundary simplices are shared between the two copies; interior
+    simplices of the mirror copy get fresh ids.  A closed input doubles to
+    the disjoint union with its mirror.
+    """
+    return glue_along_boundary(t, t.mirrored())
 
 
 def remove_faces(t: Triangulation, face_ids: Iterable[int]) -> Triangulation:
@@ -108,3 +129,16 @@ def max_joint_drift(traj: Trajectory) -> float:
 
 def max_erased_drift(traj: Trajectory) -> float:
     return max(abs(n - traj.erased_norms[0]) for n in traj.erased_norms)
+
+
+def scale(s: Superposition, factor) -> Superposition:
+    return Superposition([(factor * a, k) for k, a in s.items()])
+
+
+def union(a: ClosedSurfaceClass, b: ClosedSurfaceClass) -> ClosedSurfaceClass:
+    return ClosedSurfaceClass(tuple(sorted(a.genera + b.genera)))
+
+
+def chain_steps(chain: FormalChain) -> Tuple[FluctuationStep, ...]:
+    """The fluctuation steps of a chain, in chain order."""
+    return tuple(s.step for s in chain.sites if s.step is not None)

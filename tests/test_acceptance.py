@@ -61,6 +61,7 @@ from formalchain.twofield import (
     product_state,
 )
 from support import (
+    chain_steps,
     fidelity,
     genus2_triangulation,
     max_erased_drift,
@@ -120,7 +121,7 @@ def test_acceptance_02_example_32(capsys):
         for k, rep in fresh.sites[-1].reps.items()
     )
     assert amps == [(2, Fraction(1)), (3, Fraction(-2)), (4, Fraction(1))]
-    assert len(chain.steps) == 2
+    assert len(chain_steps(chain)) == 2
     assert elapsed < 1.0
     with capsys.disabled():
         report(2, f"three-term pairing cancels exactly after two moves in {elapsed:.3f}s")

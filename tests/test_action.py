@@ -39,7 +39,7 @@ from formalchain.topo import (
     surface_from_faces,
     torus_triangulation,
 )
-from support import genus2_triangulation, random_orbit
+from support import chain_steps, genus2_triangulation, random_orbit
 
 TWO_PI = 2 * math.pi
 
@@ -146,36 +146,41 @@ def test_singular_penalty_infinite_raises():
 
 def test_fugacity_examples():
     p = ActionParams(f=(0.3, 0.3, 1.0))
-    assert fugacity_total([], p) == 0.0
+    assert fugacity_total([], p, 0.0) == 0.0
     one = FluctuationStep(dim=1, moved_amp=1.0, amp_pairs=((1.0, 1.0),))
-    assert fugacity_total([one], p) == pytest.approx(0.3)
+    assert fugacity_total([one], p, 0.0) == pytest.approx(0.3)
     w = 1 / math.sqrt(2)
     two = [
         FluctuationStep(dim=2, moved_amp=w, amp_pairs=()),
         FluctuationStep(dim=2, moved_amp=w, amp_pairs=()),
     ]
-    assert fugacity_total(two, p) == pytest.approx(1.0)
+    assert fugacity_total(two, p, 0.0) == pytest.approx(1.0)
+    # a continued sum is the one running sum
+    assert fugacity_total(two[1:], p, fugacity_total(two[:1], p, 0.0)) == \
+        fugacity_total(two, p, 0.0)
 
 
 def test_total_action_fugacity_is_fugacity_total():
     # two dimension-1 moves of amplitude-1 terms, c_1 = 3, f_1 = 0.7
     chain = example_cancellation_chain()
     p = ActionParams(c=(1.0, 3.0, 1.0), f=(0.0, 0.7, 0.0))
-    assert [s.dim for s in chain.steps] == [1, 1]
+    assert [s.dim for s in chain_steps(chain)] == [1, 1]
     br = total_action(chain, p)
-    assert br.fugacity == fugacity_total(chain.steps, p)
+    assert br.fugacity == fugacity_total(chain_steps(chain), p, 0.0)
     assert br.fugacity == pytest.approx(2 * 3.0 * 0.7)
 
 
 def test_kinetic_examples():
     p = ActionParams(h=(1.0, 1.0, 1.0))
     equal = FluctuationStep(dim=1, moved_amp=1.0, amp_pairs=((0.5, 0.5), (1.0, 1.0)))
-    assert kinetic_total([equal], p) == 0.0
+    assert kinetic_total([equal], p, 0.0) == 0.0
     drop = FluctuationStep(dim=1, moved_amp=1.0, amp_pairs=((1.0, 0.0),))
-    assert kinetic_total([drop], p) == pytest.approx(2.0)
+    assert kinetic_total([drop], p, 0.0) == pytest.approx(2.0)
     w = 1 / math.sqrt(2)
     flip = FluctuationStep(dim=1, moved_amp=w, amp_pairs=((w, -w),))
-    assert kinetic_total([flip], p) == pytest.approx(4.0)
+    assert kinetic_total([flip], p, 0.0) == pytest.approx(4.0)
+    assert kinetic_total([flip], p, kinetic_total([drop, equal], p, 0.0)) == \
+        kinetic_total([drop, equal, flip], p, 0.0)
 
 
 def test_total_action_empty_chain():
@@ -287,8 +292,8 @@ def reference_total_action(chain, p: ActionParams) -> ActionBreakdown:
         out.curvature += p.c[k] * curv
         out.cosmological += p.c[k] * cosm
         out.volume += vol
-    out.fugacity = fugacity_total(chain.steps, p)
-    out.kinetic = kinetic_total(chain.steps, p)
+    out.fugacity = fugacity_total(chain_steps(chain), p, 0.0)
+    out.kinetic = kinetic_total(chain_steps(chain), p, 0.0)
     return out
 
 

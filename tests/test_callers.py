@@ -1,9 +1,11 @@
-"""Every top-level function and class in the package has a caller in the package.
+"""Every top-level function and class, and every method, in the package has a
+caller in the package.
 
 A definition that only tests use belongs in ``tests/support.py``.  The
 search is by name, over every ``Name`` and attribute in ``src/formalchain``
 outside the definition itself; imports and ``__all__`` entries are
-re-exports and do not count as callers.
+re-exports and do not count as callers.  A method is named ``Class.method``;
+dunder methods are called by the language and are not searched.
 """
 
 import ast
@@ -18,6 +20,7 @@ SRC = Path(formalchain.__file__).parent
 KEPT = {
     "erase_twice": "the paper's ket-erasure identity, checked by acceptance 12",
     "glue_closed": "the pairing over the empty boundary, beside glue_1d and glue_2d",
+    "StepInfo.accepted": "benchmarks/tracing.py reads it for the per-kind acceptance ratios",
 }
 
 
@@ -31,16 +34,30 @@ def _names(node):
     return out
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def test_every_definition_has_a_caller():
     statements = [stmt for path in sorted(SRC.rglob("*.py"))
                   for stmt in ast.parse(path.read_text()).body]
     names = [_names(stmt) for stmt in statements]
     exported = set(formalchain.__all__) | set(formalchain.topo.__all__)
-    uncalled = [
-        stmt.name for i, stmt in enumerate(statements)
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name not in exported
-        and not any(stmt.name in used for j, used in enumerate(names) if j != i)
-    ]
+    uncalled = []
+    for i, stmt in enumerate(statements):
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        elsewhere = set().union(*(used for j, used in enumerate(names) if j != i))
+        if stmt.name not in exported and stmt.name not in elsewhere:
+            uncalled.append(stmt.name)
+        if not isinstance(stmt, ast.ClassDef):
+            continue
+        members = [(m, _names(m)) for m in stmt.body]
+        for m, _ in members:
+            if isinstance(m, ast.FunctionDef) and not _is_dunder(m.name):
+                used = elsewhere.union(*(n for other, n in members if other is not m))
+                if m.name not in used:
+                    uncalled.append(f"{stmt.name}.{m.name}")
     lost = sorted(set(uncalled) - set(KEPT))
     assert not lost, f"no caller in src/formalchain: {lost}"
     # a KEPT name that gained a caller, or went, leaves the list

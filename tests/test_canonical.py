@@ -20,7 +20,7 @@ from formalchain.topo import (
 from formalchain.growth import GrowthConfig, grow_layer, mirror_double
 from formalchain.topo import invariants, surface_from_faces
 from formalchain.topo.invariants import _least_rotation, _min_rotation, _token
-from support import genus2_triangulation, random_orbit, remove_faces
+from support import double, genus2_triangulation, random_orbit, remove_faces
 
 
 def reference_surface_code(t: Triangulation, metric: bool = True) -> Tuple:
@@ -134,7 +134,7 @@ def test_surface_code_matches_reference_on_unions_and_boundaries():
     sphere = random_orbit(sphere_triangulation(Fraction(3, 2)), 8, rng)
     union = torus.disjoint_union(sphere).disjoint_union(sphere_triangulation())
     holed = remove_faces(torus, [min(torus.faces)])
-    for t in (union, holed, holed.double()):
+    for t in (union, holed, double(holed)):
         for metric in (True, False):
             expected = reference_surface_code(t, metric)
             assert surface_code(t, metric) == expected

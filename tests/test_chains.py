@@ -25,7 +25,7 @@ from formalchain.errors import GeometryError, StructureError
 from formalchain.growth import Cobordism, GrowthConfig
 from formalchain.superpose import Superposition
 from formalchain.topo import Triangulation, arc, iso_key, point_set
-from support import sample_discrete
+from support import chain_steps, sample_discrete
 
 
 def default_params(**kw):
@@ -177,7 +177,7 @@ def test_fluctuate_moves_one_term():
     assert out is not None
     validate_chain(out)
     assert [s.kind for s in out.sites[-2:]] == ["Y", "Y"]  # a fluctuation
-    assert len(out.steps) == 1 and out.steps[0] is out.sites[-1].step
+    assert chain_steps(out) == (out.sites[-1].step,)
 
 
 def test_fluctuate_errors_are_counted():
@@ -573,12 +573,13 @@ def test_chains_of_one_run_share_their_doubles(monkeypatch):
 
 
 def test_memoised_spaces_never_change(monkeypatch):
-    # the doubles table, the site reps and the action memos are sound only if
-    # nothing changes a stored space: along the golden sample_mock_s1 run,
-    # which reaches the mock stage and fluctuates, the content of every
-    # memoised space and the reps of every site are at the end what they were
-    # when first stored
-    spaces, sites = {}, {}
+    # the doubles table, the site reps, the action memos, the move lists and
+    # the key orders are sound only if nothing changes a stored space or
+    # state: along the golden sample_mock_s1 run, which reaches the mock stage
+    # and fluctuates, the content of every memoised space, the reps of every
+    # site and the move list of every proposed-on rep are at the end what they
+    # were when first stored, and every kept key order is the sorted one
+    spaces, sites, move_lists = {}, {}, {}
 
     def remember(t):
         if id(t) not in spaces:
@@ -610,8 +611,16 @@ def test_memoised_spaces_never_change(monkeypatch):
         remember_site(out.sites[-1])
         return out
 
+    moves_for = chains.moves_for
+
+    def spy_moves_for(t):
+        out = moves_for(t)
+        move_lists.setdefault(id(t), (t, out, list(out)))
+        return out
+
     monkeypatch.setattr(chains, "_layer", spy_layer)
     monkeypatch.setattr(chains, "_fluctuated", spy_fluctuated)
+    monkeypatch.setattr(chains, "moves_for", spy_moves_for)
     cfg = SamplerConfig(seed=1, chains=6, sweeps=80, weight_extend=0.5,
                         weight_fluctuate=0.3, weight_reweight=0.2)
     stats = run(cfg, ActionParams(g=(0.1, 0.1, 0.1)))
@@ -620,5 +629,73 @@ def test_memoised_spaces_never_change(monkeypatch):
     for site, reps in sites.values():
         assert site.reps.keys() == reps.keys()
         assert all(site.reps[k] is reps[k] for k in reps)
+    for t, first, items in move_lists.values():
+        assert moves_for(t) is first and list(first) == items
+        # the list a fresh space of the same content gets
+        fresh = Triangulation(t.dim, t.vertex_sign, t.edges, t.edge_len2, t.faces,
+                              t.boundary_mark)
+        assert moves_for(fresh) == first
+    ordered = [site.state for site, _ in sites.values() if site.state._by_str is not None]
+    for state in ordered:
+        assert state.keys_by_str() == tuple(sorted(state.keys(), key=str))
     assert stats.termination_histogram == {4: 4}  # as in the golden fixture
-    assert fluctuations and len(spaces) > 40
+    assert fluctuations and len(spaces) > 40 and len(move_lists) == 3 and len(ordered) > 20
+
+
+def test_step_prices_only_the_sites_a_proposal_adds(monkeypatch):
+    # extend and fluctuate append sites, so a step prices its proposal by
+    # continuing the chain's breakdown over the appended sites: at acceptance
+    # 9's free and stiff couplings, pricing asks only those sites whether they
+    # are Euclidean, in chain order
+    asked = []
+    is_euclidean = ChainSite.is_euclidean
+
+    def counted(site):
+        asked.append(site)
+        return is_euclidean(site)
+
+    proposals = []
+
+    def spy(propose):
+        def proposed(chain, cfg, rng):
+            out = propose(chain, cfg, rng)
+            proposals.append(out)
+            asked.clear()  # what the proposal asked is not pricing
+            return out
+        return proposed
+
+    monkeypatch.setattr(ChainSite, "is_euclidean", counted)
+    for kind in ("extend", "fluctuate"):
+        monkeypatch.setitem(chains.PROPOSALS, kind, spy(chains.PROPOSALS[kind]))
+    cfg = SamplerConfig(weight_extend=0.15, weight_fluctuate=0.65, weight_reweight=0.2)
+    priced = fluctuations = 0
+    for h1 in (0.0, 100.0):
+        p = default_params(h=(0.0, h1, 0.0))
+        for ci in range(4):
+            rng = random.Random(f"5000:{ci}")
+            chain, br = FormalChain(), None
+            for _ in range(200):
+                proposals.clear()
+                before = chain
+                chain, info = step(chain, p, cfg, rng, br)
+                br = info.breakdown
+                if proposals and proposals[0] is not None:
+                    added = proposals[0].sites[len(before.sites):]
+                    assert asked == list(added)
+                    priced += 1
+                    fluctuations += info.kind == "fluctuate"
+                if chain.terminated_dim is not None:
+                    break
+    assert priced > 200 and fluctuations > 100
+
+
+def test_replaced_site_is_priced_afresh():
+    # dataclasses.replace must not hand the new site the old site's shares
+    chain = example_cancellation_chain(0)
+    p = ActionParams()
+    y = chain.sites[-1]
+    assert total_action(chain, p).volume == 60.0  # norm 6 at g = 10; fills y's memo
+    emptied = replace(y, state=Superposition())
+    fresh = ChainSite(dim=y.dim, kind=y.kind, state=Superposition(), reps=y.reps)
+    assert total_action(FormalChain((fresh,)), p).total == 0.0
+    assert total_action(FormalChain((emptied,)), p).total == 0.0

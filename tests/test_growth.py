@@ -37,7 +37,7 @@ from formalchain.topo import (
     sphere_triangulation,
     surface_from_faces,
 )
-from support import remove_faces
+from support import double, remove_faces
 
 
 def cfg(**kw):
@@ -148,7 +148,7 @@ def test_mirror_double_points():
     y = point_set(2)
     x = grow_layer(y, cfg(), random.Random(0))
     up = x.upper_slice()
-    doubled = up.double()
+    doubled = double(up)
     assert classify_0d(doubled) == classify_0d(up.disjoint_union(up.mirrored()))
     assert len(doubled.vertex_sign) == 4
     signs = sorted(doubled.vertex_sign.values())

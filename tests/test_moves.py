@@ -186,6 +186,15 @@ def test_moves_for_matches_reference_scan():
     holed = remove_faces(g2, sorted(g2.faces)[:3])
     spaces += [holed, random_orbit(holed, 10, rng)]
     for t in spaces:
-        assert moves_for(t) == reference_moves_for(t)
+        assert moves_for(t) == tuple(reference_moves_for(t))
     kinds = {m.kind for t in spaces for m in moves_for(t)}
     assert kinds == {SUBDIVIDE_1_2, MERGE_2_1, MOVE_1_3, MOVE_3_1, FLIP_2_2}
+
+
+def test_moves_for_is_kept_per_space():
+    # a space is never changed after construction, so its move list is built
+    # once and handed out again, as a tuple that no caller can change
+    for t in (circle(5), sphere_triangulation(), torus_triangulation()):
+        first = moves_for(t)
+        assert isinstance(first, tuple)
+        assert moves_for(t) is first

@@ -42,7 +42,7 @@ from formalchain.topo import (
     point_set,
     sphere_triangulation,
 )
-from support import remove_faces
+from support import remove_faces, scale
 
 
 def all_matchings(labels):
@@ -244,12 +244,12 @@ def test_sesquilinearity_random():
         a = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         v = Superposition([(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), k) for k in kets])
         w = Superposition([(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), k) for k in kets])
-        left = pair(v.scale(a), w, glue_1d)
-        right = pair(v, w, glue_1d).scale(a)
+        left = pair(scale(v, a), w, glue_1d)
+        right = scale(pair(v, w, glue_1d), a)
         for key in set(left.keys()) | set(right.keys()):
             assert abs(complex(left.amplitude(key)) - complex(right.amplitude(key))) < 1e-12
-        left2 = pair(v, w.scale(a), glue_1d)
-        right2 = pair(v, w, glue_1d).scale(conj(a))
+        left2 = pair(v, scale(w, a), glue_1d)
+        right2 = scale(pair(v, w, glue_1d), conj(a))
         for key in set(left2.keys()) | set(right2.keys()):
             assert abs(complex(left2.amplitude(key)) - complex(right2.amplitude(key))) < 1e-12
         # additivity in both slots

@@ -34,7 +34,7 @@ from formalchain.topo import (
     to_text,
     torus_triangulation,
 )
-from support import genus2_triangulation, random_orbit, remove_faces
+from support import double, genus2_triangulation, random_orbit, remove_faces, union
 
 
 def test_euler_circle():
@@ -71,7 +71,7 @@ def test_classify_disjoint_union_is_multiset_union():
     assert classify_surface(u) == ClosedSurfaceClass((0, 1))
     a = classify_surface(sphere_triangulation())
     b = classify_surface(torus_triangulation())
-    assert a.union(b) == classify_surface(u)
+    assert union(a, b) == classify_surface(u)
 
 
 def test_nonmanifold_edge_rejected():
@@ -179,7 +179,7 @@ def test_gluing_chi_additive_over_circle_boundary():
     f0 = min(t.faces)
     holed = remove_faces(t, [f0])
     assert holed.euler_characteristic() == -1
-    doubled = holed.double()
+    doubled = double(holed)
     # chi adds along circle boundaries: -1 + -1 = -2
     assert doubled.euler_characteristic() == -2
     assert classify_surface(doubled) == ClosedSurfaceClass((2,))
@@ -200,7 +200,7 @@ def test_curve_classes_and_profiles():
 
 
 def test_double_of_arc_is_circle():
-    d = arc(3).double()
+    d = double(arc(3))
     assert classify_curves(d) == Closed1Class(1)
     assert len(d.edges) == 6
 
