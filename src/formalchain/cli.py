@@ -346,8 +346,9 @@ def cmd_grow(args) -> int:
         "double_chi": doubled.euler_characteristic(),
     }
     if args.out:
+        text = to_text(doubled)  # raises before the file exists
         with open(args.out, "w") as fh:
-            fh.write(to_text(doubled))
+            fh.write(text)
         payload["out"] = args.out
     _emit_json(payload)
     return EXIT_OK

@@ -154,28 +154,35 @@ def _key_matrices(kets: Sequence, glue: Callable) -> np.ndarray:
     return mats
 
 
-def _quadratic_forms(flat_mats: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """``q[..., t, k] = Re(v_t^H M_k v_t)`` for every row of ``V``.
+def _columns(V: np.ndarray) -> np.ndarray:
+    """The ``(F, n, 2, T)`` real columns of an ``(F, T, n)`` complex batch: restart t
+    of family f is the column pair ``R[f, :, :, t]``, its real and imaginary parts."""
+    return np.ascontiguousarray(np.stack([V.real, V.imag], axis=-1).transpose(0, 2, 3, 1))
 
-    ``flat_mats`` is a ``(..., K, n*n)`` stack of real key matrices ``M_k``
-    and ``V`` a ``(..., T, n)`` complex batch with the same leading shape.
+
+def _forms(stack: np.ndarray, R: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(q, MR)`` of every column pair of ``R``, an ``(F, n, 2, T)`` real array.
+
+    ``stack`` holds each family's key matrices as one ``(K*n, n)`` stack, so
+    ``MR[f, k] = M_k R[f]`` comes from one real product per family, and
+    ``q[f, k, t] = Re(v^H M_k v) = x.M_k x + y.M_k y`` for the restart
+    ``v = x + iy`` in column pair t.
     """
-    n = V.shape[-1]
-    outer = (V.conj()[..., :, None] * V[..., None, :]).reshape(V.shape[:-1] + (n * n,))
-    return outer.real @ np.swapaxes(flat_mats, -1, -2)
+    F, n, _, T = R.shape
+    MR = (stack @ R.reshape(F, n, 2 * T)).reshape(F, -1, n, 2, T)
+    return (R[:, None] * MR).sum(axis=(2, 3)), MR
 
 
-def _residual(flat_mats: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Residuals ``sum_k q_k^2`` of every row of ``V``."""
-    q = _quadratic_forms(flat_mats, V)
-    return np.sum(q * q, axis=-1)
+def _residual(stack: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """``(F, T)`` residuals ``sum_k q_k^2`` of every column pair of ``R``."""
+    q, _ = _forms(stack, R)
+    return np.sum(q * q, axis=1)
 
 
-def _gradient(flat_mats: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Gradient ``2 sum_k q_k M_k v_t`` of the residual of every row of ``V``."""
-    n = V.shape[-1]
-    weighted = (_quadratic_forms(flat_mats, V) @ flat_mats).reshape(V.shape + (n,))
-    return 2.0 * np.einsum("...tij,...tj->...ti", weighted, V)
+def _gradient(stack: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Gradient ``2 sum_k q_k M_k v`` of the residual, in the column layout of ``R``."""
+    q, MR = _forms(stack, R)
+    return (2.0 * q[:, :, None, None] * MR).sum(axis=1)
 
 
 def _index_groups(values: Iterable) -> List[List[int]]:
@@ -193,24 +200,37 @@ def _descend(mats: np.ndarray, rngs: Sequence[Sequence[np.random.Generator]],
     ``mats`` is the ``(F, K, n, n)`` stack of the families' key matrices and
     ``rngs[f][t]`` the generator of restart t of family f; the result is the
     ``(F, T, n)`` array of unit vectors after ``steps`` steps.
+
+    The restarts are held as real columns, restart t of family f as the
+    column pair ``R[f, :, :, t]`` of its real and imaginary parts
+    (``_columns``).  A step is one real product per family with its stacked
+    key matrices (``_forms``), the forms summed over each column pair and the
+    gradient over the keys, one reduction for the norms and an in-place
+    division.  A key matrix is 0/1, so the product only adds entries of
+    ``R``; a zero-padded key adds exact zeros to the gradient, whose key axis
+    is never the innermost one.  So each family's columns are bit-identical
+    to those of the family descending alone.
     """
-    n = mats.shape[-1]
-    flat_mats = mats.reshape(mats.shape[:2] + (n * n,))
+    F, _, n, _ = mats.shape
+    stack = mats.reshape(F, -1, n)
 
     def draw(rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(size=n) + 1j * rng.normal(size=n)
+        return np.stack([rng.normal(size=n), rng.normal(size=n)], axis=-1)
 
-    V = np.array([[draw(rng) for rng in fam] for fam in rngs])
-    V /= np.linalg.norm(V, axis=-1, keepdims=True)
+    def norms(R: np.ndarray) -> np.ndarray:
+        return np.sqrt((R * R).sum(axis=(1, 2)))
+
+    R = np.stack([np.stack([draw(rng) for rng in fam], axis=-1) for fam in rngs])
+    R /= norms(R)[:, None, None]
     for _ in range(steps):
-        V = V - step_size * _gradient(flat_mats, V)
-        nv = np.linalg.norm(V, axis=-1)
+        R -= step_size * _gradient(stack, R)
+        nv = norms(R)
         if not nv.all():
             for f, t in zip(*np.nonzero(nv == 0.0)):
-                V[f, t] = draw(rngs[f][t])
-                nv[f, t] = np.linalg.norm(V[f, t])
-        V /= nv[..., None]
-    return V
+                R[f, :, :, t] = col = draw(rngs[f][t])
+                nv[f, t] = np.sqrt(np.sum(col * col))
+        R /= nv[:, None, None]
+    return (R[:, :, 0] + 1j * R[:, :, 1]).transpose(0, 2, 1)
 
 
 def _polish(mats: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -280,13 +300,16 @@ def lightlike_search(
     other families, and a restart's path does not depend on the others.
 
     The families that have the same ket count descend in lockstep, as one
-    ``(families, trials, kets)`` array; their key matrices are zero-padded to
-    the largest key count, which adds exact zeros to ``q`` and the gradient.
-    The polish is batched only over families with the same key count, whose
-    Jacobians have the same shape.  The Jacobian is never padded: its zero
-    rows would change the rounding of the SVD, and with it the last bits of
-    the polished vectors and residuals.  So each family's result is
-    bit-identical to a search of that family alone.
+    ``(families, kets, 2, trials)`` real array (``_descend``); their key
+    matrices are zero-padded to the largest key count, which adds exact zeros
+    to ``q`` and the gradient.  The polish is batched only over families with
+    the same key count, whose Jacobians have the same shape.  The Jacobian is
+    never padded: its zero rows would change the rounding of the SVD, and with
+    it the last bits of the polished vectors and residuals.  The residuals are
+    summed over each family's own keys: with one trial the key axis is the
+    innermost one, which numpy sums pairwise, so padding would move its
+    rounding.  So each family's result is bit-identical to a search of that
+    family alone.
     """
     if not families:
         raise StructureError("need at least one family")
@@ -308,8 +331,9 @@ def lightlike_search(
         for fs in _index_groups(len(mats[i]) for i in members):
             polished[fs] = _polish(np.stack([mats[members[f]] for f in fs]), V[fs])
         for f, i in enumerate(members):
-            flat_mats = mats[i].reshape(len(mats[i]), -1)
-            r_pol, r_raw = _residual(flat_mats, polished[f]), _residual(flat_mats, V[f])
+            stack = mats[i].reshape(1, -1, len(families[i]))
+            [r_pol] = _residual(stack, _columns(polished[f, None]))
+            [r_raw] = _residual(stack, _columns(V[f, None]))
             raw_wins = r_raw < r_pol
             residuals = np.where(raw_wins, r_raw, r_pol)
             best = int(np.argmin(residuals))

@@ -573,7 +573,15 @@ def torus_triangulation(len2=Fraction(1)) -> Triangulation:
 
 
 def to_text(t: Triangulation) -> str:
-    """Line-oriented text form (see ``from_text`` for the grammar)."""
+    """Line-oriented text form (see ``from_text`` for the grammar).
+
+    The form names a dimension-2 edge by its vertex pair and a face by its
+    vertices, so a surface with two edges on one pair or two faces on one
+    triple raises ``UnsupportedError``: ``from_text`` could not read it back.
+    """
+    if t.dim == 2:
+        _check_text_names(t.edges.values(), "edge", "-")
+        _check_text_names((vs for vs, _ in t.faces.values()), "face", " ")
     lines = [f"dim={t.dim}"]
     for v in sorted(t.vertex_sign):
         s = t.vertex_sign[v]
@@ -593,6 +601,18 @@ def to_text(t: Triangulation) -> str:
             a, b = t.edges[sid]
             lines.append(f"b {a}-{b} {m}")
     return "\n".join(lines) + "\n"
+
+
+def _check_text_names(cells: Iterable[Tuple[int, ...]], kind: str, sep: str) -> None:
+    """Raise ``UnsupportedError`` naming the first vertex set two cells share."""
+    seen = set()
+    for vs in cells:
+        name = frozenset(vs)
+        if name in seen:
+            joined = sep.join(map(str, sorted(vs)))
+            raise UnsupportedError(
+                f"two {kind}s on {joined}: the text form names {kind}s by their vertices")
+        seen.add(name)
 
 
 def from_text(text: str) -> Triangulation:

@@ -8,7 +8,7 @@ import pytest
 
 from formalchain import config as cfgmod
 from formalchain.cli import main
-from formalchain.topo import circle, to_text
+from formalchain.topo import circle, from_text, to_text
 from formalchain.twofield import TwoFieldParams, _propagator_pays
 
 DATA = Path(__file__).parent / "data"
@@ -263,16 +263,33 @@ def test_series_gmax_zero(capsys):
 
 
 def test_grow_roundtrip(tmp_path, capsys):
-    f = tmp_path / "c.txt"
-    f.write_text(to_text(circle(4)))
-    out_t = tmp_path / "d.txt"
-    code, out, _ = run_cli(capsys, "grow", "--input", str(f), "--seed", "9",
+    # a dimension-1 double is written, read back, and grown over again
+    out_t = tmp_path / "circles.txt"
+    code, out, _ = run_cli(capsys, "grow", "--input", str(DATA / "points22.txt"), "--seed", "3",
                            "--out", str(out_t))
     assert code == 0
     payload = json.loads(out)
     assert payload["chi_constraint_satisfied"] is True
-    assert payload["double_class"] == "surface(g1)"
-    assert out_t.exists()
+    assert payload["double_class"] == "circles(4)"
+    assert from_text(out_t.read_text()).euler_characteristic() == payload["double_chi"]
+    code, out, err = run_cli(capsys, "grow", "--input", str(out_t), "--seed", "3")
+    assert code == 0, err
+    assert json.loads(out)["input_chi"] == payload["double_chi"]
+
+
+@pytest.mark.parametrize("ket, seed, pair", [(circle(3), "3", "0-1000004"),
+                                             (circle(4), "9", "0-1000005")])
+def test_grow_out_refuses_a_double_it_cannot_write(tmp_path, capsys, ket, seed, pair):
+    # a doubled circle layer has two edges on one vertex pair, which the text
+    # form, naming a dimension-2 edge by its pair, cannot hold
+    f = tmp_path / "c.txt"
+    f.write_text(to_text(ket))
+    out_t = tmp_path / "torus.txt"
+    code, out, err = run_cli(capsys, "grow", "--input", str(f), "--seed", seed,
+                             "--out", str(out_t))
+    assert (code, out) == (2, "")
+    assert err == f"error: two edges on {pair}: the text form names edges by their vertices\n"
+    assert not out_t.exists()
 
 
 def test_grow_missing_seed_rejected(tmp_path, capsys):

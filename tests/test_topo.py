@@ -263,6 +263,18 @@ def test_text_round_trip_with_boundary():
     assert len(back.boundary_mark) == len(t.boundary_mark)
 
 
+def test_text_form_refuses_cells_it_cannot_name():
+    # a sphere of two triangles on the same three edges: its faces share a
+    # vertex triple, so the text form would read them back as one triangle
+    one = Fraction(1)
+    pillow = Triangulation(2, {0: 1, 1: 1, 2: 1}, {10: (0, 1), 11: (1, 2), 12: (2, 0)},
+                           {10: one, 11: one, 12: one},
+                           {20: ((0, 1, 2), (10, 11, 12)), 21: ((0, 2, 1), (12, 11, 10))})
+    assert pillow.euler_characteristic() == 2
+    with pytest.raises(UnsupportedError, match="two faces on 0 1 2"):
+        to_text(pillow)
+
+
 def test_parse_errors_carry_line_numbers():
     tetra = "dim=2\ns 2 0 1 2\ns 2 0 3 1\ns 2 1 3 2\ns 2 0 2 3\n"
     cases = [
