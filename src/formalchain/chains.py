@@ -357,19 +357,17 @@ def step(
     p: ActionParams,
     cfg: SamplerConfig,
     rng: random.Random,
-    current: Optional[ActionBreakdown] = None,
+    current: ActionBreakdown,
 ) -> Tuple[FormalChain, StepInfo]:
     """One Metropolis step: propose extend/fluctuate/reweight, accept by exp(-dS).
 
-    ``current`` is ``total_action(chain, p)`` if the caller has it, as from
-    the previous step's ``StepInfo.breakdown``; otherwise the step walks the
-    chain for it.  An extend or fluctuate proposal appends sites to ``chain``,
-    so its action is ``current`` continued over the appended sites alone
+    ``current`` is ``total_action(chain, p)``, as from the previous step's
+    ``StepInfo.breakdown`` (an empty ``ActionBreakdown`` for an empty chain).
+    An extend or fluctuate proposal appends sites to ``chain``, so its action
+    is ``current`` continued over the appended sites alone
     (``ActionBreakdown.continued``), bit-identical to walking the whole
     proposal; a reweight replaces the last pair and is walked in full.
     """
-    if current is None:
-        current = total_action(chain, p)
     if chain.terminated_dim is not None:
         return chain, StepInfo(None, NOT_APPLICABLE, current)
     kinds = ["extend", "fluctuate", "reweight"]
@@ -435,7 +433,7 @@ def run(cfg: SamplerConfig, p: ActionParams) -> ChainStats:
     for ci in range(cfg.chains):
         rng = random.Random(f"{cfg.seed}:{ci}")
         chain = FormalChain(doubles=doubles)
-        br, term_d = None, None
+        br, term_d = ActionBreakdown(), None
         for sweep in range(cfg.sweeps):
             if term_d is None:
                 chain, info = step(chain, p, cfg, rng, br)
@@ -466,7 +464,7 @@ def run(cfg: SamplerConfig, p: ActionParams) -> ChainStats:
 # -- the cancellation example as a chain ----------------------------------------------
 
 
-def example_cancellation_chain(fluctuations: int = 2) -> FormalChain:
+def example_cancellation_chain() -> FormalChain:
     """The fluctuation-cancellation example as a chain fragment.
 
     One arc of one edge and one arc of two edges over the same two endpoints,
@@ -483,30 +481,22 @@ def example_cancellation_chain(fluctuations: int = 2) -> FormalChain:
     c2 = Cobordism(a2, 1)
     x_terms = ((Fraction(1), c1), (Fraction(-1), c2))
     chain = FormalChain(_layer(x_terms, 1, {}))
-    for _ in range(fluctuations):
-        nxt = _example_fluctuation(chain)
-        if nxt is None:
-            break
-        chain = nxt
+    for _ in range(2):
+        chain = _example_fluctuation(chain)
     return chain
 
 
-def _example_fluctuation(chain: FormalChain) -> Optional[FormalChain]:
-    """Move the smallest circle up or the largest down toward 3 edges."""
+def _example_fluctuation(chain: FormalChain) -> FormalChain:
+    """Move the smallest circle up if below 3 edges, else the largest down."""
     from .topo import MERGE_2_1, SUBDIVIDE_1_2
 
     frontier = chain.frontier()
     sizes = {k: len(r.edges) for k, r in frontier.reps.items()}
-    if not sizes:
-        return None
     small = min(sizes, key=sizes.get)
-    big = max(sizes, key=sizes.get)
     if sizes[small] < 3:
-        key, rep = small, frontier.reps[small]
-        move = next(m for m in moves_for(rep) if m.kind == SUBDIVIDE_1_2)
-    elif sizes[big] > 3:
-        key, rep = big, frontier.reps[big]
-        move = next(m for m in moves_for(rep) if m.kind == MERGE_2_1)
+        key, kind = small, SUBDIVIDE_1_2
     else:
-        return None
+        key, kind = max(sizes, key=sizes.get), MERGE_2_1
+    rep = frontier.reps[key]
+    move = next(m for m in moves_for(rep) if m.kind == kind)
     return _fluctuated(chain, frontier, key, apply_pachner(rep, move))

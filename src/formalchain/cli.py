@@ -65,6 +65,8 @@ EXIT_NUMERIC = 4
 GRAPH_SPECS = "path<n> | cycle<n> | star<n> | circles:<min>:<max> | sphere:<max vertices>"
 # graph spec prefix -> how many integers follow it
 GRAPH_SPEC_INTS = {"path": 1, "cycle": 1, "star": 1, "circles:": 2, "sphere:": 1}
+# the descent step of every positivity light-like search
+LIGHTLIKE_STEP_SIZE = 0.1
 
 
 @functools.lru_cache(maxsize=None)
@@ -480,7 +482,8 @@ def cmd_positivity(args) -> int:
     ]
     # family i searches from seed + i
     results = lightlike_search(
-        families, glue_1d, trials=args.trials, steps=args.steps, seed=args.seed, step_size=0.1
+        families, glue_1d, trials=args.trials, steps=args.steps, seed=args.seed,
+        step_size=LIGHTLIKE_STEP_SIZE,
     )
     residuals = [res.min_residual for res in results]
     short_sizes = {len(fam) for fam in families if len(fam) < args.kets_per_family}
@@ -494,7 +497,7 @@ def cmd_positivity(args) -> int:
     mock_kets, mock = example_mock_null_family()
     [mock_res] = lightlike_search(
         [mock_kets], mock.glue, trials=max(4, args.trials // 4), steps=args.steps,
-        seed=args.seed, step_size=0.1,
+        seed=args.seed, step_size=LIGHTLIKE_STEP_SIZE,
     )
     amps = {k: complex(a) for k, a in mock_res.argmin.items()}
     ratio = amps.get("B", 0j) / amps.get("A", 1j) if amps.get("A") else 0j

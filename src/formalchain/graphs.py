@@ -74,18 +74,21 @@ def star_graph(leaves: int) -> NeighborGraph:
     return g
 
 
+# the most sphere classes a dimension-2 graph collects
+CLASS_CAP = 64
+
+
 def build_neighbor_graph(
     dim: int,
     size_cap: int,
     min_size: int = 3,
-    class_cap: int = 64,
 ) -> NeighborGraph:
     """Classes of one topology linked by single Pachner moves.
 
     Dimension 1 enumerates circles by edge count in [min_size, size_cap];
     a subdivision links consecutive counts.  Dimension 2 explores the move
     graph from the minimal sphere, collecting combinatorial classes with at
-    most ``size_cap`` vertices, up to ``class_cap`` classes (sets
+    most ``size_cap`` vertices, up to ``CLASS_CAP`` classes (sets
     ``truncated`` beyond that).
     """
     if dim == 1:
@@ -118,7 +121,7 @@ def build_neighbor_graph(
                 continue
             k2 = iso_key(t2, metric=False)
             if k2 not in index:
-                if len(reps) >= class_cap:
+                if len(reps) >= CLASS_CAP:
                     g.truncated = True
                     continue
                 index[k2] = len(reps)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import (
     EulerConstraintError,
@@ -144,15 +144,14 @@ def grow_layer(
     cfg: GrowthConfig,
     rng,
     subdivisions: int = 1,
-    extra_closed: Optional[int] = None,
     lower_key: object = None,
 ) -> Cobordism:
     """One Lorentzian layer over a closed Euclidean slice.
 
     ``subdivisions`` sets the number of timelike edges per arc (dimension 1);
-    ``extra_closed`` forces the number of extra closed components, otherwise
-    topology change draws them with probability ``p_circle``.  ``lower_key``
-    defaults to the isometry class of the slice.
+    with topology change, ``rng`` draws the extra closed components with
+    probability ``p_circle``.  ``lower_key`` defaults to the isometry class
+    of the slice.
     """
     d = y.dim + 1
     if d > 2:
@@ -161,11 +160,10 @@ def grow_layer(
         raise StructureError("growth needs a closed lower slice")
     if lower_key is None:
         lower_key = iso_key(y)
-    if extra_closed is None:
-        extra_closed = 0
-        if cfg.topology_change and rng is not None:
-            while rng.random() < cfg.p_circle:
-                extra_closed += 1
+    extra_closed = 0
+    if cfg.topology_change:
+        while rng.random() < cfg.p_circle:
+            extra_closed += 1
     if d == 1:
         return _grow_arcs(y, cfg, subdivisions, extra_closed, lower_key)
     return _grow_circle_layer(y, cfg, rng, extra_closed, lower_key)
@@ -221,7 +219,7 @@ def _grow_circle_layer(y: Triangulation, cfg: GrowthConfig, rng, extra_tori: int
     next_id = off_v + 2 * (y.max_id() + 1)
     for _, cycle in directed_walks(y.edges):  # y is closed: every walk is a cycle
         n = len(cycle)
-        if cfg.layer == "partial" and rng is not None:
+        if cfg.layer == "partial":
             chosen = _partial_subset(n, rng)
         else:
             chosen = [True] * n
@@ -303,21 +301,20 @@ def grow_superposed(
     cfg: GrowthConfig,
     candidates: int,
     rng,
-    lower_key: object = None,
+    lower_key: object,
 ) -> List[Tuple[object, Cobordism]]:
     """Grow ``candidates`` distinct layers over y in equal superposition.
 
     Returns the ``(amplitude, layer)`` terms of the grown X site.  Candidate
     i uses i+1 timelike subdivisions per arc.  Amplitudes are
-    ``y_amp / sqrt(candidates)``.  A superposition with a nonempty upper
+    ``y_amp / sqrt(candidates)``, and each layer carries ``lower_key``, the
+    caller's key for y's class.  A superposition with a nonempty upper
     boundary is only meaningful when the boundary is 0-dimensional, i.e. for
     growth into dimension 1.
     """
     if candidates < 1:
         raise StructureError("need at least one candidate")
     d = y.dim + 1
-    if lower_key is None:
-        lower_key = iso_key(y)
     # extra closed components leave the boundary untouched, so candidates
     # with and without them still glue against each other
     cands = [

@@ -172,11 +172,6 @@ class Superposition:
 
     # -- algebra -----------------------------------------------------------
 
-    def add(self, other: "Superposition") -> "Superposition":
-        return Superposition(
-            [(a, k) for k, a in self._terms.items()] + [(a, k) for k, a in other._terms.items()]
-        )
-
     def map_key(self, old_key, new_key) -> "Superposition":
         """Move one term onto a new key, collecting with any term already there."""
         if old_key not in self._terms:

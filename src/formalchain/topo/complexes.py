@@ -274,23 +274,7 @@ class Triangulation:
     def disjoint_union(self, other: "Triangulation") -> "Triangulation":
         if self.dim != other.dim:
             raise StructureError("disjoint union requires equal dimensions")
-        off = self.max_id() + 1
-        vs = dict(self.vertex_sign)
-        vs.update({v + off: s for v, s in other.vertex_sign.items()})
-        edges = dict(self.edges)
-        edges.update({e + off: (a + off, b + off) for e, (a, b) in other.edges.items()})
-        len2 = dict(self.edge_len2)
-        len2.update({e + off: l for e, l in other.edge_len2.items()})
-        faces = dict(self.faces)
-        faces.update(
-            {
-                f + off: (tuple(v + off for v in fv), tuple(e + off for e in fe))
-                for f, (fv, fe) in other.faces.items()
-            }
-        )
-        marks = dict(self.boundary_mark)
-        marks.update({s + off: m for s, m in other.boundary_mark.items()})
-        return Triangulation(self.dim, vs, edges, len2, faces, marks)
+        return _merged(self, other, set(), set(), self.max_id() + 1)
 
 
 def connected_groups(nodes: Iterable, links: Iterable[Tuple[object, object]]) -> List[list]:
@@ -422,13 +406,10 @@ def glue_along_boundary(a: Triangulation, b: Triangulation) -> Triangulation:
         raise StructureError("cannot glue spaces of different dimensions")
     if set(a.boundary_mark) != set(b.boundary_mark):
         raise StructureError("boundary simplex ids differ; cannot glue")
-    dim = a.dim
-    if dim == 0:
-        return a.disjoint_union(b)
-
-    if dim == 1:
+    shared_v, shared_e = set(), set()
+    if a.dim == 1:
         shared_v = set(a.boundary_mark)
-    else:
+    elif a.dim == 2:
         shared_e = set(a.boundary_mark)
         shared_v = {v for e in shared_e for v in a.edges[e]}
         for e in shared_e:
@@ -436,62 +417,63 @@ def glue_along_boundary(a: Triangulation, b: Triangulation) -> Triangulation:
                 raise StructureError(f"boundary edge {e} joins different vertices in the two pieces")
             if a.edge_len2[e] != b.edge_len2[e]:
                 raise StructureError(f"boundary edge {e} has mismatched lengths")
+    return _merged(a, b, shared_v, shared_e, max(a.max_id(), b.max_id()) + 1)
 
-    off = max(a.max_id(), b.max_id()) + 1
+
+def _merged(a: Triangulation, b: Triangulation, shared_v: set, shared_e: set,
+            off: int) -> Triangulation:
+    """``a`` and ``b`` as one space, ``b``'s simplices renumbered by ``off``.
+
+    The shared vertices and edges keep their ids and are ``a``'s; their marks
+    are dropped, since a glued boundary simplex is interior.  ``off`` must
+    exceed every id of ``a``.
+    """
 
     def map_v(v: int) -> int:
         return v if v in shared_v else v + off
 
-    vs = dict(a.vertex_sign)
-    for v, s in b.vertex_sign.items():
-        vs[map_v(v)] = vs.get(map_v(v), s)
-
-    edges = dict(a.edges)
-    len2 = dict(a.edge_len2)
-    faces = dict(a.faces)
-
-    if dim == 1:
-        for e, (x, y) in b.edges.items():
-            edges[e + off] = (map_v(x), map_v(y))
-            len2[e + off] = b.edge_len2[e]
-        return Triangulation(1, vs, edges, len2, {}, {})
-
     def map_e(e: int) -> int:
         return e if e in shared_e else e + off
 
-    for e, (x, y) in b.edges.items():
-        if e in shared_e:
-            continue
-        edges[e + off] = (map_v(x), map_v(y))
-        len2[e + off] = b.edge_len2[e]
-    for f, (fv, fe) in b.faces.items():
-        faces[f + off] = (tuple(map_v(v) for v in fv), tuple(map_e(e) for e in fe))
-    return Triangulation(2, vs, edges, len2, faces, {})
+    vs = dict(a.vertex_sign)
+    for v, s in b.vertex_sign.items():
+        vs.setdefault(map_v(v), s)
+    edges = dict(a.edges)
+    edges.update({e + off: (map_v(x), map_v(y)) for e, (x, y) in b.edges.items()
+                  if e not in shared_e})
+    len2 = dict(a.edge_len2)
+    len2.update({e + off: l for e, l in b.edge_len2.items() if e not in shared_e})
+    faces = dict(a.faces)
+    faces.update({f + off: (tuple(map_v(v) for v in fv), tuple(map_e(e) for e in fe))
+                  for f, (fv, fe) in b.faces.items()})
+    shared = shared_v | shared_e
+    marks = {s: m for s, m in a.boundary_mark.items() if s not in shared}
+    marks.update({s + off: m for s, m in b.boundary_mark.items() if s not in shared})
+    return Triangulation(a.dim, vs, edges, len2, faces, marks)
 
 
 # -- constructors -------------------------------------------------------------------
 
 
-def point_set(plus: int, minus: int = 0) -> Triangulation:
-    """Oriented 0-manifold with the given numbers of (+) and (-) points."""
-    signs = {i: 1 for i in range(plus)}
-    signs.update({plus + i: -1 for i in range(minus)})
-    return Triangulation(0, signs)
+def point_set(plus: int) -> Triangulation:
+    """Oriented 0-manifold of ``plus`` (+) points."""
+    return Triangulation(0, {i: 1 for i in range(plus)})
 
 
-def circle(n_edges: int, len2=Fraction(1)) -> Triangulation:
-    """Closed combinatorial circle with n >= 1 edges of equal squared length."""
+def circle(n_edges: int) -> Triangulation:
+    """Closed combinatorial circle with n >= 1 edges of squared length 1."""
     if n_edges < 1:
         raise StructureError("a circle needs at least one edge")
     if n_edges == 1:
-        return Triangulation(1, {0: 1}, {0: (0, 0)}, {0: len2}, {}, {})
+        return Triangulation(1, {0: 1}, {0: (0, 0)}, {0: Fraction(1)}, {}, {})
     vs = {i: 1 for i in range(n_edges)}
     edges = {i: (i, (i + 1) % n_edges) for i in range(n_edges)}
-    return Triangulation(1, vs, edges, {i: len2 for i in edges}, {}, {})
+    return Triangulation(1, vs, edges, {i: Fraction(1) for i in edges}, {}, {})
 
 
-def arc(n_edges: int, len2=Fraction(1), upper_id: Optional[int] = None) -> Triangulation:
-    """Path of n >= 1 edges from vertex 0; first vertex marked lower, last marked upper."""
+def arc(n_edges: int, upper_id: Optional[int] = None) -> Triangulation:
+    """Path of n >= 1 edges of squared length 1 from vertex 0; first vertex
+    marked lower, last marked upper."""
     if n_edges < 1:
         raise StructureError("an arc needs at least one edge")
     if upper_id is None:
@@ -501,7 +483,7 @@ def arc(n_edges: int, len2=Fraction(1), upper_id: Optional[int] = None) -> Trian
     vs = {v: 1 for v in ids}
     edges = {base + n_edges + i: (ids[i], ids[i + 1]) for i in range(n_edges)}
     marks = {ids[0]: LOWER, ids[-1]: UPPER}
-    return Triangulation(1, vs, edges, {e: len2 for e in edges}, {}, marks)
+    return Triangulation(1, vs, edges, {e: Fraction(1) for e in edges}, {}, marks)
 
 
 def surface_from_faces(
@@ -553,11 +535,9 @@ def surface_from_faces(
     return Triangulation(2, vs, edges, len2, faces, marks)
 
 
-def sphere_triangulation(len2=Fraction(1)) -> Triangulation:
-    """Boundary of the 3-simplex: 4 vertices, 6 edges, 4 faces."""
-    return surface_from_faces(
-        [(0, 1, 2), (0, 3, 1), (1, 3, 2), (0, 2, 3)], default_len2=len2
-    )
+def sphere_triangulation() -> Triangulation:
+    """Boundary of the 3-simplex: 4 vertices, 6 edges, 4 faces, edges of squared length 1."""
+    return surface_from_faces([(0, 1, 2), (0, 3, 1), (1, 3, 2), (0, 2, 3)])
 
 
 def torus_triangulation(len2=Fraction(1)) -> Triangulation:

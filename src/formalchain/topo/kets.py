@@ -95,8 +95,3 @@ class BoundedSurfaceKet:
         if self.closed_genera:
             parts.append("closed" + str(list(self.closed_genera)))
         return "surf[" + " ".join(parts) + "]"
-
-
-def disk_with_handles(n: int, label: str = "c0") -> BoundedSurfaceKet:
-    """Genus-n surface with a single boundary circle."""
-    return BoundedSurfaceKet(((n, frozenset([label])),))

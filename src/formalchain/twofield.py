@@ -380,15 +380,13 @@ class NestedVector:
                     raise StructureError("nested levels must decrease by one")
 
 
-def alpha_erase(v: NestedVector, n: Optional[int] = None) -> Union[np.ndarray, NestedVector]:
+def alpha_erase(v: NestedVector, n: int) -> Union[np.ndarray, NestedVector]:
     """Erase kets and extend linearly, conjugating amplitudes when n is odd.
 
-    ``n`` names the erasure map (defaults to v.level - 1, the map that lands
-    on the level below).  The result is a plain vector from level 2 or the
-    merged combination one level down otherwise.
+    ``n`` names the erasure map.  The result is a plain vector from level 2
+    or the merged combination one level down otherwise.
     """
-    if n is None:
-        n = v.level - 1
+
     def tilde(a: complex) -> complex:
         return np.conj(a) if n % 2 == 1 else a
 
@@ -417,7 +415,7 @@ def frame_vectors(frame: np.ndarray) -> List[NestedVector]:
     ]
 
 
-def eval_embed(frame: np.ndarray, component: int = 0) -> NestedVector:
+def eval_embed(frame: np.ndarray, component: int) -> NestedVector:
     """The evaluation embedding of basis vector e_component at level 3.
 
     The level-3 combination weights each frame vector by the conjugated

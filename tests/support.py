@@ -2,7 +2,8 @@
 
 The package keeps only code its commands run; the test inputs built here
 (random move orbits, the genus-2 surface, surfaces with holes, doubles,
-scaled superpositions, random unitary frames) and the readers of a
+signed point sets, spaces at other edge lengths, disks with handles, sums
+and scalings of superpositions, random unitary frames) and the readers of a
 run (toy-space visit counts, chain steps, state fidelity, norm drifts of a
 trajectory) live beside the tests instead.
 """
@@ -18,6 +19,7 @@ from formalchain.errors import GeometryError, MoveError, StructureError
 from formalchain.superpose import Superposition
 from formalchain.topo import (
     LOWER,
+    BoundedSurfaceKet,
     ClosedSurfaceClass,
     Triangulation,
     apply_pachner,
@@ -108,6 +110,24 @@ def remove_faces(t: Triangulation, face_ids: Iterable[int]) -> Triangulation:
     return Triangulation(2, vs, edges, len2, faces, marks)
 
 
+def signed_points(plus: int, minus: int) -> Triangulation:
+    """Oriented 0-manifold with ``plus`` (+) points, then ``minus`` (-) points."""
+    signs = {i: 1 for i in range(plus)}
+    signs.update({plus + i: -1 for i in range(minus)})
+    return Triangulation(0, signs)
+
+
+def relengthed(t: Triangulation, len2) -> Triangulation:
+    """``t`` with every edge at squared length ``len2``."""
+    return Triangulation(t.dim, t.vertex_sign, t.edges, {e: len2 for e in t.edges}, t.faces,
+                         t.boundary_mark)
+
+
+def disk_with_handles(n: int, label: str = "c0") -> BoundedSurfaceKet:
+    """Genus-n surface with a single boundary circle."""
+    return BoundedSurfaceKet(((n, frozenset([label])),))
+
+
 def fidelity(a: TwoFieldState, b: TwoFieldState) -> float:
     """|<a|b>|^2 with the grid measure."""
     dx = grid_dx(a.params)
@@ -129,6 +149,10 @@ def max_joint_drift(traj: Trajectory) -> float:
 
 def max_erased_drift(traj: Trajectory) -> float:
     return max(abs(n - traj.erased_norms[0]) for n in traj.erased_norms)
+
+
+def add(s: Superposition, other: Superposition) -> Superposition:
+    return Superposition([(a, k) for t in (s, other) for k, a in t.items()])
 
 
 def scale(s: Superposition, factor) -> Superposition:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from formalchain.action import ActionParams, regge_deficit_sum
+from formalchain.action import ActionParams, regge_deficit_sum, total_action
 from formalchain.chains import (
     FormalChain,
     SamplerConfig,
@@ -115,7 +115,7 @@ def test_acceptance_02_example_32(capsys):
     elapsed = time.time() - t0
     assert chain.sites[-1].state.is_zero()
     assert at_dim == 1
-    fresh = example_cancellation_chain(fluctuations=0)
+    fresh = FormalChain(chain.sites[:2], chain.doubles)  # before the fluctuations
     amps = sorted(
         (len(rep.edges), fresh.sites[-1].state.amplitude(k))
         for k, rep in fresh.sites[-1].reps.items()
@@ -244,7 +244,7 @@ def test_acceptance_07_euler_constraint(capsys):
         rng = random.Random(f"acc7:{ci}")
         chain = FormalChain()
         for _ in range(120):
-            chain, _ = step(chain, p, cfg, rng)
+            chain, _ = step(chain, p, cfg, rng, total_action(chain, p))
         for site in chain.sites:
             if site.kind == "X":  # grown
                 for _, cob in site.x_terms:

@@ -205,7 +205,7 @@ def test_terminated_site_contributes_nothing():
     chain = example_cancellation_chain()
     p = ActionParams(Lambda=(1.0, 1.0, 1.0), g=(5.0, 5.0, 5.0), f=(0.0, 0.0, 0.0))
     br = total_action(chain, p)
-    partial = example_cancellation_chain(fluctuations=0)
+    partial = FormalChain(chain.sites[:2], chain.doubles)  # before the fluctuations
     br0 = total_action(partial, p)
     # after cancellation the frontier site adds no volume and no S_d
     frontier_volume = 5.0 * float(partial.sites[-1].state.norm2())
@@ -215,7 +215,8 @@ def test_terminated_site_contributes_nothing():
 
 
 def test_total_action_monotone_in_lambda():
-    chain = example_cancellation_chain(fluctuations=0)
+    full = example_cancellation_chain()
+    chain = FormalChain(full.sites[:2], full.doubles)  # before the fluctuations
     lows, highs = [], []
     for lam in (0.0, 0.5, 1.0, 2.0):
         p = ActionParams(Lambda=(lam, lam, lam))
@@ -273,7 +274,8 @@ def test_action_params_keep_hard_rejection():
 
 
 def test_breakdown_total_is_sum_of_parts():
-    chain = example_cancellation_chain(fluctuations=1)
+    full = example_cancellation_chain()
+    chain = FormalChain(full.sites[:3], full.doubles)  # after one fluctuation
     p = ActionParams(h=(0.0, 2.0, 0.0), Lambda=(0.1, 0.2, 0.3))
     br = total_action(chain, p)
     assert br.total == pytest.approx(
@@ -328,6 +330,13 @@ OTHER = ActionParams(G=0.5, g=(2.0, 0.3, 1.5), f=(0.2, 0.0, 0.1), Lambda=(0.3, 0
                      c=(1.0, 0.5, 2.0), h=(1.0, 0.0, 3.0), singular_penalty=7.0)
 
 
+def test_empty_breakdown_is_the_empty_chain_action():
+    # run starts each chain's first step from ActionBreakdown(), so that must
+    # be the action of the empty chain to the bit, under any params
+    for p in (ActionParams(), OTHER):
+        assert bits(ActionBreakdown()) == bits(total_action(FormalChain(), p))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 80))
 def test_memoised_action_matches_reference_along_trajectories(seed, steps):
@@ -335,7 +344,7 @@ def test_memoised_action_matches_reference_along_trajectories(seed, steps):
     # ignored the params would hand one params' shares to the other
     rng = random.Random(seed)
     chain = FormalChain()
-    br = None
+    br = ActionBreakdown()
     for _ in range(steps):
         chain, info = step(chain, SAMPLED, TRAJECTORY_CFG, rng, br)
         br = info.breakdown
@@ -348,7 +357,7 @@ def test_trajectories_replace_the_last_pair():
     # the trajectories above reach with_last_pair_replaced through reweight
     rng = random.Random(3)
     chain = FormalChain()
-    br = None
+    br = ActionBreakdown()
     replaced = 0
     for _ in range(80):
         before = chain

@@ -20,7 +20,7 @@ from formalchain.topo import (
 from formalchain.growth import GrowthConfig, grow_layer, mirror_double
 from formalchain.topo import invariants, surface_from_faces
 from formalchain.topo.invariants import _least_rotation, _min_rotation, _token
-from support import double, genus2_triangulation, random_orbit, remove_faces
+from support import double, genus2_triangulation, random_orbit, relengthed, remove_faces
 
 
 def reference_surface_code(t: Triangulation, metric: bool = True) -> Tuple:
@@ -131,7 +131,7 @@ def test_surface_code_matches_reference_on_orbits(name, t, metric):
 def test_surface_code_matches_reference_on_unions_and_boundaries():
     rng = random.Random(4)
     torus = random_orbit(torus_triangulation(), 8, rng)
-    sphere = random_orbit(sphere_triangulation(Fraction(3, 2)), 8, rng)
+    sphere = random_orbit(relengthed(sphere_triangulation(), Fraction(3, 2)), 8, rng)
     union = torus.disjoint_union(sphere).disjoint_union(sphere_triangulation())
     holed = remove_faces(torus, [min(torus.faces)])
     for t in (union, holed, double(holed)):
@@ -147,7 +147,7 @@ def doubled_prism(lens: List[int]) -> Triangulation:
     c = circle(len(lens))
     slice_ = Triangulation(1, c.vertex_sign, c.edges,
                            dict(zip(sorted(c.edges), map(Fraction, lens))))
-    return mirror_double(grow_layer(slice_, GrowthConfig(), None, extra_closed=0))
+    return mirror_double(grow_layer(slice_, GrowthConfig(), None))
 
 
 def torus_grid(m: int, k: int, marked=Fraction(1)) -> Triangulation:

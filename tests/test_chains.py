@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from formalchain import chains
-from formalchain.action import ActionParams, total_action
+from formalchain.action import ActionBreakdown, ActionParams, total_action
 from formalchain.chains import (
     ChainSite,
     FormalChain,
@@ -25,7 +25,7 @@ from formalchain.errors import GeometryError, StructureError
 from formalchain.growth import Cobordism, GrowthConfig
 from formalchain.superpose import Superposition
 from formalchain.topo import Triangulation, arc, iso_key, point_set
-from support import chain_steps, sample_discrete
+from support import chain_steps, relengthed, sample_discrete
 
 
 def default_params(**kw):
@@ -88,7 +88,7 @@ def test_example_chain_terminates_exactly():
     assert chain.terminated_dim == 1
     assert chain.sites[-1].state.is_zero()
     # exact arithmetic all the way through
-    fresh = example_cancellation_chain(fluctuations=0)
+    fresh = FormalChain(chain.sites[:2], chain.doubles)  # before the fluctuations
     amps = sorted(
         (len(rep.edges), fresh.sites[-1].state.amplitude(key))
         for key, rep in fresh.sites[-1].reps.items()
@@ -99,12 +99,14 @@ def test_example_chain_terminates_exactly():
 
 
 def test_example_chain_validates():
-    validate_chain(example_cancellation_chain())
-    validate_chain(example_cancellation_chain(fluctuations=1))
+    chain = example_cancellation_chain()
+    validate_chain(chain)
+    validate_chain(FormalChain(chain.sites[:3], chain.doubles))  # after one fluctuation
 
 
 def test_terminated_dim_nonzero():
-    chain = example_cancellation_chain(fluctuations=1)
+    full = example_cancellation_chain()
+    chain = FormalChain(full.sites[:3], full.doubles)  # after one fluctuation
     assert chain.terminated_dim is None
 
 
@@ -159,7 +161,7 @@ def test_grow_steps_respect_euler_constraint():
     chain = FormalChain()
     checked = 0
     for _ in range(120):
-        chain, info = step(chain, p, cfg, rng)
+        chain, info = step(chain, p, cfg, rng, total_action(chain, p))
         if chain.terminated_dim is not None:
             break
     for site in chain.sites:
@@ -172,7 +174,8 @@ def test_grow_steps_respect_euler_constraint():
 
 def test_fluctuate_moves_one_term():
     rng = random.Random(3)
-    chain = example_cancellation_chain(fluctuations=0)
+    full = example_cancellation_chain()
+    chain = FormalChain(full.sites[:2], full.doubles)  # before the fluctuations
     out = propose_fluctuate(chain, default_cfg(), rng)
     assert out is not None
     validate_chain(out)
@@ -192,9 +195,10 @@ def test_fluctuate_errors_are_counted():
 
 def test_reweight_requires_fresh_double():
     rng = random.Random(4)
-    chain = example_cancellation_chain(fluctuations=1)
+    full = example_cancellation_chain()
+    chain = FormalChain(full.sites[:3], full.doubles)  # after one fluctuation
     assert propose_reweight(chain, default_cfg(), rng) is None
-    fresh = example_cancellation_chain(fluctuations=0)
+    fresh = FormalChain(full.sites[:2], full.doubles)  # before the fluctuations
     out = propose_reweight(fresh, default_cfg(), rng)
     assert out is not None
     validate_chain(out)
@@ -211,7 +215,7 @@ def test_reweight_not_applicable_right_after_a_fluctuation():
     cfg = default_cfg()
     p = default_params()
     rng = random.Random(9)
-    chain, br = FormalChain(), None
+    chain, br = FormalChain(), ActionBreakdown()
     after_fluctuation = after_double = 0
     for _ in range(150):
         probe = random.Random(0)
@@ -260,7 +264,7 @@ def test_sampler_chains_validate():
     p = default_params()
     chain = FormalChain()
     for _ in range(80):
-        chain, _ = step(chain, p, cfg, rng)
+        chain, _ = step(chain, p, cfg, rng, total_action(chain, p))
         validate_chain(chain)
 
 
@@ -348,7 +352,7 @@ def test_superposed_growth_can_shed_circles():
     rng = _random.Random(2)
     seen = False
     for _ in range(10):
-        terms = grow_superposed(1.0, point_set(1), cfg, 2, rng)
+        terms = grow_superposed(1.0, point_set(1), cfg, 2, rng, iso_key(point_set(1)))
         if any(c.space.component_count() > 1 for _, c in terms):
             seen = True
         for _, c in terms:
@@ -398,7 +402,7 @@ def test_infinite_singular_penalty_rejects_singular_proposals():
     singular = 0
     for ci in range(cfg.chains):
         rng = random.Random(f"{cfg.seed}:{ci}")
-        chain, br = FormalChain(), None
+        chain, br = FormalChain(), ActionBreakdown()
         for _ in range(cfg.sweeps):
             chain, info = step(chain, p, cfg, rng, br)
             br = info.breakdown
@@ -438,8 +442,8 @@ def _count_double_cross(monkeypatch):
 def _arc_terms(lower_key, amp, len2):
     """Two arcs over one point pair, glueable against each other."""
     return [
-        (amp, Cobordism(arc(1, len2), 1, lower_key)),
-        (amp, Cobordism(arc(2, len2, upper_id=1), 1, lower_key)),
+        (amp, Cobordism(relengthed(arc(1), len2), 1, lower_key)),
+        (amp, Cobordism(relengthed(arc(2, upper_id=1), len2), 1, lower_key)),
     ]
 
 
@@ -508,7 +512,7 @@ def test_double_table_hit_equals_a_table_free_layer(monkeypatch):
     cfg = default_cfg(seed=7)
     p = default_params()
     rng = random.Random(7)
-    chain, br = FormalChain(), None
+    chain, br = FormalChain(), ActionBreakdown()
     hits = {propose_extend: 0, propose_reweight: 0}
     for _ in range(200):
         state = rng.getstate()
@@ -562,7 +566,7 @@ def test_chains_of_one_run_share_their_doubles(monkeypatch):
     for ci in range(cfg.chains):
         calls.clear()
         rng = random.Random(f"{cfg.seed}:{ci}")
-        chain, br = FormalChain(), None
+        chain, br = FormalChain(), ActionBreakdown()
         for _ in range(cfg.sweeps):
             chain, info = step(chain, p, cfg, rng, br)
             br = info.breakdown
@@ -673,7 +677,7 @@ def test_step_prices_only_the_sites_a_proposal_adds(monkeypatch):
         p = default_params(h=(0.0, h1, 0.0))
         for ci in range(4):
             rng = random.Random(f"5000:{ci}")
-            chain, br = FormalChain(), None
+            chain, br = FormalChain(), ActionBreakdown()
             for _ in range(200):
                 proposals.clear()
                 before = chain
@@ -691,7 +695,8 @@ def test_step_prices_only_the_sites_a_proposal_adds(monkeypatch):
 
 def test_replaced_site_is_priced_afresh():
     # dataclasses.replace must not hand the new site the old site's shares
-    chain = example_cancellation_chain(0)
+    full = example_cancellation_chain()
+    chain = FormalChain(full.sites[:2], full.doubles)  # before the fluctuations
     p = ActionParams()
     y = chain.sites[-1]
     assert total_action(chain, p).volume == 60.0  # norm 6 at g = 10; fills y's memo

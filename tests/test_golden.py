@@ -24,12 +24,13 @@ from pathlib import Path
 import pytest
 
 from formalchain.cli import main
-from formalchain.topo import circle, point_set, to_text
+from formalchain.topo import circle, to_text
+from support import signed_points
 
 DATA = Path(__file__).parent / "data"
 
 # slices for ``grow``, written into the run directory under these names
-GROW_INPUTS = {"circle3.txt": circle(3), "points22.txt": point_set(2, 2)}
+GROW_INPUTS = {"circle3.txt": circle(3), "points22.txt": signed_points(2, 2)}
 # ket files for ``pair --kets``, written into the run directory under these names
 KET_INPUTS = {
     # matchings of four points, two of them with free circles

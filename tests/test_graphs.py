@@ -7,6 +7,7 @@ import pytest
 
 from formalchain.errors import StructureError, UnsupportedError
 from formalchain.graphs import (
+    CLASS_CAP,
     NeighborGraph,
     build_neighbor_graph,
     cycle_graph,
@@ -98,9 +99,9 @@ def test_sphere_class_graph_has_edges():
 
 
 def test_truncation_flag():
-    g = build_neighbor_graph(2, 8, class_cap=3)
+    g = build_neighbor_graph(2, 8)
     assert g.truncated
-    assert g.n == 3
+    assert g.n == CLASS_CAP
 
 
 def test_gap_zero_iff_disconnected():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from formalchain.action import ActionParams
+from formalchain.action import ActionBreakdown, ActionParams
 from formalchain.chains import FormalChain, SamplerConfig, step
 from formalchain.errors import (
     EulerConstraintError,
@@ -33,11 +33,12 @@ from formalchain.topo import (
     classify_curves,
     classify_surface,
     insert_vertex,
+    iso_key,
     point_set,
     sphere_triangulation,
     surface_from_faces,
 )
-from support import double, remove_faces
+from support import double, remove_faces, signed_points
 
 
 def cfg(**kw):
@@ -177,7 +178,7 @@ def test_collar_double_classification_matches_product():
 
 def test_grow_superposed_two_candidates():
     y = point_set(2)
-    terms = grow_superposed(1.0, y, cfg(), 2, random.Random(0))
+    terms = grow_superposed(1.0, y, cfg(), 2, random.Random(0), iso_key(y))
     assert len(terms) == 2
     weights = [abs(complex(a)) ** 2 for a, _ in terms]
     assert math.isclose(sum(weights), 1.0, abs_tol=1e-12)
@@ -186,7 +187,7 @@ def test_grow_superposed_two_candidates():
 
 def test_grow_superposed_single_candidate():
     y = circle(4)
-    terms = grow_superposed(1.0, y, cfg(), 1, random.Random(0))
+    terms = grow_superposed(1.0, y, cfg(), 1, random.Random(0), iso_key(y))
     assert len(terms) == 1
     assert abs(abs(complex(terms[0][0])) - 1.0) < 1e-12
 
@@ -194,12 +195,12 @@ def test_grow_superposed_single_candidate():
 def test_grow_superposed_forbidden_above_dim1():
     y = circle(4)
     with pytest.raises(SuperpositionForbiddenError):
-        grow_superposed(1.0, y, cfg(), 2, random.Random(0))
+        grow_superposed(1.0, y, cfg(), 2, random.Random(0), iso_key(y))
 
 
 def test_cross_double_profiles():
     y = point_set(1)
-    (a1, c1), (a2, c2) = grow_superposed(1.0, y, cfg(), 2, random.Random(0))
+    (a1, c1), (a2, c2) = grow_superposed(1.0, y, cfg(), 2, random.Random(0), iso_key(y))
     from formalchain.topo import curve_profile
 
     assert curve_profile(double_cross(c1, c1)) == (("circle", "1", "1"),)
@@ -209,8 +210,8 @@ def test_cross_double_profiles():
 
 def test_extra_circles_respect_chi():
     y = point_set(2)
-    x = grow_layer(y, cfg(topology_change=True, p_circle=0.5), random.Random(3),
-                   extra_closed=2)
+    # the seed's draws fall below p_circle twice, then above it: two extra circles
+    x = grow_layer(y, cfg(topology_change=True, p_circle=0.5), random.Random(7))
     assert x.space.euler_characteristic() == y.euler_characteristic()
     d = mirror_double(x)
     # arcs double to one circle each, extra circles double to two each
@@ -219,7 +220,8 @@ def test_extra_circles_respect_chi():
 
 def test_extra_tori_respect_chi():
     y = circle(3)
-    x = grow_layer(y, cfg(topology_change=True), random.Random(3), extra_closed=1)
+    # the seed's draws fall below p_circle once, then above it: one extra torus
+    x = grow_layer(y, cfg(topology_change=True, p_circle=0.5), random.Random(1))
     assert x.space.euler_characteristic() == 0
     d = mirror_double(x)
     assert classify_surface(d).genera == (1, 1, 1)
@@ -256,8 +258,6 @@ def test_partial_layer_double_is_singular():
         if len(x.space.faces) < 16:
             d = mirror_double(x)
             if not d.is_pure():
-                from formalchain.topo import iso_key
-
                 key = iso_key(d)
                 assert key[0] == "mixed"
                 return
@@ -276,14 +276,14 @@ def test_grown_spaces_carry_no_vertex_sign():
     # has +1 signs.  The golden grow slices, and sampler chains at the
     # acceptance-9 couplings; chain 1 of seed 5001 reaches dimension 2.
     spaces = []
-    for y in (circle(3), point_set(2, 2)):
+    for y in (circle(3), signed_points(2, 2)):
         x = grow_layer(y, cfg(), random.Random("3:grow"))
         spaces += [x.space, x.upper_slice(), mirror_double(x)]
     p = ActionParams(g=(0.5, 1.0, 6.0), f=(0.01, 0.01, 0.01), Lambda=(0.05, 0.0, 0.5))
     sampler = SamplerConfig(weight_extend=0.15, weight_fluctuate=0.65, weight_reweight=0.2)
     for ci in range(4):
         rng = random.Random(f"5001:{ci}")
-        chain, br = FormalChain(), None
+        chain, br = FormalChain(), ActionBreakdown()
         for _ in range(200):
             chain, info = step(chain, p, sampler, rng, br)
             br = info.breakdown

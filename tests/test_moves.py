@@ -92,7 +92,7 @@ def test_insert_then_remove_roundtrip():
 
 
 def test_barycentric_lengths_exact():
-    s = sphere_triangulation(len2=Fraction(1))
+    s = sphere_triangulation()
     f = min(s.faces)
     lens = barycentric_len2(s, f)
     assert all(l == Fraction(1, 3) for l in lens)

@@ -39,11 +39,9 @@ from formalchain.topo import (
     Closed1Class,
     ClosedSurfaceClass,
     circle,
-    disk_with_handles,
-    point_set,
     sphere_triangulation,
 )
-from support import remove_faces, scale
+from support import add, disk_with_handles, remove_faces, scale, signed_points
 
 
 def all_matchings(labels):
@@ -255,12 +253,12 @@ def test_sesquilinearity_random():
             assert abs(complex(left2.amplitude(key)) - complex(right2.amplitude(key))) < 1e-12
         # additivity in both slots
         u = Superposition([(complex(rng.uniform(-1, 1)), k) for k in kets])
-        lhs = pair(u.add(v), w, glue_1d)
-        rhs = pair(u, w, glue_1d).add(pair(v, w, glue_1d))
+        lhs = pair(add(u, v), w, glue_1d)
+        rhs = add(pair(u, w, glue_1d), pair(v, w, glue_1d))
         for key in set(lhs.keys()) | set(rhs.keys()):
             assert abs(complex(lhs.amplitude(key)) - complex(rhs.amplitude(key))) < 1e-12
-        lhs2 = pair(v, u.add(w), glue_1d)
-        rhs2 = pair(v, u, glue_1d).add(pair(v, w, glue_1d))
+        lhs2 = pair(v, add(u, w), glue_1d)
+        rhs2 = add(pair(v, u, glue_1d), pair(v, w, glue_1d))
         for key in set(lhs2.keys()) | set(rhs2.keys()):
             assert abs(complex(lhs2.amplitude(key)) - complex(rhs2.amplitude(key))) < 1e-12
 
@@ -678,7 +676,7 @@ def test_cs_check_single_ket_empty():
 def test_cs_check_point_sets_naive_orders_fail():
     """Dimension-0 kets under disjoint-union gluing: orders by total point
     count (either sign) admit violations, documented by exhaustive search."""
-    kets = [point_set(p, m) for p in range(3) for m in range(3) if p + m > 0]
+    kets = [signed_points(p, m) for p in range(3) for m in range(3) if p + m > 0]
 
     def order_total(key):
         return key.plus_points + key.minus_points

@@ -34,7 +34,14 @@ from formalchain.topo import (
     to_text,
     torus_triangulation,
 )
-from support import double, genus2_triangulation, random_orbit, remove_faces, union
+from support import (
+    double,
+    genus2_triangulation,
+    random_orbit,
+    remove_faces,
+    signed_points,
+    union,
+)
 
 
 def test_euler_circle():
@@ -145,7 +152,7 @@ def test_smith_normal_form_torsion():
 def homology_corpus() -> List[Triangulation]:
     """Every kind of complex the package builds, in dimensions 0 to 2."""
     rng = random.Random(7)
-    spaces = [point_set(0), point_set(3, 2), circle(1), circle(2), circle(6), arc(1), arc(4)]
+    spaces = [point_set(0), signed_points(3, 2), circle(1), circle(2), circle(6), arc(1), arc(4)]
     spaces.append(circle(3).disjoint_union(circle(1)).disjoint_union(arc(2)))
     for seed_t in (sphere_triangulation(), torus_triangulation(), genus2_triangulation()):
         spaces += [random_orbit(seed_t, n, rng) for n in (0, 4, 12)]
@@ -157,7 +164,7 @@ def homology_corpus() -> List[Triangulation]:
     spaces.append(Triangulation(2, {0: 1, 1: 1, 2: 1}, {3: (0, 1)}, {3: Fraction(1)}))
     grown = GrowthConfig(layer="partial", topology_change=True, p_circle=0.3)
     for i in range(24):
-        y = point_set(1 + i % 3, 1 + i % 2) if i % 4 == 0 else circle(3 + i % 5)
+        y = signed_points(1 + i % 3, 1 + i % 2) if i % 4 == 0 else circle(3 + i % 5)
         x = grow_layer(y, grown if i % 2 else GrowthConfig(), rng)
         spaces += [x.space, mirror_double(x)]
     return spaces
@@ -186,9 +193,19 @@ def test_gluing_chi_additive_over_circle_boundary():
 
 
 def test_point_set_classes():
-    p = point_set(2, 1)
+    p = signed_points(2, 1)
     assert classify_0d(p) == Closed0Class(2, 1)
     assert classify_0d(p.mirrored()) == Closed0Class(1, 2)
+
+
+def test_point_set_glue_is_the_disjoint_union():
+    # a 0-manifold has no boundary, so gluing it to its mirror takes the
+    # disjoint union, ids and insertion order included
+    for t in (point_set(3), signed_points(2, 1)):
+        glued = glue_along_boundary(t, t.mirrored())
+        union = t.disjoint_union(t.mirrored())
+        for name in ("vertex_sign", "edges", "edge_len2", "faces", "boundary_mark"):
+            assert list(getattr(glued, name).items()) == list(getattr(union, name).items())
 
 
 def test_curve_classes_and_profiles():
@@ -250,7 +267,7 @@ def test_iso_key_relabel_invariant_on_parallel_edge_complexes():
 
 
 def test_text_round_trip():
-    for t in (circle(4), torus_triangulation(), point_set(2, 1)):
+    for t in (circle(4), torus_triangulation(), signed_points(2, 1)):
         back = from_text(to_text(t))
         assert back.euler_characteristic() == t.euler_characteristic()
         assert iso_key(back) == iso_key(t)

@@ -30,7 +30,9 @@ def _tracing_module():
 
 def test_trace_hooks_see_every_sampler_layer(capsys):
     tracing = _tracing_module()
-    argv = ["sample", "--seed", "5000", "--chains", "2", "--sweeps", "60"]
+    # the size of one sample_mixed run: its chains reach a reweight, the only
+    # step that walks a whole chain through total_action
+    argv = ["sample", "--seed", "5000", "--chains", "4", "--sweeps", "100"]
     for item in MIXED:
         argv += ["--set", item]
     t = tracing.Tracer()

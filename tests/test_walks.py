@@ -13,9 +13,10 @@ from formalchain.cli import _perfect_matchings
 from formalchain.errors import BoundaryError, StructureError
 from formalchain.growth import GrowthConfig, double_cross, grow_layer
 from formalchain.pairing import Bounded1Ket, glue_1d
-from formalchain.topo import Closed1Class, Triangulation, curve_profile, point_set
+from formalchain.topo import Closed1Class, Triangulation, curve_profile
 from formalchain.topo.complexes import directed_walks
 from formalchain.topo.invariants import _min_rotation, _token
+from support import signed_points
 
 
 def reference_directed_cycles(y: Triangulation) -> List[List[Tuple[int, int, int]]]:
@@ -135,7 +136,7 @@ def random_doubles(n: int, seed: int):
     cfg = GrowthConfig(topology_change=True, p_circle=0.5)
     rng = random.Random(seed)
     for _ in range(n):
-        y = point_set(rng.randint(1, 4), rng.randint(0, 3))
+        y = signed_points(rng.randint(1, 4), rng.randint(0, 3))
         x1 = grow_layer(y, cfg, rng, subdivisions=rng.randint(1, 3))
         x2 = grow_layer(y, cfg, rng, subdivisions=rng.randint(1, 3))
         yield x1.space, double_cross(x1, x2)
